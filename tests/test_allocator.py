@@ -20,6 +20,7 @@ from warefleet.allocator import (
     mutate,
     random_chromosome,
 )
+from warefleet.engine import Scenario, run_scenario
 from warefleet.errors import ConfigurationError, DomainError, ValidationError
 from warefleet.gridworld import Position
 
@@ -302,3 +303,95 @@ def test_evolve_matches_exhaustive_on_small_instance():
     cfg = GAConfig(population_size=60, max_generations=80, rng_seed=12)
     _, history = evolve(cfg, starts, tasks, store)
     assert math.isclose(history[-1], best_exhaustive, rel_tol=1e-12)
+
+
+def _steps(history):
+    """(generation, value) at each change of the per-generation best: an exact,
+    compact form of a history."""
+    steps = []
+    for generation, value in enumerate(history):
+        if not steps or steps[-1][1] != value:
+            steps.append((generation, value))
+    return steps
+
+
+# Frozen (best, history) of fixed-seed runs. Any change to the operators, the
+# RNG stream, the survivor order or the fitness arithmetic shows here.
+GOLDEN_COLD_BEST = [
+    19, 40, 11, -16, 4, 3, 36, -15, -11, 8, 25, -2, 38, 18, -4, 37, 7, 34, 35, -14,
+    14, -8, 15, 39, -12, 1, 33, -10, 16, 10, -3, 20, 28, -9, 9, 22, -13, 5, 24, -17,
+    -1, 21, 12, 31, -19, 30, 32, -6, 2, 6, 29, -7, -5, 26, 27, 13, -18, 17, 23,
+]
+GOLDEN_COLD_STEPS = [
+    (0, 0.12978585334198572), (1, 0.12982797792924375), (2, 0.1358464934623875),
+    (5, 0.14845054741139357), (6, 0.1518314670715506), (7, 0.15527950310559008),
+    (8, 0.1610305958132045), (11, 0.1628332994097293), (12, 0.16635475150758994),
+    (14, 0.17006802721088435), (17, 0.17586282699494393), (19, 0.17957351290684626),
+    (20, 0.196174595389897), (22, 0.21002887897085848), (23, 0.21024967148488832),
+    (24, 0.21321961620469085), (25, 0.214190093708166), (26, 0.21499596882558453),
+    (27, 0.21680216802168023), (28, 0.21745039412883937), (29, 0.21996150673632117),
+    (30, 0.22099447513812154), (31, 0.22166805209199222), (32, 0.22271714922048996),
+    (33, 0.22452989054167835), (34, 0.22522522522522526), (35, 0.22675736961451246),
+    (36, 0.22701475595913734), (41, 0.22733731173628874), (43, 0.23001725129384704),
+    (44, 0.2312807169702226), (45, 0.23303233323623654), (46, 0.2359882005899705),
+    (48, 0.23682652457075193), (50, 0.23937761819269898), (56, 0.24096385542168672),
+    (59, 0.24140012070006034), (77, 0.24191109767160568), (91, 0.24390243902439027),
+    (92, 0.24539877300613502), (94, 0.24714241581711463), (96, 0.2794271742927),
+    (98, 0.2857142857142857), (99, 0.2891217925551139), (103, 0.29304029304029305),
+    (121, 0.2949852507374632), (149, 0.29739776951672864), (154, 0.29839612085042894),
+    (156, 0.29895366218236175), (157, 0.2991772625280478), (158, 0.2995132909022838),
+    (159, 0.2997377294866992),
+]
+GOLDEN_WARM_BEST = [1, 6, 4, -1, 2, 3, 5, -2]
+GOLDEN_WARM_STEPS = [
+    (0, 0.13953488372093023), (1, 0.15000000000000002), (2, 0.18556701030927833),
+    (4, 0.19047619047619047), (6, 0.2), (7, 0.21951219512195122),
+]
+GOLDEN_SCENARIO_STEPS = [
+    (0, 0.1111111111111111), (1, 0.13008130081300814), (2, 0.13852813852813853),
+    (3, 0.1523809523809524), (5, 0.15384615384615385), (6, 0.16),
+    (7, 0.16842105263157894), (9, 0.17777777777777778),
+]
+
+
+def test_evolve_golden(fig_layout):
+    # Cold store, full-strength GA at the benchmark's N=20, K=40 size.
+    rng = random.Random(2024)
+    cells = rng.sample([(x, y) for x in range(81) for y in range(80)], 60)
+    starts = [Position(*c) for c in cells[:20]]
+    tasks = {i + 1: Position(*c) for i, c in enumerate(cells[20:])}
+    cfg = GAConfig(population_size=100, max_generations=200, rng_seed=7)
+    best, history = evolve(cfg, starts, tasks, HeuristicStore())
+    assert best == GOLDEN_COLD_BEST
+    assert len(history) == 201
+    assert _steps(history) == GOLDEN_COLD_STEPS
+
+    # Warm store: learned pairs (one between points absent here), the second
+    # start on task 2's cell, and a far robot that the best leaves idle.
+    starts = [Position(0, 0), Position(5, 5), Position(60, 60)]
+    tasks = {
+        1: Position(2, 3), 2: Position(5, 5), 3: Position(8, 1),
+        4: Position(3, 9), 5: Position(9, 9), 6: Position(1, 7),
+    }
+    store = HeuristicStore(eta=0.5)
+    store.learn(starts[0], tasks[1], 11.0)
+    store.learn(tasks[1], tasks[3], 20.0)
+    store.learn(tasks[4], tasks[6], 3.0)
+    store.learn(starts[1], tasks[5], 14.0)
+    store.learn(tasks[2], tasks[5], 9.0)
+    store.learn(Position(40, 40), Position(41, 41), 5.0)
+    cfg = GAConfig(population_size=40, max_generations=60, rng_seed=11)
+    best, history = evolve(cfg, starts, tasks, store)
+    assert best == GOLDEN_WARM_BEST
+    assert decode(best, 3)[2] == []
+    assert len(history) == 61
+    assert _steps(history) == GOLDEN_WARM_STEPS
+
+    # The allocator as the engine drives it.
+    sc = Scenario(
+        world=fig_layout, n_robots=4, n_tasks=8,
+        ga=GAConfig(population_size=30, max_generations=40), seed=5,
+    )
+    _, report = run_scenario(sc)
+    assert len(report.ga_history) == 41
+    assert _steps(report.ga_history) == GOLDEN_SCENARIO_STEPS
