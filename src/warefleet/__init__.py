@@ -15,7 +15,6 @@ from .allocator import (
     encode,
     evolve,
     fitness,
-    learn,
     mutate,
 )
 from .baseline import PathResult, optimal_sequence_distance, shortest_path

@@ -12,7 +12,11 @@ completed legs.
 from __future__ import annotations
 
 import random
+from collections import defaultdict
+from collections.abc import Callable
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import itemgetter
 
 from .errors import ConfigurationError, DomainError, ValidationError
 from .gridworld import Position
@@ -65,6 +69,29 @@ class HeuristicStore:
             return learned
         return float(abs(a[0] - b[0]) + abs(a[1] - b[1]))
 
+    def table(self, points: list[Position], n_columns: int) -> list[list[float]]:
+        """Estimates from every point to each of the last n_columns points.
+
+        Row r, column c holds estimate(points[r], points[len(points) - n_columns + c]).
+        """
+        targets = points[len(points) - n_columns :]
+        rows = [[float(abs(a[0] - b[0]) + abs(a[1] - b[1])) for b in targets] for a in points]
+        if self._estimates:
+            rows_at = defaultdict(list)
+            for r, point in enumerate(points):
+                rows_at[point].append(r)
+            columns_at = defaultdict(list)
+            for c, point in enumerate(targets):
+                columns_at[point].append(c)
+            for pair, learned in self._estimates.items():
+                a, b = pair
+                for u, v in ((a, b), (b, a)):
+                    for r in rows_at.get(u, ()):
+                        row = rows[r]
+                        for c in columns_at.get(v, ()):
+                            row[c] = learned
+        return rows
+
     def learn(self, a: Position, b: Position, realized: float, received: bool = True) -> None:
         """Gradient step toward a realized distance; no-op unless an update was received."""
         if realized < 0:
@@ -77,14 +104,6 @@ class HeuristicStore:
 
     def known_pairs(self) -> int:
         return len(self._estimates)
-
-
-def learn(
-    store: HeuristicStore, a: Position, b: Position, realized: float, received: bool = True
-) -> HeuristicStore:
-    """Module-level alias for HeuristicStore.learn; returns the store."""
-    store.learn(a, b, realized, received)
-    return store
 
 
 def gene_pool(n_robots: int, n_tasks: int) -> list[int]:
@@ -136,6 +155,42 @@ def random_chromosome(n_robots: int, n_tasks: int, rng: random.Random) -> Chromo
     return genes
 
 
+def _points(starts: list[Position], task_positions: dict[int, Position]) -> list[Position]:
+    """Starts, then task positions in index order: the rows of the heuristic table."""
+    if task_positions.keys() != set(range(1, len(task_positions) + 1)):
+        raise ValidationError("task indices must be 1..K")
+    return list(starts) + [task_positions[t] for t in range(1, len(task_positions) + 1)]
+
+
+def _scorer(table: list[list[float]], n_robots: int, n_tasks: int) -> Callable[[Chromosome], float]:
+    """Fitness of a valid chromosome by walking its genes through a heuristic
+    table whose rows are the starts, then tasks 1..K."""
+    start_rows = table[:n_robots]
+    task_rows = table[n_robots - 1 :]  # task t's row is task_rows[t]
+    per_robot_task = n_tasks * n_robots
+
+    def score(genes: Chromosome) -> float:
+        robots = iter(start_rows)
+        row = next(robots)
+        totals = []
+        total = 0.0
+        for gene in genes:
+            if gene < 0:
+                totals.append(total)
+                total = 0.0
+                row = next(robots)
+            else:
+                total += row[gene - 1]
+                row = task_rows[gene]
+        totals.append(total)
+        combined = sum(totals) / per_robot_task + max(totals) / n_tasks
+        if combined == 0.0:
+            return ZERO_DISTANCE_FITNESS
+        return 1.0 / combined
+
+    return score
+
+
 def fitness(
     genes: Chromosome,
     starts: list[Position],
@@ -145,37 +200,24 @@ def fitness(
     """Reciprocal of the estimated average-per-task plus bottleneck-per-task distance."""
     n_robots = len(starts)
     n_tasks = len(task_positions)
-    allocation = decode(genes, n_robots)
-    estimates = []
-    for start, tasks in zip(starts, allocation):
-        if not tasks:
-            estimates.append(0.0)
-            continue
-        total = store.estimate(start, task_positions[tasks[0]])
-        for a, b in zip(tasks, tasks[1:]):
-            total += store.estimate(task_positions[a], task_positions[b])
-        estimates.append(total)
-    combined = sum(estimates) / (n_tasks * n_robots) + max(estimates) / n_tasks
-    if combined == 0.0:
-        return ZERO_DISTANCE_FITNESS
-    return 1.0 / combined
+    points = _points(starts, task_positions)
+    validate_chromosome(genes, n_robots, n_tasks)
+    return _scorer(store.table(points, n_tasks), n_robots, n_tasks)(genes)
 
 
 def crossover(parent1: Chromosome, parent2: Chromosome, i: int, j: int) -> Chromosome:
-    """Order crossover: keep parent1's genes at 1-based positions i..j, fill the rest
-    with parent2's unused genes scanned start to end."""
+    """Order crossover (Davis, 1985): keep parent1's genes at 1-based positions
+    i..j, fill the rest with parent2's unused genes scanned start to end.
+
+    L. Davis, "Applying adaptive algorithms to epistatic domains", IJCAI 1985.
+    """
     length = len(parent1)
     if not 1 <= i <= j <= length:
         raise DomainError(f"cut points ({i}, {j}) invalid for length {length}")
-    used = set(parent1[i - 1 : j])
-    filler = (g for g in parent2 if g not in used)
-    child: Chromosome = []
-    for k in range(length):
-        if i - 1 <= k < j:
-            child.append(parent1[k])
-        else:
-            child.append(next(filler))
-    return child
+    kept = parent1[i - 1 : j]
+    used = set(kept)
+    rest = [g for g in parent2 if g not in used]
+    return rest[: i - 1] + kept + rest[i - 1 :]
 
 
 def mutate(genes: Chromosome, m: int, n: int, rng: random.Random) -> Chromosome:
@@ -189,14 +231,13 @@ def mutate(genes: Chromosome, m: int, n: int, rng: random.Random) -> Chromosome:
     return child
 
 
-def _pick_parent_indices(rng: random.Random, pool_size: int) -> tuple[int, int]:
-    # Rank-weighted draw: the best of the pool gets weight pool_size, the
-    # worst weight 1. The two parents are forced distinct.
-    weights = [pool_size - r for r in range(pool_size)]
-    first = rng.choices(range(pool_size), weights=weights, k=1)[0]
+def _pick_parent_indices(rng: random.Random, cum_weights: list[int]) -> tuple[int, int]:
+    # Rank-weighted draw over the pool; the two parents are forced distinct.
+    indices = range(len(cum_weights))
+    first = rng.choices(indices, cum_weights=cum_weights)[0]
     second = first
     while second == first:
-        second = rng.choices(range(pool_size), weights=weights, k=1)[0]
+        second = rng.choices(indices, cum_weights=cum_weights)[0]
     return first, second
 
 
@@ -212,22 +253,29 @@ def evolve(
     n_tasks = len(task_positions)
     if n_robots < 1 or n_tasks < 1:
         raise ConfigurationError("need at least one robot and one task")
+    # The operators only permute valid chromosomes, so genes are checked
+    # here and on the result, not per evaluation.
+    score = _scorer(store.table(_points(starts, task_positions), n_tasks), n_robots, n_tasks)
     rng = random.Random(cfg.rng_seed)
+    by_fitness = itemgetter(0)
 
-    def evaluated(genes: Chromosome) -> tuple[float, Chromosome]:
-        return fitness(genes, starts, task_positions, store), genes
-
-    population = [evaluated(random_chromosome(n_robots, n_tasks, rng)) for _ in range(cfg.population_size)]
-    population.sort(key=lambda pair: -pair[0])
+    initial = [random_chromosome(n_robots, n_tasks, rng) for _ in range(cfg.population_size)]
+    population = [(score(genes), genes) for genes in initial]
+    population.sort(key=by_fitness, reverse=True)
     history = [population[0][0]]
 
     length = n_robots + n_tasks - 1
     pool_size = max(2, min(cfg.population_size, round(cfg.population_size * cfg.parent_fraction)))
+    # Rank weights: the best of the pool gets pool_size, the worst 1.
+    cum_weights = list(accumulate(pool_size - r for r in range(pool_size)))
 
     for _ in range(cfg.max_generations):
+        # Elitism and crossover of near-identical parents repeat chromosomes,
+        # so scores are reused within a generation.
+        scores = {tuple(genes): value for value, genes in population}
         children: list[tuple[float, Chromosome]] = []
         while len(children) < cfg.population_size:
-            a, b = _pick_parent_indices(rng, pool_size)
+            a, b = _pick_parent_indices(rng, cum_weights)
             p1, p2 = population[a][1], population[b][1]
             i = rng.randint(1, length)
             j = rng.randint(i, length)
@@ -236,9 +284,17 @@ def evolve(
                     m = rng.randint(1, length)
                     n = rng.randint(m, length)
                     child = mutate(child, m, n, rng)
-                children.append(evaluated(child))
-        # Elitist truncation over survivors plus offspring.
-        population = sorted(population + children, key=lambda pair: -pair[0])[: cfg.population_size]
+                key = tuple(child)
+                value = scores.get(key)
+                if value is None:
+                    value = scores[key] = score(child)
+                children.append((value, child))
+        # Elitist truncation over survivors plus offspring; the sort is stable.
+        population += children
+        population.sort(key=by_fitness, reverse=True)
+        del population[cfg.population_size :]
         history.append(population[0][0])
 
-    return population[0][1], history
+    best = population[0][1]
+    validate_chromosome(best, n_robots, n_tasks)
+    return best, history

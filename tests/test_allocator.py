@@ -4,7 +4,7 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from warefleet.allocator import (
     GAConfig,
@@ -16,7 +16,6 @@ from warefleet.allocator import (
     evolve,
     fitness,
     gene_pool,
-    learn,
     mutate,
     random_chromosome,
 )
@@ -77,6 +76,24 @@ def test_fitness_idle_robot():
     assert fitness(genes, starts, tasks, store) == pytest.approx(2 / 15)
 
 
+def _straight_fitness(genes, starts, tasks, leg):
+    """Oracle: decode by hand and evaluate the two cost pieces directly, with
+    leg(a, b) as the distance of one leg."""
+    routes = [[]]
+    for g in genes:
+        routes.append([]) if g < 0 else routes[-1].append(g)
+    totals = []
+    for start, route in zip(starts, routes):
+        stops = [start] + [tasks[t] for t in route]
+        total = 0.0
+        for a, b in zip(stops, stops[1:]):
+            total += leg(a, b)
+        totals.append(total)
+    n, k = len(starts), len(tasks)
+    combined = sum(totals) / (k * n) + max(totals) / k
+    return ZERO_DISTANCE_FITNESS if combined == 0.0 else 1.0 / combined
+
+
 def test_fitness_matches_straight_reimplementation():
     rng = random.Random(5)
     store = HeuristicStore()
@@ -86,21 +103,61 @@ def test_fitness_matches_straight_reimplementation():
         starts = [Position(*c) for c in cells[:n]]
         tasks = {i + 1: Position(*c) for i, c in enumerate(cells[n:])}
         genes = random_chromosome(n, k, rng)
-        # Oracle: decode by hand and evaluate the two cost pieces directly.
-        routes = [[]]
-        for g in genes:
-            routes.append([]) if g < 0 else routes[-1].append(g)
-        totals = []
-        for start, route in zip(starts, routes):
-            stops = [start] + [tasks[t] for t in route]
-            totals.append(
-                sum(
-                    abs(a.x - b.x) + abs(a.y - b.y)
-                    for a, b in zip(stops, stops[1:])
-                )
-            )
-        expected = 1.0 / (sum(totals) / (k * n) + max(totals) / k)
+        expected = _straight_fitness(
+            genes, starts, tasks, lambda a, b: abs(a.x - b.x) + abs(a.y - b.y)
+        )
         assert fitness(genes, starts, tasks, store) == expected
+
+
+# A 4x4 patch of cells makes coincident starts and tasks common; learned
+# pairs may also name cells outside the instance.
+cells_small = st.builds(Position, st.integers(0, 3), st.integers(0, 3))
+
+
+@st.composite
+def warm_instances(draw):
+    n = draw(st.integers(1, 4))
+    k = draw(st.integers(1, 6))
+    points = draw(st.lists(cells_small, min_size=n + k, max_size=n + k))
+    starts = points[:n]
+    tasks = {i + 1: p for i, p in enumerate(points[n:])}
+    store = HeuristicStore(eta=draw(st.sampled_from([0.25, 0.5, 1.0])))
+    somewhere = st.one_of(st.sampled_from(points), cells_small)
+    for a, b, realized in draw(
+        st.lists(st.tuples(somewhere, somewhere, st.floats(0.0, 40.0)), max_size=10)
+    ):
+        store.learn(a, b, realized)
+    genes = draw(st.permutations(gene_pool(n, k)))
+    return starts, tasks, store, genes
+
+
+def _coincident_instance(genes):
+    # Every task on a start: the estimated cost is zero whatever was learned.
+    store = HeuristicStore()
+    store.learn(Position(0, 0), Position(3, 3), 9.0)
+    starts = [Position(0, 0), Position(1, 1), Position(2, 2)]
+    return starts, {1: Position(1, 1), 2: Position(1, 1)}, store, genes
+
+
+@settings(deadline=None)
+@given(warm_instances())
+def test_heuristic_table_matches_estimate(instance):
+    starts, tasks, store, _ = instance
+    points = starts + [tasks[t] for t in range(1, len(tasks) + 1)]
+    targets = points[len(starts) :]
+    expected = [[store.estimate(p, q) for q in targets] for p in points]
+    assert store.table(points, len(tasks)) == expected
+
+
+@settings(deadline=None)
+@given(warm_instances())
+@example(_coincident_instance([-1, 1, 2, -2]))  # zero-distance sentinel
+@example(_coincident_instance([-2, -1, 1, 2]))  # leading delimiters
+@example(_coincident_instance([1, 2, -1, -2]))  # trailing delimiters, idle robots
+def test_fitness_walk_matches_straight_oracle(instance):
+    starts, tasks, store, genes = instance
+    expected = _straight_fitness(genes, starts, tasks, store.estimate)
+    assert fitness(genes, starts, tasks, store) == expected
 
 
 def test_fitness_zero_distance_sentinel():
@@ -218,8 +275,8 @@ def test_learn_examples():
     assert store.estimate(a, b) == pytest.approx(12.0)
     store.learn(a, b, 99.0, received=False)
     assert store.estimate(a, b) == pytest.approx(12.0)
-    other = learn(store, a, b, 12.0)
-    assert other is store
+    store.learn(a, b, 12.0)
+    assert store.estimate(a, b) == pytest.approx(12.0)
 
 
 def test_learn_rejects_negative_distance():
@@ -263,6 +320,17 @@ def test_evolve_single_task_picks_nearest_robot():
         candidates.append(fitness(encode(lists), starts, tasks, store))
     assert history[-1] == max(candidates)
     assert decode(best, 3)[1] == [1]  # robot at (10,10) is closest
+
+
+def test_evolve_rejects_bad_task_indices():
+    cfg = GAConfig(population_size=4, max_generations=2)
+    starts = [Position(0, 0)]
+    p, q = Position(1, 1), Position(2, 2)
+    for tasks in ({1: p, 3: q}, {0: p, 1: q}):
+        with pytest.raises(ValidationError, match=r"task indices must be 1\.\.K"):
+            evolve(cfg, starts, tasks, HeuristicStore())
+        with pytest.raises(ValidationError, match=r"task indices must be 1\.\.K"):
+            fitness([1, 2], starts, tasks, HeuristicStore())
 
 
 def test_evolve_history_is_monotone_and_deterministic():
