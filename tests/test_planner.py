@@ -1,11 +1,13 @@
 import copy
+import hashlib
+import math
 import random
 
 import pytest
 
 from warefleet.engine import Scenario, run_scenario
 from warefleet.errors import ConfigurationError
-from warefleet.gridworld import Position, generate_layout
+from warefleet.gridworld import Position, generate_layout, generate_layout_sized
 from warefleet.allocator import GAConfig
 from warefleet.baseline import shortest_path
 from warefleet.planner import (
@@ -25,6 +27,7 @@ from warefleet.planner import (
 from warefleet.potential import (
     PotentialParams,
     PotentialState,
+    PotentialTerm,
     SensorModel,
     dynamic_potential,
     update_neighborhood,
@@ -262,3 +265,98 @@ def test_format_trace_lines():
         k_total=1,
     )
     assert format_trace(trace) == "0; 0:1,2; 1:3,4\n1; 0:1,3; 1:3,4\n"
+
+
+# Term sets beyond the benchmark defaults: every norm on the goal and robot
+# terms, multi-term sums, and an obstacle term with a zero offset (valid,
+# since no obstacle ever shares a cell with a robot).
+TERM_SETS = {
+    "default": PotentialParams(),
+    "goal-p1-squared": PotentialParams(goal_terms=(PotentialTerm(1.0, 1, 2.0),)),
+    "goal-p2-squared": PotentialParams(goal_terms=(PotentialTerm(1.0, 2, 2.0),)),
+    "robot-p1": PotentialParams(robot_terms=(PotentialTerm(40.0, 1, -1.0, offset=0.5),)),
+    "robot-pinf": PotentialParams(robot_terms=(PotentialTerm(40.0, math.inf, -2.0, offset=0.25),)),
+    "two-term-sums": PotentialParams(
+        goal_terms=(PotentialTerm(1.0, math.inf, 1.0), PotentialTerm(0.5, 1, 1.0)),
+        obstacle_terms=(
+            PotentialTerm(0.1, 2, -2.0, offset=1e-9),
+            PotentialTerm(0.05, 1, -1.0, offset=0.5),
+        ),
+        robot_terms=(
+            PotentialTerm(0.1, 2, -2.0, offset=1e-9),
+            PotentialTerm(30.0, math.inf, -1.0, offset=0.5),
+        ),
+    ),
+    "obstacle-offset-0": PotentialParams(obstacle_terms=(PotentialTerm(1.5, 1, -1.0),)),
+}
+
+GOLDEN_LIGHT_GA = GAConfig(population_size=16, max_generations=12)
+
+# case -> (sha256 of format_trace, (J1, J2, J3, J4)), recorded from the
+# planner before its term evaluation moved into lookup tables. "default"
+# is sensor radius 3; the radius cases keep the default terms.
+GOLDEN_TRACES = {
+    "fleet-100": (
+        "053006b287d672cfb5204d9074c441a720cf2d6982e3fcab81129fbb3da2623a",
+        (1.0732741997686077, 0.5566, 2.07, 0.47393364928909953),
+    ),
+    "default": (
+        "e2313cc25c1d490cf7fa8dfaff8d2a810237b05dd01263d67eeba51660d9e5ad",
+        (1.0426829268292683, 0.855, 2.4, 0.39215686274509803),
+    ),
+    "goal-p1-squared": (
+        "3f9a46901517e4a547a3bff04e9c17a867226ac7e17111aae91d13e41c3d15b8",
+        (1.1524390243902438, 0.945, 2.65, 0.37037037037037035),
+    ),
+    "goal-p2-squared": (
+        "2680cf97b5aecdb48494d5a56e30772adad18b31031a4a2927e500054521a53d",
+        (1.024390243902439, 0.84, 2.4, 0.39215686274509803),
+    ),
+    "robot-p1": (
+        "4cfc80367ef2ce63d244974ab9ba523821f9d4ee66372342e616463f262ab0c6",
+        (1.0670731707317074, 0.875, 2.5, 0.37735849056603776),
+    ),
+    "robot-pinf": (
+        "65c771d0f062bf796cac4de917bd01f54590b771bfc1ffec1e33d4928d66df6f",
+        (1.0548780487804879, 0.865, 2.5, 0.37735849056603776),
+    ),
+    "two-term-sums": (
+        "8f63ce76651f8a679a74951bcb39c288553ccc09ed26a75bce1bcf0cfc173214",
+        (1.024390243902439, 0.84, 2.4, 0.39215686274509803),
+    ),
+    "obstacle-offset-0": (
+        "3dd01ae9a4a2e3ec25b7b292b5377602a3e923ff171418940225cb4c9e1b49e1",
+        (5.853658536585366, 4.8, 30.55, 0.03257328990228013),
+    ),
+    "radius-2": (
+        "22401e379457e618efd89d12d7bbe0b57604717a7f0ce7057c00bf5353e24603",
+        (1.048780487804878, 0.86, 2.4, 0.39215686274509803),
+    ),
+    "radius-4": (
+        "fd4f0169e9108b16739eb4fb5671fdf1bcb3a4281841bc87e70bbbc40267e4ce",
+        (1.0426829268292683, 0.855, 2.4, 0.39215686274509803),
+    ),
+}
+
+
+def _golden_scenario(case):
+    if case == "fleet-100":
+        return Scenario(
+            world=generate_layout_sized(81, 80), n_robots=100, n_tasks=100,
+            ga=GOLDEN_LIGHT_GA, seed=1,
+        )
+    if case.startswith("radius-"):
+        params, sensor = PotentialParams(), SensorModel(int(case[len("radius-"):]))
+    else:
+        params, sensor = TERM_SETS[case], SensorModel()
+    return Scenario(
+        world=generate_layout_sized(41, 40), n_robots=20, n_tasks=20,
+        potential=params, sensor=sensor, ga=GOLDEN_LIGHT_GA, seed=3,
+    )
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_TRACES))
+def test_trace_golden(case):
+    trace, report = run_scenario(_golden_scenario(case))
+    digest = hashlib.sha256(format_trace(trace).encode()).hexdigest()
+    assert (digest, (report.j1, report.j2, report.j3, report.j4)) == GOLDEN_TRACES[case]
