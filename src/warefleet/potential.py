@@ -21,16 +21,10 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import lru_cache
 
 from .errors import ConfigurationError, DomainError
-from .gridworld import GridWorld, Position, distance
-
-GOAL = "goal"
-OBSTACLE = "obstacle"
-ROBOT = "robot"
-
-_SOURCE_CLASSES = (GOAL, OBSTACLE, ROBOT)
+from .gridworld import GridWorld, Position
 
 
 @dataclass(frozen=True)
@@ -89,40 +83,26 @@ class PotentialParams:
             raise ConfigurationError(f"relaxation factor must lie in [0, 1), got {self.alpha}")
         if self.dynamic_scale < 0.0:
             raise ConfigurationError("dynamic scale must be nonnegative")
-        for term in self.goal_terms:
-            if term.coefficient < 0 or term.offset < 0:
-                raise ConfigurationError(f"invalid goal term {term}")
-            if term.exponent < 0:
-                raise ConfigurationError("goal terms must be non-decreasing in distance")
-        for name, terms in ((OBSTACLE, self.obstacle_terms), (ROBOT, self.robot_terms)):
+        for name, terms in (
+            ("goal", self.goal_terms),
+            ("obstacle", self.obstacle_terms),
+            ("robot", self.robot_terms),
+        ):
             for term in terms:
                 if term.coefficient < 0 or term.offset < 0:
                     raise ConfigurationError(f"invalid {name} term {term}")
-                if term.exponent > 0:
+                if term.norm_order not in (1, 2, math.inf):
+                    raise ConfigurationError(
+                        f"{name} term norm order must be 1, 2 or math.inf, got {term.norm_order!r}"
+                    )
+                if name == "goal" and term.exponent < 0:
+                    raise ConfigurationError("goal terms must be non-decreasing in distance")
+                if name != "goal" and term.exponent > 0:
                     raise ConfigurationError(f"{name} terms must be non-increasing in distance")
-                if name == ROBOT and term.coefficient != 0 and term.exponent < 0 and term.offset <= 0:
+                if name == "robot" and term.coefficient != 0 and term.exponent < 0 and term.offset <= 0:
                     # Robots can share a distance of zero, so their repulsion
                     # must stay finite.
                     raise ConfigurationError("robot terms with negative exponent need offset > 0")
-
-    def terms_for(self, source_class: str) -> tuple[PotentialTerm, ...]:
-        if source_class == GOAL:
-            return self.goal_terms
-        if source_class == OBSTACLE:
-            return self.obstacle_terms
-        if source_class == ROBOT:
-            return self.robot_terms
-        raise ConfigurationError(f"unknown source class {source_class!r}; use one of {_SOURCE_CLASSES}")
-
-    # Planner hot loops read the terms millions of times; plain tuples skip
-    # the per-access dataclass attribute machinery.
-    @cached_property
-    def goal_term_data(self) -> tuple[tuple[float, float, float, float], ...]:
-        return tuple((t.coefficient, t.norm_order, t.exponent, t.offset) for t in self.goal_terms)
-
-    @cached_property
-    def robot_term_data(self) -> tuple[tuple[float, float, float, float], ...]:
-        return tuple((t.coefficient, t.norm_order, t.exponent, t.offset) for t in self.robot_terms)
 
 
 class PotentialState:
@@ -134,59 +114,44 @@ class PotentialState:
     discards it when the goal changes.
     """
 
-    __slots__ = ("owner", "values", "initial", "repulsion_cache")
+    __slots__ = ("values", "initial")
 
-    def __init__(self, owner: int):
-        self.owner = owner
+    def __init__(self):
         self.values: dict[Position, float] = {}
         self.initial: dict[Position, float] = {}
-        # Reference to the world-level obstacle repulsion memo; bound by the
-        # planner on first use so the hot loop skips the registry lookup.
-        self.repulsion_cache: dict[Position, float] | None = None
-
-    @property
-    def explored(self):
-        """Set-like view of the cells explored so far."""
-        return self.values.keys()
 
 
-def phi(params: PotentialParams, source_class: str, at: Position, source: Position) -> float:
-    """Unrestricted potential contribution of one source at one cell."""
+def term_sum(terms: tuple[PotentialTerm, ...], dx: int, dy: int) -> float:
+    """Sum of c * (d_p + offset) ** exponent over the terms, at offset (dx, dy) >= 0."""
     total = 0.0
-    for term in params.terms_for(source_class):
-        base = distance(at, source, term.norm_order) + term.offset
-        if base == 0.0 and term.exponent < 0:
-            raise DomainError(
-                f"{source_class} potential undefined at distance 0 with zero offset"
-            )
-        total += term.coefficient * base ** term.exponent
+    for term in terms:
+        if term.norm_order == 1:
+            d = dx + dy
+        elif term.norm_order == 2:
+            d = math.hypot(dx, dy)
+        else:
+            d = max(dx, dy)
+        total += term.coefficient * (d + term.offset) ** term.exponent
     return total
 
 
-def in_consistent_range(sensor: SensorModel, at: Position, source: Position) -> bool:
-    """Whether the source is sensed from every cell of the step cross at `at`.
+@lru_cache(maxsize=32)
+def term_table(terms: tuple[PotentialTerm, ...], nx: int, ny: int) -> tuple[tuple[float, ...], ...]:
+    """term_sum for every offset below (nx, ny), indexed [dx][dy].
 
-    Uses the full geometric cross (the cell plus its four lattice
-    neighbors, obstacles included) so membership depends only on the two
-    positions; any robot computes the same answer from any approach cell.
-    The worst cross cell is one step farther than `at` itself.
+    A negative power of a zero distance is stored as inf. No caller reads
+    it: obstacles never stand on reachable cells and robots never share one.
     """
-    dx = abs(at.x - source.x)
-    dy = abs(at.y - source.y)
-    return max(dx, dy) + 1 <= sensor.radius
-
-
-def phi_sensed(
-    params: PotentialParams,
-    source_class: str,
-    at: Position,
-    source: Position,
-    sensor: SensorModel,
-) -> float:
-    """Potential contribution restricted to consistently sensed sources."""
-    if not in_consistent_range(sensor, at, source):
-        return 0.0
-    return phi(params, source_class, at, source)
+    rows = []
+    for dx in range(nx):
+        row = []
+        for dy in range(ny):
+            try:
+                row.append(term_sum(terms, dx, dy))
+            except ZeroDivisionError:
+                row.append(math.inf)
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 # Obstacle repulsion depends only on the world geometry, the sensing radius
@@ -198,88 +163,26 @@ _OBSTACLE_FIELDS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 def _obstacle_field(
     world: GridWorld, params: PotentialParams, sensor: SensorModel
 ) -> dict[Position, float]:
+    """Summed repulsion of the obstacles each reachable cell consistently senses.
+
+    An obstacle counts when it lies within Chebyshev distance radius - 1,
+    so that it is visible from every cell of the cell's step cross.
+    """
     per_world = _OBSTACLE_FIELDS.setdefault(world, {})
     key = (sensor.radius, params.obstacle_terms)
     cells = per_world.get(key)
     if cells is None:
         reach = sensor.radius - 1
+        table = term_table(params.obstacle_terms, sensor.radius, sensor.radius)
         cells = {
             cell: sum(
-                phi(params, OBSTACLE, cell, obstacle)
-                for obstacle in world.obstacles_within(cell, reach)
+                table[abs(cell.x - o.x)][abs(cell.y - o.y)]
+                for o in world.obstacles_within(cell, reach)
             )
             for cell in sorted(world.reachable)
         }
         per_world[key] = cells
     return cells
-
-
-def static_potential_initial(
-    world: GridWorld,
-    params: PotentialParams,
-    sensor: SensorModel,
-    cell: Position,
-    goal: Position,
-) -> float:
-    """Initial static potential: goal attraction plus sensed obstacle repulsion."""
-    return phi(params, GOAL, cell, goal) + _obstacle_field(world, params, sensor)[cell]
-
-
-def excite(u_prev: float, gamma: float) -> float:
-    """One excitation step: multiply the previous value by gamma."""
-    return gamma * u_prev
-
-
-def relax(u_prev: float, u_init: float, alpha: float) -> float:
-    """One relaxation step: pull the previous value toward its initial value."""
-    return (1.0 - alpha) * u_prev + alpha * u_init
-
-
-def update_neighborhood(
-    state: PotentialState,
-    world: GridWorld,
-    params: PotentialParams,
-    sensor: SensorModel,
-    robot_pos: Position,
-    goal: Position,
-) -> None:
-    """Advance the recursion one tick over the robot's neighborhood.
-
-    Cells seen for the first time are initialized from the static field
-    and recorded as explored (no excitation or relaxation on that visit).
-    Afterwards the occupied cell is excited and every other neighborhood
-    cell relaxed toward its initial value. Cells outside the neighborhood
-    are never touched.
-    """
-    values = state.values
-    initial = state.initial
-    alpha = params.alpha
-    keep = 1.0 - alpha
-    repulsion = _obstacle_field(world, params, sensor)
-    for cell in (robot_pos, *world.adjacent(robot_pos)):
-        if cell in values:
-            if cell == robot_pos:
-                values[cell] = params.gamma * values[cell]
-            else:
-                values[cell] = keep * values[cell] + alpha * initial[cell]
-        else:
-            u = phi(params, GOAL, cell, goal) + repulsion[cell]
-            values[cell] = u
-            initial[cell] = u
-
-
-def dynamic_potential(
-    params: PotentialParams,
-    sensor: SensorModel,
-    at: Position,
-    others: list[Position],
-) -> float:
-    """Scaled repulsion from every other robot within consistent sensing."""
-    total = 0.0
-    for other in others:
-        if in_consistent_range(sensor, at, other):
-            total += phi(params, ROBOT, at, other)
-    return params.dynamic_scale * total
 
 
 def check_divergence_condition(p: float, gamma: float, alpha: float) -> bool:

@@ -1,0 +1,118 @@
+"""Reference formulas of the potential field, written straight from the
+definitions and evaluated one source at a time.
+
+The simulator evaluates its terms through precomputed tables; tests check
+the planner's descent step and the obstacle field against these formulas.
+"""
+
+from warefleet.errors import ConfigurationError, DomainError
+from warefleet.gridworld import GridWorld, Position, distance
+from warefleet.potential import PotentialParams, PotentialState, SensorModel
+
+GOAL = "goal"
+OBSTACLE = "obstacle"
+ROBOT = "robot"
+
+
+def terms_for(params: PotentialParams, source_class: str):
+    if source_class == GOAL:
+        return params.goal_terms
+    if source_class == OBSTACLE:
+        return params.obstacle_terms
+    if source_class == ROBOT:
+        return params.robot_terms
+    raise ConfigurationError(f"unknown source class {source_class!r}")
+
+
+def phi(params: PotentialParams, source_class: str, at: Position, source: Position) -> float:
+    """Unrestricted potential contribution of one source at one cell."""
+    total = 0.0
+    for term in terms_for(params, source_class):
+        base = distance(at, source, term.norm_order) + term.offset
+        if base == 0.0 and term.exponent < 0:
+            raise DomainError(f"{source_class} potential undefined at distance 0 with zero offset")
+        total += term.coefficient * base**term.exponent
+    return total
+
+
+def in_consistent_range(sensor: SensorModel, at: Position, source: Position) -> bool:
+    """Whether the source is sensed from every cell of the step cross at `at`.
+
+    Uses the full geometric cross (the cell plus its four lattice
+    neighbors, obstacles included) so membership depends only on the two
+    positions; the worst cross cell is one step farther than `at` itself.
+    """
+    return max(abs(at.x - source.x), abs(at.y - source.y)) + 1 <= sensor.radius
+
+
+def phi_sensed(
+    params: PotentialParams, source_class: str, at: Position, source: Position, sensor: SensorModel
+) -> float:
+    """Potential contribution restricted to consistently sensed sources."""
+    if not in_consistent_range(sensor, at, source):
+        return 0.0
+    return phi(params, source_class, at, source)
+
+
+def obstacle_repulsion(
+    world: GridWorld, params: PotentialParams, sensor: SensorModel, cell: Position
+) -> float:
+    """Summed repulsion of the obstacles consistently sensed from a cell."""
+    return sum(
+        phi(params, OBSTACLE, cell, obstacle)
+        for obstacle in world.obstacles_within(cell, sensor.radius - 1)
+    )
+
+
+def static_potential_initial(
+    world: GridWorld, params: PotentialParams, sensor: SensorModel, cell: Position, goal: Position
+) -> float:
+    """Initial static potential: goal attraction plus sensed obstacle repulsion."""
+    return phi(params, GOAL, cell, goal) + obstacle_repulsion(world, params, sensor, cell)
+
+
+def excite(u_prev: float, gamma: float) -> float:
+    """One excitation step: multiply the previous value by gamma."""
+    return gamma * u_prev
+
+
+def relax(u_prev: float, u_init: float, alpha: float) -> float:
+    """One relaxation step: pull the previous value toward its initial value."""
+    return (1.0 - alpha) * u_prev + alpha * u_init
+
+
+def update_neighborhood(
+    state: PotentialState,
+    world: GridWorld,
+    params: PotentialParams,
+    sensor: SensorModel,
+    robot_pos: Position,
+    goal: Position,
+) -> None:
+    """Advance the recursion one tick over the robot's neighborhood.
+
+    Cells seen for the first time are initialized from the static field
+    (no excitation or relaxation on that visit). Afterwards the occupied
+    cell is excited and every other neighborhood cell relaxed toward its
+    initial value. Cells outside the neighborhood are never touched.
+    """
+    for cell in (robot_pos, *world.adjacent(robot_pos)):
+        if cell not in state.values:
+            u = static_potential_initial(world, params, sensor, cell, goal)
+            state.values[cell] = u
+            state.initial[cell] = u
+        elif cell == robot_pos:
+            state.values[cell] = excite(state.values[cell], params.gamma)
+        else:
+            state.values[cell] = relax(state.values[cell], state.initial[cell], params.alpha)
+
+
+def dynamic_potential(
+    params: PotentialParams, sensor: SensorModel, at: Position, others: list[Position]
+) -> float:
+    """Scaled repulsion from every other robot within consistent sensing."""
+    total = 0.0
+    for other in others:
+        if in_consistent_range(sensor, at, other):
+            total += phi(params, ROBOT, at, other)
+    return params.dynamic_scale * total

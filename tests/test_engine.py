@@ -255,8 +255,9 @@ def test_run_sweep_warm_carries_learning():
     assert cold_reports[0].per_robot == warm_reports[0].per_robot
 
 
-def test_observe_identity_preserved_in_reports():
-    # Exact position feedback: the trace is the ground truth the metrics use.
+def test_run_scenario_k_total_counts_trace_ticks():
+    # The trace is the ground truth the metrics use: one snapshot per tick
+    # plus the initial one.
     world = generate_layout(2, 3)
     sc = Scenario(world=world, n_robots=2, n_tasks=2, ga=LIGHT_GA, seed=9)
     trace, report = run_scenario(sc)

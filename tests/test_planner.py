@@ -19,28 +19,61 @@ from warefleet.planner import (
     SimTrace,
     Task,
     format_trace,
-    observe,
-    plan_step,
     run_until_done,
     step_fleet,
 )
-from warefleet.potential import (
-    PotentialParams,
-    PotentialState,
-    PotentialTerm,
-    SensorModel,
-    dynamic_potential,
-    update_neighborhood,
-)
+from warefleet.potential import PotentialParams, PotentialTerm, SensorModel
 
 from conftest import open_room, world_from
+from potential_oracle import dynamic_potential, update_neighborhood
 
 PARAMS = PotentialParams()
 SENSOR = SensorModel()
 
+# Term sets beyond the benchmark defaults: every norm on the goal and robot
+# terms, multi-term sums, and an obstacle term with a zero offset (valid,
+# since no obstacle ever shares a cell with a robot).
+TERM_SETS = {
+    "default": PotentialParams(),
+    "goal-p1-squared": PotentialParams(goal_terms=(PotentialTerm(1.0, 1, 2.0),)),
+    "goal-p2-squared": PotentialParams(goal_terms=(PotentialTerm(1.0, 2, 2.0),)),
+    "robot-p1": PotentialParams(robot_terms=(PotentialTerm(40.0, 1, -1.0, offset=0.5),)),
+    "robot-pinf": PotentialParams(robot_terms=(PotentialTerm(40.0, math.inf, -2.0, offset=0.25),)),
+    "two-term-sums": PotentialParams(
+        goal_terms=(PotentialTerm(1.0, math.inf, 1.0), PotentialTerm(0.5, 1, 1.0)),
+        obstacle_terms=(
+            PotentialTerm(0.1, 2, -2.0, offset=1e-9),
+            PotentialTerm(0.05, 1, -1.0, offset=0.5),
+        ),
+        robot_terms=(
+            PotentialTerm(0.1, 2, -2.0, offset=1e-9),
+            PotentialTerm(30.0, math.inf, -1.0, offset=0.5),
+        ),
+    ),
+    "obstacle-offset-0": PotentialParams(obstacle_terms=(PotentialTerm(1.5, 1, -1.0),)),
+}
+
+# The term sets at the default sensor radius 3, plus the default terms at
+# radius 2 and 4.
+TERM_CASES = [*TERM_SETS, "radius-2", "radius-4"]
+
+
+def case_params(case):
+    if case.startswith("radius-"):
+        return PotentialParams(), SensorModel(int(case[len("radius-"):]))
+    return TERM_SETS[case], SensorModel()
+
 
 def make_robot(pos, goal, ident=0):
     return RobotState(ident=ident, pos=pos, tasks=[Task(1, goal)])
+
+
+def plan_step(robot, world, params, sensor, others):
+    """One descent decision of `robot` through step_fleet, with idle robots
+    parked on the `others` cells; returns the robot's new cell."""
+    idle = [RobotState(ident=robot.ident + 1 + i, pos=cell, tasks=[]) for i, cell in enumerate(others)]
+    step_fleet(FleetState(robots=[robot, *idle]), world, params, sensor)
+    return robot.pos
 
 
 def test_plan_step_moves_toward_goal_in_open_room():
@@ -57,6 +90,20 @@ def test_plan_step_stays_when_surrounded():
     assert plan_step(robot, room, PARAMS, SENSOR, blockade) == pos
 
 
+def test_own_cell_is_never_skipped_as_occupied():
+    # A robot reported on the own cell adds repulsion but never removes the
+    # cell from the choice: with up, right and down blocked, staying (4 from
+    # the goal) still beats the free cell to the left (5 from the goal).
+    params = PotentialParams(robot_terms=(PotentialTerm(0.1, 2, -2.0, offset=1.0),))
+    room = open_room(20, 20)
+    pos = Position(10, 10)
+    robot = make_robot(pos, Position(14, 10))
+    blockers = [Position(10, 9), Position(11, 10), Position(10, 11), pos]
+    assert plan_step(robot, room, params, SENSOR, blockers) == pos
+    robot = make_robot(pos, Position(14, 10))
+    assert plan_step(robot, room, params, SENSOR, blockers[:3]) == pos
+
+
 def test_plan_step_tie_break_prefers_up_then_right():
     # Goal on the diagonal: both the up and right neighbors sit at the same
     # Chebyshev distance, away from any wall the repulsion could split on.
@@ -65,9 +112,12 @@ def test_plan_step_tie_break_prefers_up_then_right():
     assert plan_step(robot, room, PARAMS, SENSOR, []) == Position(20, 19)
 
 
-def test_plan_step_matches_reference_operations():
-    # The fused planner loop must leave the recursion state exactly as the
-    # reference operation does and pick the same argmin.
+@pytest.mark.parametrize("case", TERM_CASES)
+def test_step_fleet_matches_reference_operations(case):
+    # The table-driven descent step must leave the recursion state exactly
+    # as the reference operations do, with the obstacle repulsion summed
+    # straight from the formula, and pick the same argmin.
+    params, sensor = case_params(case)
     room = world_from([
         "###########",
         "#.........#",
@@ -81,26 +131,24 @@ def test_plan_step_matches_reference_operations():
     fast = make_robot(Position(2, 3), goal)
     slow = make_robot(Position(2, 3), goal)
     rng = random.Random(0)
-    pos_fast = fast.pos
     for _ in range(25):
         reference = copy.deepcopy(slow.potential)
-        update_neighborhood(reference, room, PARAMS, SENSOR, slow.pos, goal)
+        update_neighborhood(reference, room, params, sensor, slow.pos, goal)
         candidates = [*room.adjacency[slow.pos], slow.pos]
         occupied = set(others)
         best, best_value = None, None
         for cell in candidates:
             if cell != slow.pos and cell in occupied:
                 continue
-            value = reference.values[cell] + dynamic_potential(PARAMS, SENSOR, cell, others)
+            value = reference.values[cell] + dynamic_potential(params, sensor, cell, others)
             if best is None or value < best_value:
                 best, best_value = cell, value
-        chosen = plan_step(fast, room, PARAMS, SENSOR, others)
+        chosen = plan_step(fast, room, params, sensor, others)
         assert chosen == best
         assert fast.potential.values == reference.values
         assert fast.potential.initial == reference.initial
         slow.potential = reference
         slow.pos = chosen
-        fast.pos = chosen
         if chosen == goal:
             break
         # Jiggle the other robots deterministically to vary the dynamics.
@@ -244,11 +292,6 @@ def test_run_until_done_deterministic(fig_layout):
     assert run() == run()
 
 
-def test_observe_is_identity():
-    cells = [Position(1, 2), Position(3, 4)]
-    assert observe(cells) == cells
-
-
 def test_step_cap_validation():
     room = open_room(6, 6)
     fleet = FleetState(robots=[make_robot(Position(1, 1), Position(4, 4))])
@@ -267,28 +310,6 @@ def test_format_trace_lines():
     assert format_trace(trace) == "0; 0:1,2; 1:3,4\n1; 0:1,3; 1:3,4\n"
 
 
-# Term sets beyond the benchmark defaults: every norm on the goal and robot
-# terms, multi-term sums, and an obstacle term with a zero offset (valid,
-# since no obstacle ever shares a cell with a robot).
-TERM_SETS = {
-    "default": PotentialParams(),
-    "goal-p1-squared": PotentialParams(goal_terms=(PotentialTerm(1.0, 1, 2.0),)),
-    "goal-p2-squared": PotentialParams(goal_terms=(PotentialTerm(1.0, 2, 2.0),)),
-    "robot-p1": PotentialParams(robot_terms=(PotentialTerm(40.0, 1, -1.0, offset=0.5),)),
-    "robot-pinf": PotentialParams(robot_terms=(PotentialTerm(40.0, math.inf, -2.0, offset=0.25),)),
-    "two-term-sums": PotentialParams(
-        goal_terms=(PotentialTerm(1.0, math.inf, 1.0), PotentialTerm(0.5, 1, 1.0)),
-        obstacle_terms=(
-            PotentialTerm(0.1, 2, -2.0, offset=1e-9),
-            PotentialTerm(0.05, 1, -1.0, offset=0.5),
-        ),
-        robot_terms=(
-            PotentialTerm(0.1, 2, -2.0, offset=1e-9),
-            PotentialTerm(30.0, math.inf, -1.0, offset=0.5),
-        ),
-    ),
-    "obstacle-offset-0": PotentialParams(obstacle_terms=(PotentialTerm(1.5, 1, -1.0),)),
-}
 
 GOLDEN_LIGHT_GA = GAConfig(population_size=16, max_generations=12)
 
@@ -345,10 +366,7 @@ def _golden_scenario(case):
             world=generate_layout_sized(81, 80), n_robots=100, n_tasks=100,
             ga=GOLDEN_LIGHT_GA, seed=1,
         )
-    if case.startswith("radius-"):
-        params, sensor = PotentialParams(), SensorModel(int(case[len("radius-"):]))
-    else:
-        params, sensor = TERM_SETS[case], SensorModel()
+    params, sensor = case_params(case)
     return Scenario(
         world=generate_layout_sized(41, 40), n_robots=20, n_tasks=20,
         potential=params, sensor=sensor, ga=GOLDEN_LIGHT_GA, seed=3,

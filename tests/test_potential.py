@@ -7,26 +7,31 @@ from hypothesis import given, strategies as st
 from warefleet.errors import ConfigurationError, DomainError
 from warefleet.gridworld import Position
 from warefleet.potential import (
-    GOAL,
-    OBSTACLE,
-    ROBOT,
     PotentialParams,
     PotentialState,
     PotentialTerm,
     SensorModel,
+    _obstacle_field,
     check_divergence_condition,
+    expected_potential,
+    term_sum,
+    term_table,
+)
+
+from conftest import open_room, world_from
+from potential_oracle import (
+    GOAL,
+    OBSTACLE,
     dynamic_potential,
     excite,
-    expected_potential,
     in_consistent_range,
+    obstacle_repulsion,
     phi,
     phi_sensed,
     relax,
     static_potential_initial,
     update_neighborhood,
 )
-
-from conftest import open_room
 
 DEFAULTS = PotentialParams()
 SENSOR = SensorModel()
@@ -48,6 +53,16 @@ def test_params_validation():
     with pytest.raises(ConfigurationError):
         # Obstacle repulsion may not increase with distance.
         PotentialParams(obstacle_terms=(PotentialTerm(1.0, 2, 2.0),))
+    # Only the 1-norm, the 2-norm and the Chebyshev norm are defined.
+    for p in (3, 0, 0.5, math.nan):
+        with pytest.raises(ConfigurationError):
+            PotentialParams(goal_terms=(PotentialTerm(1.0, p, 1.0),))
+        with pytest.raises(ConfigurationError):
+            PotentialParams(obstacle_terms=(PotentialTerm(0.1, p, -2.0, offset=1e-9),))
+        with pytest.raises(ConfigurationError):
+            PotentialParams(robot_terms=(PotentialTerm(0.1, p, -2.0, offset=1e-9),))
+    for p in (1, 2, math.inf, 1.0, 2.0):
+        PotentialParams(goal_terms=(PotentialTerm(1.0, p, 1.0),))
     with pytest.raises(ConfigurationError):
         SensorModel(radius=1)
 
@@ -55,11 +70,14 @@ def test_params_validation():
 def test_phi_goal_is_chebyshev_distance():
     assert phi(DEFAULTS, GOAL, Position(0, 0), Position(3, 4)) == 4.0
     assert phi(DEFAULTS, GOAL, Position(5, 5), Position(5, 5)) == 0.0
+    assert term_sum(DEFAULTS.goal_terms, 3, 4) == 4.0
+    assert term_sum(DEFAULTS.goal_terms, 0, 0) == 0.0
 
 
 def test_phi_obstacle_at_unit_distance():
     expected = 0.1 * (1.0 + 1e-9) ** -2
     assert phi(DEFAULTS, OBSTACLE, Position(0, 0), Position(0, 1)) == expected
+    assert term_sum(DEFAULTS.obstacle_terms, 0, 1) == expected
     assert expected == pytest.approx(0.1, rel=1e-8)
 
 
@@ -71,6 +89,10 @@ def test_phi_zero_base_negative_exponent_raises():
     params = PotentialParams(obstacle_terms=(PotentialTerm(0.1, 2, -2.0, offset=0.0),))
     with pytest.raises(DomainError):
         phi(params, OBSTACLE, Position(1, 1), Position(1, 1))
+    # The table stores the undefined entry as inf and every other one finite.
+    table = term_table(params.obstacle_terms, 3, 3)
+    assert table[0][0] == math.inf
+    assert table[1][2] == phi(params, OBSTACLE, Position(0, 0), Position(1, 2))
 
 
 def test_phi_unknown_class():
@@ -118,6 +140,60 @@ def test_sensed_boundary_distance():
     assert phi_sensed(DEFAULTS, OBSTACLE, s, boundary, sensor) == phi(
         DEFAULTS, OBSTACLE, s, boundary
     )
+
+
+TERMS_EVERY_NORM = (
+    PotentialTerm(1.0, 1, 1.0),
+    PotentialTerm(0.5, 2, 2.0, offset=0.25),
+    PotentialTerm(0.1, math.inf, -2.0, offset=1e-9),
+    PotentialTerm(0.3, 2, -1.0, offset=0.5),
+)
+
+
+@pytest.mark.parametrize(
+    "term", TERMS_EVERY_NORM, ids=["p1", "p2-squared", "pinf-repulsive", "p2-repulsive"]
+)
+def test_term_table_matches_phi(term):
+    if term.exponent >= 0:
+        params, source_class = PotentialParams(goal_terms=(term, *DEFAULTS.goal_terms)), GOAL
+        terms = params.goal_terms
+    else:
+        params, source_class = PotentialParams(obstacle_terms=(term, term)), OBSTACLE
+        terms = params.obstacle_terms
+    table = term_table(terms, 7, 5)
+    assert (len(table), len(table[0])) == (7, 5)
+    origin = Position(10, 10)
+    for dx in range(7):
+        for dy in range(5):
+            # Bit-identical, from either side of the cell.
+            assert table[dx][dy] == phi(params, source_class, origin, Position(10 + dx, 10 - dy))
+            assert table[dx][dy] == phi(params, source_class, origin, Position(10 - dx, 10 + dy))
+
+
+@pytest.mark.parametrize(
+    "obstacle_terms",
+    [DEFAULTS.obstacle_terms, (PotentialTerm(1.5, 1, -1.0),), TERMS_EVERY_NORM[2:]],
+    ids=["default", "offset-0", "two-terms"],
+)
+@pytest.mark.parametrize("radius", [2, 3, 4])
+def test_obstacle_field_matches_reference(obstacle_terms, radius):
+    world = world_from([
+        "##########",
+        "#........#",
+        "#.####...#",
+        "#......#.#",
+        "#.##.#.#.#",
+        "#......#.#",
+        "##########",
+    ])
+    params = PotentialParams(obstacle_terms=obstacle_terms)
+    sensor = SensorModel(radius)
+    field = _obstacle_field(world, params, sensor)
+    assert set(field) == world.reachable
+    for cell, value in field.items():
+        assert value == obstacle_repulsion(world, params, sensor, cell)
+    # Built once: later calls hand back the same dict.
+    assert _obstacle_field(world, params, sensor) is field
 
 
 def test_static_initial_at_goal_no_obstacles():
@@ -172,17 +248,17 @@ def test_relax_is_contraction_toward_initial(u, u0, alpha):
 
 def test_update_neighborhood_first_visit_initializes():
     room = open_room(9, 9)
-    state = PotentialState(owner=0)
+    state = PotentialState()
     pos, goal = Position(4, 4), Position(7, 4)
     update_neighborhood(state, room, DEFAULTS, SENSOR, pos, goal)
-    assert set(state.explored) == {
+    assert set(state.values) == {
         pos,
         Position(4, 3),
         Position(5, 4),
         Position(4, 5),
         Position(3, 4),
     }
-    for cell in state.explored:
+    for cell in state.values:
         expected = static_potential_initial(room, DEFAULTS, SENSOR, cell, goal)
         assert state.values[cell] == expected
         assert state.initial[cell] == expected
@@ -190,7 +266,7 @@ def test_update_neighborhood_first_visit_initializes():
 
 def test_update_neighborhood_excites_own_and_relaxes_rest():
     room = open_room(9, 9)
-    state = PotentialState(owner=0)
+    state = PotentialState()
     pos, goal = Position(4, 4), Position(7, 4)
     update_neighborhood(state, room, DEFAULTS, SENSOR, pos, goal)
     east = Position(5, 4)
@@ -203,7 +279,7 @@ def test_update_neighborhood_excites_own_and_relaxes_rest():
 
 def test_update_neighborhood_repeated_stays_grow_geometrically():
     room = open_room(9, 9)
-    state = PotentialState(owner=0)
+    state = PotentialState()
     pos = Position(4, 4)
     goal = Position(6, 4)
     update_neighborhood(state, room, DEFAULTS, SENSOR, pos, goal)
@@ -218,7 +294,7 @@ def test_update_neighborhood_repeated_stays_grow_geometrically():
 
 def test_update_neighborhood_touches_only_neighborhood():
     room = open_room(12, 12)
-    state = PotentialState(owner=0)
+    state = PotentialState()
     goal = Position(10, 10)
     update_neighborhood(state, room, DEFAULTS, SENSOR, Position(3, 3), goal)
     snapshot = dict(state.values)
