@@ -81,21 +81,21 @@ def _csv_text(columns, rows) -> str:
     return buffer.getvalue()
 
 
-def _parse_positions(raw: str, key: str) -> tuple[Position, ...]:
+def _parse_positions(raw: str) -> tuple[Position, ...]:
     parts = [piece.strip() for piece in raw.split(",") if piece.strip()]
     try:
         numbers = [int(piece) for piece in parts]
-    except ValueError as exc:
-        raise LoadError(f"{key}: positions must be integers, got {raw!r}") from exc
+    except ValueError:
+        raise ValueError(f"positions must be integers, got {raw!r}") from None
     if len(numbers) % 2 != 0:
-        raise LoadError(f"{key}: odd number of coordinates in {raw!r}")
+        raise ValueError(f"odd number of coordinates in {raw!r}")
     return tuple(Position(numbers[i], numbers[i + 1]) for i in range(0, len(numbers), 2))
 
 
-def read_scenario_file(path: str | Path) -> dict[str, str]:
-    """Read the flat key=value scenario document into a string map."""
+def read_scenario_file(path: str | Path) -> dict[str, tuple[str, int]]:
+    """Read the flat key=value scenario document into key -> (value, line number)."""
     path = Path(path)
-    values: dict[str, str] = {}
+    values: dict[str, tuple[str, int]] = {}
     for lineno, raw_line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
         if not line:
@@ -107,7 +107,7 @@ def read_scenario_file(path: str | Path) -> dict[str, str]:
             raise LoadError(f"unknown scenario key {key!r}", line=lineno)
         if key in values:
             raise LoadError(f"duplicate scenario key {key!r}", line=lineno)
-        values[key] = value
+        values[key] = (value, lineno)
     return values
 
 
@@ -116,16 +116,29 @@ def build_scenario(path: str | Path, seed_override: int | None = None) -> Scenar
     path = Path(path)
     values = read_scenario_file(path)
 
-    layout_value = values.get("layout")
-    if layout_value is None:
+    def parsed(key: str, parse, default):
+        """The key's value read by `parse` (int, float or _parse_positions),
+        whose ValueError becomes a LoadError naming the key's line."""
+        if key not in values:
+            return default
+        text, line = values[key]
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise LoadError(f"{key}: {exc}", line=line) from None
+
+    if "layout" not in values:
         raise LoadError("scenario is missing the 'layout' key")
+    layout_value, layout_line = values["layout"]
     if layout_value.startswith("generate:"):
         size = layout_value[len("generate:") :]
         try:
             width_text, height_text = size.lower().split("x", 1)
             width, height = int(width_text), int(height_text)
         except ValueError as exc:
-            raise LoadError(f"layout: expected generate:WIDTHxHEIGHT, got {layout_value!r}") from exc
+            raise LoadError(
+                f"layout: expected generate:WIDTHxHEIGHT, got {layout_value!r}", line=layout_line
+            ) from exc
         world = generate_layout_sized(width, height)
     else:
         layout_path = Path(layout_value)
@@ -133,34 +146,30 @@ def build_scenario(path: str | Path, seed_override: int | None = None) -> Scenar
             layout_path = path.parent / layout_path
         world = parse_layout(layout_path.read_text(encoding="utf-8"))
 
-    def integer(key: str, default: int) -> int:
-        return int(values[key]) if key in values else default
-
-    def floating(key: str, default: float) -> float:
-        return float(values[key]) if key in values else default
-
-    potential = PotentialParams(gamma=floating("gamma", 15.0), alpha=floating("alpha", 0.05))
-    sensor = SensorModel(radius=integer("sensor_radius", 3))
-    ga = GAConfig(
-        population_size=integer("population", 100),
-        max_generations=integer("generations", 200),
-        mutation_probability=floating("mutation_prob", 0.2),
+    potential = PotentialParams(
+        gamma=parsed("gamma", float, 15.0), alpha=parsed("alpha", float, 0.05)
     )
-    starts = _parse_positions(values["robot_starts"], "robot_starts") if "robot_starts" in values else None
-    tasks = _parse_positions(values["task_positions"], "task_positions") if "task_positions" in values else None
-    step_cap = integer("step_cap", 0) or None
-    seed = seed_override if seed_override is not None else integer("seed", 0)
+    sensor = SensorModel(radius=parsed("sensor_radius", int, 3))
+    ga = GAConfig(
+        population_size=parsed("population", int, 100),
+        max_generations=parsed("generations", int, 200),
+        mutation_probability=parsed("mutation_prob", float, 0.2),
+    )
+    starts = parsed("robot_starts", _parse_positions, None)
+    tasks = parsed("task_positions", _parse_positions, None)
+    step_cap = parsed("step_cap", int, 0) or None
+    seed = seed_override if seed_override is not None else parsed("seed", int, 0)
 
     return Scenario(
         world=world,
-        n_robots=integer("n_robots", 1),
-        n_tasks=integer("n_tasks", 1),
+        n_robots=parsed("n_robots", int, 1),
+        n_tasks=parsed("n_tasks", int, 1),
         robot_starts=starts,
         task_positions=tasks,
         potential=potential,
         sensor=sensor,
         ga=ga,
-        eta=floating("eta", 0.5),
+        eta=parsed("eta", float, 0.5),
         step_cap=step_cap,
         seed=seed,
     )

@@ -191,6 +191,21 @@ def test_malformed_scenario_is_validation_error(tmp_path):
     assert main(["run", "--scenario", str(cfg), "--out", str(out)]) == 1
 
 
+@pytest.mark.parametrize("key, bad, line", [("n_robots", "abc", 3), ("alpha", "0.05x", 6)])
+def test_bad_number_is_load_error_with_line(tmp_path, capsys, key, bad, line):
+    lines = MINI_SCENARIO.splitlines()
+    assert lines[line - 1].startswith(f"{key} = ")
+    lines[line - 1] = f"{key} = {bad}"
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert main(["run", "--scenario", str(cfg), "--out", str(tmp_path / "x.csv")]) == 1
+    message = capsys.readouterr().err
+    assert message.startswith(f"error: {key}: ") and message.rstrip().endswith(f"(line {line})")
+    with pytest.raises(LoadError) as raised:
+        build_scenario(cfg)
+    assert raised.value.line == line
+
+
 def test_invalid_layout_value_is_validation_error(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("layout = generate:banana\n", encoding="utf-8")
