@@ -7,7 +7,7 @@ import pytest
 
 from warefleet.engine import Scenario, run_scenario
 from warefleet.errors import ConfigurationError
-from warefleet.gridworld import Position, generate_layout, generate_layout_sized
+from warefleet.gridworld import Position, generate_layout_sized
 from warefleet.allocator import GAConfig
 from warefleet.baseline import shortest_path
 from warefleet.planner import (

@@ -89,7 +89,7 @@ def test_phi_zero_base_negative_exponent_raises():
     params = PotentialParams(obstacle_terms=(PotentialTerm(0.1, 2, -2.0, offset=0.0),))
     with pytest.raises(DomainError):
         phi(params, OBSTACLE, Position(1, 1), Position(1, 1))
-    # The table stores the undefined entry as inf and every other one finite.
+    # The table stores the undefined entry as inf and the others as phi does.
     table = term_table(params.obstacle_terms, 3, 3)
     assert table[0][0] == math.inf
     assert table[1][2] == phi(params, OBSTACLE, Position(0, 0), Position(1, 2))
