@@ -42,7 +42,6 @@ from .gridworld import (
     generate_layout_sized,
     neighborhood,
     parse_layout,
-    region_adjacent_neighborhood,
     serialize_layout,
 )
 from .planner import (

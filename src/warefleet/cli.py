@@ -42,23 +42,6 @@ from .gridworld import Position, generate_layout_sized, parse_layout, serialize_
 from .planner import format_trace
 from .potential import PotentialParams, SensorModel
 
-_SCENARIO_KEYS = {
-    "layout",
-    "n_robots",
-    "n_tasks",
-    "gamma",
-    "alpha",
-    "sensor_radius",
-    "population",
-    "generations",
-    "mutation_prob",
-    "eta",
-    "step_cap",
-    "seed",
-    "robot_starts",
-    "task_positions",
-}
-
 
 def _atomic_write(path: str | Path, text: str) -> None:
     path = Path(path)
@@ -92,6 +75,32 @@ def _parse_positions(raw: str) -> tuple[Position, ...]:
     return tuple(Position(numbers[i], numbers[i + 1]) for i in range(0, len(numbers), 2))
 
 
+def _parse_step_cap(raw: str) -> int | None:
+    return int(raw) or None  # 0 asks for the default cap
+
+
+# Scenario keys other than `layout`, grouped by the object they configure:
+# key -> (the field it sets, the parser of its value). Within a group the
+# keys are applied in this order, so a count comes before its positions.
+_POTENTIAL_KEYS = {"gamma": ("gamma", float), "alpha": ("alpha", float)}
+_SENSOR_KEYS = {"sensor_radius": ("radius", int)}
+_GA_KEYS = {
+    "population": ("population_size", int),
+    "generations": ("max_generations", int),
+    "mutation_prob": ("mutation_probability", float),
+}
+_RUN_KEYS = {
+    "n_robots": ("n_robots", int),
+    "n_tasks": ("n_tasks", int),
+    "robot_starts": ("robot_starts", _parse_positions),
+    "task_positions": ("task_positions", _parse_positions),
+    "eta": ("eta", float),
+    "step_cap": ("step_cap", _parse_step_cap),
+    "seed": ("seed", int),
+}
+_SCENARIO_KEYS = {"layout", *_POTENTIAL_KEYS, *_SENSOR_KEYS, *_GA_KEYS, *_RUN_KEYS}
+
+
 def read_scenario_file(path: str | Path) -> dict[str, tuple[str, int]]:
     """Read the flat key=value scenario document into key -> (value, line number)."""
     path = Path(path)
@@ -116,16 +125,18 @@ def build_scenario(path: str | Path, seed_override: int | None = None) -> Scenar
     path = Path(path)
     values = read_scenario_file(path)
 
-    def parsed(key: str, parse, default):
-        """The key's value read by `parse` (int, float or _parse_positions),
-        whose ValueError becomes a LoadError naming the key's line."""
-        if key not in values:
-            return default
-        text, line = values[key]
-        try:
-            return parse(text)
-        except ValueError as exc:
-            raise LoadError(f"{key}: {exc}", line=line) from None
+    def configured(owner, keys):
+        """`owner` with each of its keys found in the file set in turn. A value
+        that does not parse, or that the owner's own checks reject, ends as a
+        LoadError naming the key and its line."""
+        for key, (name, parse) in keys.items():
+            if key in values:
+                text, line = values[key]
+                try:
+                    owner = replace(owner, **{name: parse(text)})
+                except ValueError as exc:
+                    raise LoadError(f"{key}: {exc}", line=line) from None
+        return owner
 
     if "layout" not in values:
         raise LoadError("scenario is missing the 'layout' key")
@@ -146,33 +157,18 @@ def build_scenario(path: str | Path, seed_override: int | None = None) -> Scenar
             layout_path = path.parent / layout_path
         world = parse_layout(layout_path.read_text(encoding="utf-8"))
 
-    potential = PotentialParams(
-        gamma=parsed("gamma", float, 15.0), alpha=parsed("alpha", float, 0.05)
-    )
-    sensor = SensorModel(radius=parsed("sensor_radius", int, 3))
-    ga = GAConfig(
-        population_size=parsed("population", int, 100),
-        max_generations=parsed("generations", int, 200),
-        mutation_probability=parsed("mutation_prob", float, 0.2),
-    )
-    starts = parsed("robot_starts", _parse_positions, None)
-    tasks = parsed("task_positions", _parse_positions, None)
-    step_cap = parsed("step_cap", int, 0) or None
-    seed = seed_override if seed_override is not None else parsed("seed", int, 0)
-
-    return Scenario(
+    scenario = Scenario(
         world=world,
-        n_robots=parsed("n_robots", int, 1),
-        n_tasks=parsed("n_tasks", int, 1),
-        robot_starts=starts,
-        task_positions=tasks,
-        potential=potential,
-        sensor=sensor,
-        ga=ga,
-        eta=parsed("eta", float, 0.5),
-        step_cap=step_cap,
-        seed=seed,
+        n_robots=1,
+        n_tasks=1,
+        potential=configured(PotentialParams(), _POTENTIAL_KEYS),
+        sensor=configured(SensorModel(), _SENSOR_KEYS),
+        ga=configured(GAConfig(), _GA_KEYS),
     )
+    scenario = configured(scenario, _RUN_KEYS)
+    if seed_override is not None:
+        scenario = replace(scenario, seed=seed_override)
+    return scenario
 
 
 def _report_json(report: MetricsReport) -> dict:

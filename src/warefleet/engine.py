@@ -56,6 +56,7 @@ class Scenario:
             raise ConfigurationError("need at least one robot and one task")
         if self.step_cap is not None and self.step_cap < 1:
             raise ConfigurationError("step cap must be positive")
+        HeuristicStore(self.eta)  # the store owns the learning-rate check
         for label, cells, expected in (
             ("robot start", self.robot_starts, self.n_robots),
             ("task position", self.task_positions, self.n_tasks),
@@ -212,7 +213,7 @@ def run_scenario(
     ]
     fleet = FleetState(robots=robots)
     cap = sc.step_cap or default_step_cap(sc.world, sc.n_robots, sc.n_tasks)
-    trace, _ = run_until_done(fleet, sc.world, sc.potential, sc.sensor, cap)
+    trace = run_until_done(fleet, sc.world, sc.potential, sc.sensor, cap)
 
     astar_seconds = 0.0
     optima = []

@@ -44,10 +44,10 @@ def distance(a: Position, b: Position, p: float) -> float:
 class GridWorld:
     """Rectangular lattice partitioned into reachable floor and obstacles.
 
-    Immutable after construction apart from internal lookup caches, so a
-    single instance can back any number of simulation runs. Construction
-    enforces that obstacles and floor exactly cover the lattice and that
-    every boundary cell is a wall.
+    An immutable value: worlds with the same size and obstacles are equal
+    and hash alike, so one instance, or any copy of it, can back any
+    number of simulation runs. Construction enforces that obstacles and
+    floor exactly cover the lattice and that every boundary cell is a wall.
     """
 
     __slots__ = (
@@ -56,9 +56,7 @@ class GridWorld:
         "obstacles",
         "reachable",
         "adjacency",
-        "_obstacle_boxes",
-        "_hash",
-        "__weakref__",
+        "_value",
     )
 
     def __init__(self, width: int, height: int, obstacles: Iterable[Position]):
@@ -95,28 +93,25 @@ class GridWorld:
             )
             for cell in self.reachable
         }
-        self._obstacle_boxes: dict[int, dict[Position, tuple[Position, ...]]] = {}
-        self._hash = hash((self.width, self.height, self.obstacles))
-
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        if not isinstance(other, GridWorld):
-            return NotImplemented
-        return (
-            self.width == other.width
-            and self.height == other.height
-            and self.obstacles == other.obstacles
+        # The size plus one byte per cell (1 on an obstacle), row by row:
+        # equal worlds, such as a copy unpickled in a sweep worker, compare
+        # with one bytes comparison instead of a walk of the obstacle set.
+        self._value = (
+            width,
+            height,
+            bytes(Position(x, y) in self.obstacles for y in range(height) for x in range(width)),
         )
 
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, GridWorld):
+            return NotImplemented
+        return self._value == other._value
+
     def __hash__(self):
-        return self._hash
+        return hash(self._value)
 
     def __repr__(self):
         return f"GridWorld({self.width}x{self.height}, {len(self.obstacles)} obstacles)"
-
-    def is_reachable(self, pos: Position) -> bool:
-        return pos in self.reachable
 
     def adjacent(self, pos: Position) -> tuple[Position, ...]:
         """Reachable 4-neighbors of a reachable cell, in up/right/down/left order."""
@@ -124,24 +119,6 @@ class GridWorld:
             return self.adjacency[pos]
         except KeyError:
             raise DomainError(f"{pos} is not a reachable cell") from None
-
-    def obstacles_within(self, center: Position, radius: int) -> tuple[Position, ...]:
-        """Obstacles inside the Chebyshev box of the given radius around a cell.
-
-        Memoized per radius; the cache is the only mutation after
-        construction and is idempotent, so shared read-mostly use stays safe.
-        """
-        per_cell = self._obstacle_boxes.setdefault(radius, {})
-        cached = per_cell.get(center)
-        if cached is None:
-            cached = tuple(
-                Position(x, y)
-                for y in range(center.y - radius, center.y + radius + 1)
-                for x in range(center.x - radius, center.x + radius + 1)
-                if Position(x, y) in self.obstacles
-            )
-            per_cell[center] = cached
-        return cached
 
     def connected(self) -> bool:
         """True when every reachable cell sits in one flood-fill component."""
@@ -171,19 +148,6 @@ def adjacent_neighborhood(world: GridWorld, pos: Position) -> set[Position]:
     if pos not in world.reachable:
         raise DomainError(f"{pos} is not a reachable cell")
     return set(world.adjacent(pos))
-
-
-def region_adjacent_neighborhood(world: GridWorld, region: Iterable[Position]) -> set[Position]:
-    """Reachable cells at 1-norm distance exactly 1 from a region of cells."""
-    cells = set(region)
-    out: set[Position] = set()
-    for cell in cells:
-        if cell not in world.reachable:
-            raise DomainError(f"{cell} is not a reachable cell")
-        for nxt in world.adjacent(cell):
-            if nxt not in cells:
-                out.add(nxt)
-    return out
 
 
 def _tile_obstacles(

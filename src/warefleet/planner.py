@@ -175,7 +175,7 @@ def step_fleet(
     recursion for the next one (no move that tick). Idle robots never move
     but still repel others.
     """
-    repulsion = _obstacle_field(world, params, sensor)
+    repulsion = _obstacle_field(world, sensor.radius, params.obstacle_terms)
     goal_table = term_table(params.goal_terms, world.width, world.height)
     robot_table = term_table(params.robot_terms, sensor.radius, sensor.radius)
     alpha = params.alpha
@@ -229,7 +229,7 @@ def run_until_done(
     params: PotentialParams,
     sensor: SensorModel,
     step_cap: int,
-) -> tuple[SimTrace, str]:
+) -> SimTrace:
     """Step until every task list is empty or the tick cap is hit.
 
     The planner cannot certify that a goal is unreachable, so the cap is
@@ -250,7 +250,7 @@ def run_until_done(
         step_fleet(fleet, world, params, sensor)
         positions.append(tuple(r.pos for r in fleet.robots))
         outstanding.append(sum(len(r.tasks) for r in fleet.robots))
-    trace = SimTrace(
+    return SimTrace(
         positions=positions,
         outstanding=outstanding,
         segments=[list(r.segment_log) for r in fleet.robots],
@@ -258,7 +258,6 @@ def run_until_done(
         k_total=fleet.tick,
         plan_seconds=fleet.plan_seconds,
     )
-    return trace, outcome
 
 
 def format_trace(trace: SimTrace) -> str:

@@ -19,7 +19,6 @@ the same no matter which adjacent cell the robot evaluated it from.
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -154,35 +153,30 @@ def term_table(terms: tuple[PotentialTerm, ...], nx: int, ny: int) -> tuple[tupl
     return tuple(rows)
 
 
-# Obstacle repulsion depends only on the world geometry, the sensing radius
-# and the obstacle terms, never on the robot, goal or tick, so the per-cell
-# sums are computed once per world and shared by every run in the process.
-_OBSTACLE_FIELDS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
+@lru_cache(maxsize=8)
 def _obstacle_field(
-    world: GridWorld, params: PotentialParams, sensor: SensorModel
+    world: GridWorld, radius: int, obstacle_terms: tuple[PotentialTerm, ...]
 ) -> dict[Position, float]:
     """Summed repulsion of the obstacles each reachable cell consistently senses.
 
     An obstacle counts when it lies within Chebyshev distance radius - 1,
-    so that it is visible from every cell of the cell's step cross.
+    so that it is visible from every cell of the cell's step cross. The
+    field depends only on the floor plan, the radius and the terms, so it
+    is cached on their values: an equal world, such as one unpickled in a
+    sweep worker, gets the same dict back.
     """
-    per_world = _OBSTACLE_FIELDS.setdefault(world, {})
-    key = (sensor.radius, params.obstacle_terms)
-    cells = per_world.get(key)
-    if cells is None:
-        reach = sensor.radius - 1
-        table = term_table(params.obstacle_terms, sensor.radius, sensor.radius)
-        cells = {
-            cell: sum(
-                table[abs(cell.x - o.x)][abs(cell.y - o.y)]
-                for o in world.obstacles_within(cell, reach)
-            )
-            for cell in sorted(world.reachable)
-        }
-        per_world[key] = cells
-    return cells
+    reach = radius - 1
+    table = term_table(obstacle_terms, radius, radius)
+    obstacles = world.obstacles
+    return {
+        cell: sum(
+            table[abs(x - cell.x)][abs(y - cell.y)]
+            for y in range(cell.y - reach, cell.y + reach + 1)
+            for x in range(cell.x - reach, cell.x + reach + 1)
+            if (x, y) in obstacles
+        )
+        for cell in sorted(world.reachable)
+    }
 
 
 def check_divergence_condition(p: float, gamma: float, alpha: float) -> bool:

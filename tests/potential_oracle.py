@@ -57,11 +57,12 @@ def phi_sensed(
 def obstacle_repulsion(
     world: GridWorld, params: PotentialParams, sensor: SensorModel, cell: Position
 ) -> float:
-    """Summed repulsion of the obstacles consistently sensed from a cell."""
-    return sum(
-        phi(params, OBSTACLE, cell, obstacle)
-        for obstacle in world.obstacles_within(cell, sensor.radius - 1)
-    )
+    """Summed repulsion of the obstacles within Chebyshev distance radius - 1
+    of a cell, taken row by row: by y, then by x."""
+    reach = sensor.radius - 1
+    sensed = [o for o in world.obstacles if max(abs(o.x - cell.x), abs(o.y - cell.y)) <= reach]
+    sensed.sort(key=lambda o: (o.y, o.x))
+    return sum(phi(params, OBSTACLE, cell, obstacle) for obstacle in sensed)
 
 
 def static_potential_initial(

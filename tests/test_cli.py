@@ -191,7 +191,20 @@ def test_malformed_scenario_is_validation_error(tmp_path):
     assert main(["run", "--scenario", str(cfg), "--out", str(out)]) == 1
 
 
-@pytest.mark.parametrize("key, bad, line", [("n_robots", "abc", 3), ("alpha", "0.05x", 6)])
+@pytest.mark.parametrize(
+    "key, bad, line",
+    [
+        ("n_robots", "abc", 3),
+        ("alpha", "0.05x", 6),
+        # Values that parse but fail their owner's range check.
+        ("gamma", "0.5", 5),
+        ("sensor_radius", "1", 7),
+        ("n_robots", "0", 3),
+        ("mutation_prob", "2", 10),
+        ("population", "1", 8),
+        ("eta", "0", 11),
+    ],
+)
 def test_bad_number_is_load_error_with_line(tmp_path, capsys, key, bad, line):
     lines = MINI_SCENARIO.splitlines()
     assert lines[line - 1].startswith(f"{key} = ")

@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import pytest
 from hypothesis import given, strategies as st
@@ -13,7 +14,6 @@ from warefleet.gridworld import (
     generate_layout_sized,
     neighborhood,
     parse_layout,
-    region_adjacent_neighborhood,
     serialize_layout,
 )
 
@@ -100,20 +100,6 @@ def test_adjacent_neighborhood():
     assert adjacent_neighborhood(w, center) == neighborhood(w, center) - {center}
     w2 = world_from(["###", "#.#", "###"])
     assert adjacent_neighborhood(w2, Position(1, 1)) == set()
-
-
-def test_region_adjacent_neighborhood_matches_enumeration():
-    w = open_room(9, 9)
-    block = {Position(4, 4), Position(5, 4)}
-    # Oracle: every reachable cell at 1-norm distance exactly 1 from the block.
-    expected = {
-        s
-        for s in w.reachable
-        if min(abs(s.x - u.x) + abs(s.y - u.y) for u in block) == 1
-    }
-    got = region_adjacent_neighborhood(w, block)
-    assert got == expected
-    assert len(got) == 6
 
 
 def test_neighborhood_sizes_bounded(fig_layout):
@@ -206,13 +192,12 @@ def test_gridworld_rejects_bad_partition():
         GridWorld(4, 4, [Position(9, 9)])  # obstacle off the lattice
 
 
-def test_obstacles_within_box():
-    w = world_from([
-        "#####",
-        "#...#",
-        "#.#.#",
-        "#...#",
-        "#####",
-    ])
-    got = set(w.obstacles_within(Position(1, 1), 1))
-    assert got == {(0, 0), (1, 0), (2, 0), (0, 1), (0, 2), (2, 2)}
+def test_world_is_a_value():
+    world = generate_layout_sized(21, 20)
+    copy = pickle.loads(pickle.dumps(world))
+    assert copy is not world and copy == world and hash(copy) == hash(world)
+    assert parse_layout(serialize_layout(world)) == world
+    moved = GridWorld(21, 20, world.obstacles - {Position(3, 3)} | {Position(1, 1)})
+    assert moved != world
+    # Same cell count and walls, other shape.
+    assert open_room(4, 6) != open_room(6, 4)

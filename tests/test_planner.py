@@ -177,8 +177,8 @@ def test_plan_step_escapes_pocket_by_excitation():
     start, goal = Position(2, 3), Position(8, 5)
     robot = make_robot(start, goal)
     fleet = FleetState(robots=[robot])
-    trace, outcome = run_until_done(fleet, room, PARAMS, SENSOR, 300)
-    assert outcome == COMPLETED
+    trace = run_until_done(fleet, room, PARAMS, SENSOR, 300)
+    assert trace.outcome == COMPLETED
     path = [snapshot[0] for snapshot in trace.positions]
     stays = [k for k in range(1, len(path)) if path[k] == path[k - 1] and path[k] != goal]
     # Each entrapment is broken after a single excitation at gamma=15.
@@ -206,8 +206,8 @@ def test_idle_robot_blocks_and_repels():
     worker = RobotState(ident=0, pos=Position(1, 2), tasks=[Task(1, Position(8, 2))])
     idler = RobotState(ident=1, pos=Position(4, 2), tasks=[])
     fleet = FleetState(robots=[worker, idler])
-    trace, outcome = run_until_done(fleet, room, PARAMS, SENSOR, 200)
-    assert outcome == COMPLETED
+    trace = run_until_done(fleet, room, PARAMS, SENSOR, 200)
+    assert trace.outcome == COMPLETED
     assert idler.pos == Position(4, 2)  # never moved
     for snapshot in trace.positions:
         assert snapshot[0] != snapshot[1]
@@ -217,8 +217,8 @@ def test_goal_adjacent_arrival_then_pop():
     room = open_room(8, 8)
     robot = make_robot(Position(3, 3), Position(4, 3))
     fleet = FleetState(robots=[robot])
-    trace, outcome = run_until_done(fleet, room, PARAMS, SENSOR, 50)
-    assert outcome == COMPLETED
+    trace = run_until_done(fleet, room, PARAMS, SENSOR, 50)
+    assert trace.outcome == COMPLETED
     assert trace.k_total == 2  # move on tick 1, pop on tick 2
     assert robot.segment_log == [Segment(Position(3, 3), Position(4, 3), 1)]
     assert robot.distance_travelled == 1
@@ -229,8 +229,8 @@ def test_tasks_at_start_pop_one_per_tick():
     start = Position(4, 4)
     robot = RobotState(ident=0, pos=start, tasks=[Task(i, start) for i in (1, 2, 3)])
     fleet = FleetState(robots=[robot])
-    trace, outcome = run_until_done(fleet, room, PARAMS, SENSOR, 50)
-    assert outcome == COMPLETED
+    trace = run_until_done(fleet, room, PARAMS, SENSOR, 50)
+    assert trace.outcome == COMPLETED
     assert trace.k_total == 3
     assert robot.distance_travelled == 0
     assert [seg.length for seg in robot.segment_log] == [0, 0, 0]
@@ -245,8 +245,8 @@ def test_sealed_goal_hits_cap_never_completes():
     ])
     robot = make_robot(Position(1, 1), Position(6, 2))
     fleet = FleetState(robots=[robot])
-    trace, outcome = run_until_done(fleet, room, PARAMS, SENSOR, 400)
-    assert outcome == CAP_REACHED
+    trace = run_until_done(fleet, room, PARAMS, SENSOR, 400)
+    assert trace.outcome == CAP_REACHED
     assert trace.k_total == 400
     assert robot.tasks  # still outstanding
 
@@ -255,8 +255,8 @@ def test_single_robot_on_small_warehouse_beats_nothing(fig_layout):
     start, goal = Position(1, 1), Position(18, 20)
     robot = make_robot(start, goal)
     fleet = FleetState(robots=[robot])
-    trace, outcome = run_until_done(fleet, fig_layout, PARAMS, SENSOR, 5000)
-    assert outcome == COMPLETED
+    trace = run_until_done(fleet, fig_layout, PARAMS, SENSOR, 5000)
+    assert trace.outcome == COMPLETED
     optimum = shortest_path(fig_layout, start, goal).length
     assert robot.distance_travelled >= optimum
 
@@ -286,7 +286,7 @@ def test_run_until_done_deterministic(fig_layout):
             RobotState(ident=1, pos=Position(18, 1), tasks=[Task(2, Position(1, 20))]),
         ]
         fleet = FleetState(robots=robots)
-        trace, _ = run_until_done(fleet, fig_layout, PARAMS, SENSOR, 5000)
+        trace = run_until_done(fleet, fig_layout, PARAMS, SENSOR, 5000)
         return trace.positions
 
     assert run() == run()

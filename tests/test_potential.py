@@ -1,4 +1,6 @@
+import gc
 import math
+import pickle
 import random
 
 import pytest
@@ -188,12 +190,18 @@ def test_obstacle_field_matches_reference(obstacle_terms, radius):
     ])
     params = PotentialParams(obstacle_terms=obstacle_terms)
     sensor = SensorModel(radius)
-    field = _obstacle_field(world, params, sensor)
+    field = _obstacle_field(world, radius, obstacle_terms)
     assert set(field) == world.reachable
     for cell, value in field.items():
         assert value == obstacle_repulsion(world, params, sensor, cell)
     # Built once: later calls hand back the same dict.
-    assert _obstacle_field(world, params, sensor) is field
+    assert _obstacle_field(world, radius, obstacle_terms) is field
+    # Keyed on the world's value: an equal copy, as a sweep worker unpickles
+    # it for each task, finds the field after the original world is gone.
+    copy = pickle.loads(pickle.dumps(world))
+    del world
+    gc.collect()
+    assert _obstacle_field(copy, radius, obstacle_terms) is field
 
 
 def test_static_initial_at_goal_no_obstacles():
@@ -207,9 +215,13 @@ def test_static_initial_goal_plus_one_obstacle():
     cell = Position(1, 10)  # wall to the west at unit distance, rest far
     goal = Position(6, 10)
     value = static_potential_initial(room, DEFAULTS, SENSOR, cell, goal)
-    repulsion = sum(
-        phi(DEFAULTS, OBSTACLE, cell, o) for o in room.obstacles_within(cell, SENSOR.radius - 1)
+    reach = SENSOR.radius - 1
+    sensed = sorted(
+        (o for o in room.obstacles if max(abs(o.x - cell.x), abs(o.y - cell.y)) <= reach),
+        key=lambda o: (o.y, o.x),
     )
+    assert sensed == [Position(0, y) for y in range(8, 13)]
+    repulsion = sum(phi(DEFAULTS, OBSTACLE, cell, o) for o in sensed)
     assert value == phi(DEFAULTS, GOAL, cell, goal) + repulsion
     assert value > 5.0
 
