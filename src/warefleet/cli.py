@@ -150,7 +150,10 @@ def build_scenario(path: str | Path, seed_override: int | None = None) -> Scenar
             raise LoadError(
                 f"layout: expected generate:WIDTHxHEIGHT, got {layout_value!r}", line=layout_line
             ) from exc
-        world = generate_layout_sized(width, height)
+        try:
+            world = generate_layout_sized(width, height)
+        except ConfigurationError as exc:
+            raise LoadError(f"layout: {exc}", line=layout_line) from None
     else:
         layout_path = Path(layout_value)
         if not layout_path.is_absolute():

@@ -203,6 +203,7 @@ def test_malformed_scenario_is_validation_error(tmp_path):
         ("mutation_prob", "2", 10),
         ("population", "1", 8),
         ("eta", "0", 11),
+        ("layout", "generate:3x3", 2),
     ],
 )
 def test_bad_number_is_load_error_with_line(tmp_path, capsys, key, bad, line):
