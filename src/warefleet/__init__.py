@@ -17,7 +17,7 @@ from .allocator import (
     fitness,
     mutate,
 )
-from .baseline import PathResult, optimal_sequence_distance, shortest_path
+from .baseline import PathResult, shortest_path
 from .engine import (
     CellSummary,
     MetricsReport,
@@ -36,11 +36,8 @@ from .errors import (
 from .gridworld import (
     GridWorld,
     Position,
-    adjacent_neighborhood,
     distance,
-    generate_layout,
     generate_layout_sized,
-    neighborhood,
     parse_layout,
     serialize_layout,
 )

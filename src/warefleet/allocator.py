@@ -23,6 +23,9 @@ from .gridworld import Position
 
 Chromosome = list[int]
 
+# Share of the population, ranked best first, that crossover draws parents from.
+PARENT_FRACTION = 0.5
+
 # Fitness when every robot already sits on all of its tasks; keeps ordering
 # sensible without dividing by zero.
 ZERO_DISTANCE_FITNESS = 1e12
@@ -33,7 +36,6 @@ class GAConfig:
     population_size: int = 100
     max_generations: int = 200
     mutation_probability: float = 0.2
-    parent_fraction: float = 0.5
     rng_seed: int = 0
 
     def __post_init__(self):
@@ -43,8 +45,6 @@ class GAConfig:
             raise ConfigurationError("need at least one generation")
         if not 0.0 <= self.mutation_probability <= 1.0:
             raise ConfigurationError("mutation probability must lie in [0, 1]")
-        if not 0.0 < self.parent_fraction <= 1.0:
-            raise ConfigurationError("parent fraction must lie in (0, 1]")
 
 
 class HeuristicStore:
@@ -92,11 +92,11 @@ class HeuristicStore:
                             row[c] = learned
         return rows
 
-    def learn(self, a: Position, b: Position, realized: float, received: bool = True) -> None:
-        """Gradient step toward a realized distance; no-op unless an update was received."""
+    def learn(self, a: Position, b: Position, realized: float) -> None:
+        """Gradient step toward a realized distance."""
         if realized < 0:
             raise DomainError("realized distance cannot be negative")
-        if not received or a == b:
+        if a == b:
             return
         key = frozenset((a, b))
         current = self.estimate(a, b)
@@ -265,7 +265,7 @@ def evolve(
     history = [population[0][0]]
 
     length = n_robots + n_tasks - 1
-    pool_size = max(2, min(cfg.population_size, round(cfg.population_size * cfg.parent_fraction)))
+    pool_size = max(2, min(cfg.population_size, round(cfg.population_size * PARENT_FRACTION)))
     # Rank weights: the best of the pool gets pool_size, the worst 1.
     cum_weights = list(accumulate(pool_size - r for r in range(pool_size)))
 

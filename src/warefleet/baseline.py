@@ -87,17 +87,3 @@ def shortest_path(world: GridWorld, start: Position, goal: Position) -> PathResu
 
     return PathResult(length=None, path=[], expanded_nodes=expanded, elapsed=time.perf_counter() - t0)
 
-
-def optimal_sequence_distance(
-    world: GridWorld, start: Position, task_positions: list[Position]
-) -> int | None:
-    """Sum of optimal leg lengths start -> t1 -> t2 -> ...; None if any leg is unreachable."""
-    total = 0
-    cursor = start
-    for target in task_positions:
-        leg = shortest_path(world, cursor, target)
-        if leg.length is None:
-            return None
-        total += leg.length
-        cursor = target
-    return total

@@ -20,6 +20,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 import tempfile
@@ -179,7 +180,7 @@ def _report_json(report: MetricsReport) -> dict:
         "n_robots": report.n_robots,
         "n_tasks": report.n_tasks,
         "seed": report.seed,
-        "j1": report.j1,
+        "j1": None if math.isnan(report.j1) else report.j1,  # undefined J1 as JSON null
         "j2": report.j2,
         "j3": report.j3,
         "j4": report.j4,

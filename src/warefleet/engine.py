@@ -162,19 +162,21 @@ def compute_metrics(trace: SimTrace, optima: list[int], n_tasks: int) -> Metrics
 
     Capped runs only contribute their completed legs; the flag is carried
     through so aggregation can exclude them where a full-run comparison is
-    meaningless.
+    meaningless. J1 is undefined (NaN) when no leg completed.
     """
     realized = [sum(seg.length for seg in segs) for segs in trace.segments]
     n_robots = len(trace.segments)
     sum_d = sum(realized)
     sum_opt = sum(optima)
-    if sum_opt == 0:
+    completed = sum(len(segs) for segs in trace.segments)
+    if completed == 0:
+        j1 = float("nan")
+    elif sum_opt == 0:
         j1 = 1.0 if sum_d == 0 else float("inf")
     else:
         j1 = sum_d / sum_opt
     j2 = sum_d / (n_tasks * n_robots)
     j3 = max(realized) / n_tasks
-    completed = sum(len(segs) for segs in trace.segments)
     j4 = completed / trace.k_total if trace.k_total > 0 else 0.0
     return MetricsReport(
         n_robots=n_robots,
@@ -228,7 +230,7 @@ def run_scenario(
     # Realized distances feed the allocator's heuristics for later runs.
     for segments in trace.segments:
         for seg in segments:
-            store.learn(seg.start, seg.end, seg.length, received=True)
+            store.learn(seg.start, seg.end, seg.length)
 
     report = compute_metrics(trace, optima, sc.n_tasks)
     report.seed = sc.seed

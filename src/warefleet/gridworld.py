@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from typing import Iterable, NamedTuple
 
-from .errors import ConfigurationError, DomainError, LoadError
+from .errors import ConfigurationError, LoadError
 
 
 class Position(NamedTuple):
@@ -50,14 +50,7 @@ class GridWorld:
     floor exactly cover the lattice and that every boundary cell is a wall.
     """
 
-    __slots__ = (
-        "width",
-        "height",
-        "obstacles",
-        "reachable",
-        "adjacency",
-        "_value",
-    )
+    __slots__ = ("width", "height", "obstacles", "adjacency", "_value")
 
     def __init__(self, width: int, height: int, obstacles: Iterable[Position]):
         if width < 3 or height < 3:
@@ -76,31 +69,34 @@ class GridWorld:
             for x in (0, width - 1):
                 if Position(x, y) not in self.obstacles:
                     raise ConfigurationError(f"boundary cell ({x},{y}) is not a wall")
-        self.reachable = frozenset(
-            Position(x, y)
-            for y in range(height)
-            for x in range(width)
-            if Position(x, y) not in self.obstacles
-        )
-        # Reachable 4-neighbors per cell in up/right/down/left order; the
-        # planner and the search baseline read this dict directly in their
-        # inner loops.
-        self.adjacency: dict[Position, tuple[Position, ...]] = {
-            cell: tuple(
-                Position(cell.x + dx, cell.y + dy)
-                for dx, dy in ADJACENT_STEPS
-                if Position(cell.x + dx, cell.y + dy) in self.reachable
-            )
-            for cell in self.reachable
-        }
-        # The size plus one byte per cell (1 on an obstacle), row by row:
-        # equal worlds, such as a copy unpickled in a sweep worker, compare
+        # One walk of the lattice, row by row: one byte per cell (1 on an
+        # obstacle) and one Position object per floor cell.
+        cells = bytearray()
+        floor: dict[Position, Position] = {}
+        for y in range(height):
+            for x in range(width):
+                pos = Position(x, y)
+                if pos in self.obstacles:
+                    cells.append(1)
+                else:
+                    cells.append(0)
+                    floor[pos] = pos
+        # Reachable 4-neighbors per cell in up/right/down/left order, as the
+        # floor's own objects; the planner and the search baseline read this
+        # dict directly in their inner loops.
+        self.adjacency: dict[Position, tuple[Position, ...]] = {}
+        for cell in floor:
+            x, y = cell
+            steps = (floor.get((x + dx, y + dy)) for dx, dy in ADJACENT_STEPS)
+            self.adjacency[cell] = tuple(n for n in steps if n is not None)
+        # Equal worlds, such as a copy unpickled in a sweep worker, compare
         # with one bytes comparison instead of a walk of the obstacle set.
-        self._value = (
-            width,
-            height,
-            bytes(Position(x, y) in self.obstacles for y in range(height) for x in range(width)),
-        )
+        self._value = (width, height, bytes(cells))
+
+    @property
+    def reachable(self):
+        """The floor cells: a read-only view of the adjacency keys."""
+        return self.adjacency.keys()
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GridWorld):
@@ -112,13 +108,6 @@ class GridWorld:
 
     def __repr__(self):
         return f"GridWorld({self.width}x{self.height}, {len(self.obstacles)} obstacles)"
-
-    def adjacent(self, pos: Position) -> tuple[Position, ...]:
-        """Reachable 4-neighbors of a reachable cell, in up/right/down/left order."""
-        try:
-            return self.adjacency[pos]
-        except KeyError:
-            raise DomainError(f"{pos} is not a reachable cell") from None
 
     def connected(self) -> bool:
         """True when every reachable cell sits in one flood-fill component."""
@@ -134,20 +123,6 @@ class GridWorld:
                     seen.add(nxt)
                     frontier.append(nxt)
         return len(seen) == len(self.reachable)
-
-
-def neighborhood(world: GridWorld, pos: Position) -> set[Position]:
-    """The cell itself plus its reachable 4-neighbors (unit 1-norm ball)."""
-    if pos not in world.reachable:
-        raise DomainError(f"{pos} is not a reachable cell")
-    return {pos, *world.adjacent(pos)}
-
-
-def adjacent_neighborhood(world: GridWorld, pos: Position) -> set[Position]:
-    """Reachable 4-neighbors of a cell, excluding the cell itself."""
-    if pos not in world.reachable:
-        raise DomainError(f"{pos} is not a reachable cell")
-    return set(world.adjacent(pos))
 
 
 def _tile_obstacles(
@@ -180,36 +155,6 @@ def _tile_obstacles(
     return obstacles
 
 
-def _validated_layout(world: GridWorld) -> GridWorld:
-    if not world.connected():
-        raise ConfigurationError("generated layout is not a single connected floor")
-    return world
-
-
-def generate_layout(
-    shelf_block_rows: int,
-    shelf_block_cols: int,
-    *,
-    shelf_width: int = 2,
-    shelf_height: int = 4,
-    aisle: int = 2,
-) -> GridWorld:
-    """Deterministic tiled warehouse: walls, shelf blocks, aisle corridors.
-
-    Dimensions follow from the block counts: each axis holds the requested
-    number of blocks with an aisle between consecutive blocks and between
-    blocks and the walls.
-    """
-    if shelf_block_rows < 1 or shelf_block_cols < 1:
-        raise ConfigurationError("need at least one shelf block per axis")
-    if shelf_width < 1 or shelf_height < 1 or aisle < 1:
-        raise ConfigurationError("shelf and aisle dimensions must be positive")
-    width = 2 + aisle + shelf_block_cols * (shelf_width + aisle)
-    height = 2 + aisle + shelf_block_rows * (shelf_height + aisle)
-    world = GridWorld(width, height, _tile_obstacles(width, height, shelf_width, shelf_height, aisle))
-    return _validated_layout(world)
-
-
 def generate_layout_sized(
     width: int,
     height: int,
@@ -229,7 +174,9 @@ def generate_layout_sized(
     if width < 2 + aisle or height < 2 + aisle:
         raise ConfigurationError(f"{width}x{height} leaves no room for an aisle")
     world = GridWorld(width, height, _tile_obstacles(width, height, shelf_width, shelf_height, aisle))
-    return _validated_layout(world)
+    if not world.connected():
+        raise ConfigurationError("generated layout is not a single connected floor")
+    return world
 
 
 def parse_layout(text: str) -> GridWorld:

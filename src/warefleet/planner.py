@@ -29,7 +29,7 @@ from typing import NamedTuple, Sequence
 
 from .errors import ConfigurationError
 from .gridworld import GridWorld, Position
-from .potential import PotentialParams, PotentialState, SensorModel, _obstacle_field, term_table
+from .potential import DYNAMIC_SCALE, PotentialParams, PotentialState, SensorModel, _obstacle_field, term_table
 
 COMPLETED = "completed"
 CAP_REACHED = "cap_reached"
@@ -54,7 +54,6 @@ class RobotState:
     pos: Position
     tasks: list[Task]
     potential: PotentialState = field(default_factory=PotentialState)
-    distance_travelled: int = 0
     segment_log: list[Segment] = field(default_factory=list)
     leg_start: Position = None  # type: ignore[assignment]
     leg_moves: int = 0
@@ -113,7 +112,6 @@ def _choose(
     near: list[Position],
     alpha: float,
     gamma: float,
-    scale: float,
 ) -> Position:
     """Fused recursion update and argmin over one robot's neighborhood.
 
@@ -156,7 +154,7 @@ def _choose(
                         break
                     dyn += robot_table[dx][dy]
             else:
-                value += scale * dyn
+                value += DYNAMIC_SCALE * dyn
         if value < best_value:
             best = cell
             best_value = value
@@ -180,7 +178,6 @@ def step_fleet(
     robot_table = term_table(params.robot_terms, sensor.radius, sensor.radius)
     alpha = params.alpha
     gamma = params.gamma
-    scale = params.dynamic_scale
     adjacency = world.adjacency
     robots = fleet.robots
     perf_counter = time.perf_counter
@@ -212,12 +209,10 @@ def step_fleet(
             near,
             alpha,
             gamma,
-            scale,
         )
         fleet.plan_seconds += perf_counter() - t0
         if target != pos:
             robot.pos = target
-            robot.distance_travelled += 1
             robot.leg_moves += 1
     fleet.tick += 1
     return fleet

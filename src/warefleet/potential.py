@@ -59,6 +59,10 @@ class SensorModel:
             raise ConfigurationError("sensor radius must be at least 2")
 
 
+# Other robots repel with the robot terms scaled by this factor.
+DYNAMIC_SCALE = 0.01
+
+
 @dataclass(frozen=True)
 class PotentialParams:
     """Shape of the potential field plus the recursion factors.
@@ -73,15 +77,12 @@ class PotentialParams:
     robot_terms: tuple[PotentialTerm, ...] = field(default_factory=_default_repulsive_terms)
     gamma: float = 15.0
     alpha: float = 0.05
-    dynamic_scale: float = 0.01
 
     def __post_init__(self):
         if not self.gamma > 1.0:
             raise ConfigurationError(f"excitation factor must exceed 1, got {self.gamma}")
         if not 0.0 <= self.alpha < 1.0:
             raise ConfigurationError(f"relaxation factor must lie in [0, 1), got {self.alpha}")
-        if self.dynamic_scale < 0.0:
-            raise ConfigurationError("dynamic scale must be nonnegative")
         for name, terms in (
             ("goal", self.goal_terms),
             ("obstacle", self.obstacle_terms),

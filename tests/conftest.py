@@ -58,6 +58,6 @@ def flood_fill_components(world: GridWorld) -> int:
 @pytest.fixture(scope="session")
 def fig_layout() -> GridWorld:
     """The small tiled warehouse: 4 block columns, 3 block rows, 20x22 cells."""
-    from warefleet.gridworld import generate_layout
+    from warefleet.gridworld import generate_layout_sized
 
-    return generate_layout(3, 4)
+    return generate_layout_sized(20, 22)

@@ -7,7 +7,7 @@ the planner's descent step and the obstacle field against these formulas.
 
 from warefleet.errors import ConfigurationError, DomainError
 from warefleet.gridworld import GridWorld, Position, distance
-from warefleet.potential import PotentialParams, PotentialState, SensorModel
+from warefleet.potential import DYNAMIC_SCALE, PotentialParams, PotentialState, SensorModel
 
 GOAL = "goal"
 OBSTACLE = "obstacle"
@@ -97,7 +97,7 @@ def update_neighborhood(
     cell is excited and every other neighborhood cell relaxed toward its
     initial value. Cells outside the neighborhood are never touched.
     """
-    for cell in (robot_pos, *world.adjacent(robot_pos)):
+    for cell in (robot_pos, *world.adjacency[robot_pos]):
         if cell not in state.values:
             u = static_potential_initial(world, params, sensor, cell, goal)
             state.values[cell] = u
@@ -116,4 +116,4 @@ def dynamic_potential(
     for other in others:
         if in_consistent_range(sensor, at, other):
             total += phi(params, ROBOT, at, other)
-    return params.dynamic_scale * total
+    return DYNAMIC_SCALE * total

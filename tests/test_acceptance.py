@@ -242,6 +242,7 @@ def test_criterion_06_sealed_goal_never_completes():
         audit_trace(trace)
         assert trace.outcome == CAP_REACHED
         assert report.cap_reached and report.completed_tasks == 0
+        assert math.isnan(report.j1)  # no completed leg, so no path-cost ratio
     print("PASS criterion 6: sealed goal reported cap_reached in 50/50 runs, never completed")
 
 

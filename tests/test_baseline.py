@@ -2,9 +2,9 @@ import random
 
 import pytest
 
-from warefleet.baseline import optimal_sequence_distance, shortest_path
+from warefleet.baseline import shortest_path
 from warefleet.errors import DomainError
-from warefleet.gridworld import GridWorld, Position, generate_layout
+from warefleet.gridworld import GridWorld, Position
 
 from conftest import bfs_length, open_room, world_from
 
@@ -59,33 +59,6 @@ def test_rejects_obstacle_endpoints():
         shortest_path(w, Position(0, 0), Position(2, 2))
     with pytest.raises(DomainError):
         shortest_path(w, Position(2, 2), Position(4, 4))
-
-
-def test_sequence_distance_empty():
-    w = open_room(8, 8)
-    assert optimal_sequence_distance(w, Position(2, 2), []) == 0
-
-
-def test_sequence_distance_single_leg_open_room():
-    w = open_room(12, 12)
-    assert optimal_sequence_distance(w, Position(2, 2), [Position(6, 5)]) == 7
-
-
-def test_sequence_distance_chains_legs(fig_layout):
-    start = Position(1, 1)
-    tasks = [Position(9, 7), Position(17, 13)]
-    expected = bfs_length(fig_layout, start, tasks[0]) + bfs_length(fig_layout, tasks[0], tasks[1])
-    assert optimal_sequence_distance(fig_layout, start, tasks) == expected
-
-
-def test_sequence_distance_unreachable_leg():
-    w = world_from([
-        "#######",
-        "#..#..#",
-        "#..#..#",
-        "#######",
-    ])
-    assert optimal_sequence_distance(w, Position(1, 1), [Position(5, 1)]) is None
 
 
 def _random_world(rng: random.Random) -> GridWorld:

@@ -94,6 +94,30 @@ def test_run_seed_override_and_json(scenario_file, tmp_path):
     assert payload["j1"] >= 1.0
 
 
+def test_run_with_no_completed_leg_writes_undefined_j1(tmp_path):
+    # The only task sits behind a wall, so the run ends at the cap with no leg.
+    (tmp_path / "sealed.layout").write_text(
+        "###########\n#.....#...#\n#.....#...#\n#.....#...#\n###########\n", encoding="utf-8"
+    )
+    cfg = tmp_path / "sealed.cfg"
+    cfg.write_text(
+        "layout = sealed.layout\nn_robots = 1\nn_tasks = 1\nrobot_starts = 1,1\n"
+        "task_positions = 8,2\npopulation = 4\ngenerations = 2\nstep_cap = 200\nseed = 1\n",
+        encoding="utf-8",
+    )
+    csv_out, json_out = tmp_path / "m.csv", tmp_path / "m.json"
+    assert main(["run", "--scenario", str(cfg), "--out", str(csv_out)]) == 0
+    row = dict(zip(*read_csv(csv_out)))
+    assert row["J1"] == "nan" and row["cap_reached"] == "1"
+    assert main(["run", "--scenario", str(cfg), "--out", str(json_out), "--format", "json"]) == 0
+
+    def reject(constant):
+        raise ValueError(f"not strict JSON: {constant}")
+
+    payload = json.loads(json_out.read_text(encoding="utf-8"), parse_constant=reject)
+    assert payload["j1"] is None and payload["cap_reached"] is True
+
+
 def test_run_trace_and_ga_history(scenario_file, tmp_path):
     out = tmp_path / "m.csv"
     trace = tmp_path / "t.txt"

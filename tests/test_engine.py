@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import pytest
 
@@ -13,7 +14,7 @@ from warefleet.engine import (
     run_sweep,
 )
 from warefleet.errors import ConfigurationError
-from warefleet.gridworld import Position, generate_layout
+from warefleet.gridworld import Position, generate_layout_sized
 from warefleet.planner import CAP_REACHED, COMPLETED, Segment, SimTrace
 
 from conftest import open_room, world_from
@@ -68,6 +69,14 @@ def test_compute_metrics_flags_cap():
     assert report.cap_reached
     assert report.completed_tasks == 1
     assert report.j4 == pytest.approx(0.01)
+
+
+def test_compute_metrics_no_completed_leg_leaves_j1_undefined():
+    trace = make_trace([[], []], k_total=200, outcome=CAP_REACHED)
+    report = compute_metrics(trace, [0, 0], n_tasks=2)
+    assert math.isnan(report.j1)
+    assert report.completed_tasks == 0 and report.j2 == 0.0
+    assert metrics_row(report)[3] == "nan"
 
 
 def test_metrics_row_column_order():
@@ -127,7 +136,7 @@ def test_run_scenario_task_at_start_is_free():
 
 
 def test_run_scenario_deterministic_apart_from_timing():
-    world = generate_layout(2, 3)
+    world = generate_layout_sized(16, 16)
     sc = Scenario(world=world, n_robots=3, n_tasks=4, ga=LIGHT_GA, seed=11)
     trace_a, rep_a = run_scenario(sc)
     trace_b, rep_b = run_scenario(sc)
@@ -141,14 +150,14 @@ def test_run_scenario_deterministic_apart_from_timing():
 
 
 def test_run_scenario_seed_changes_placements():
-    world = generate_layout(2, 3)
+    world = generate_layout_sized(16, 16)
     a = run_scenario(Scenario(world=world, n_robots=2, n_tasks=2, ga=LIGHT_GA, seed=1))[0]
     b = run_scenario(Scenario(world=world, n_robots=2, n_tasks=2, ga=LIGHT_GA, seed=2))[0]
     assert a.positions[0] != b.positions[0]
 
 
 def test_run_scenario_metrics_match_trace_recount():
-    world = generate_layout(2, 3)
+    world = generate_layout_sized(16, 16)
     for s in range(3):
         sc = Scenario(world=world, n_robots=3, n_tasks=5, ga=LIGHT_GA, seed=100 + s)
         trace, report = run_scenario(sc)
@@ -169,7 +178,7 @@ def test_run_scenario_metrics_match_trace_recount():
 
 
 def test_run_scenario_realized_never_beats_optimal():
-    world = generate_layout(2, 3)
+    world = generate_layout_sized(16, 16)
     for s in range(5):
         sc = Scenario(world=world, n_robots=2, n_tasks=4, ga=LIGHT_GA, seed=200 + s)
         _, report = run_scenario(sc)
@@ -202,7 +211,7 @@ def test_run_scenario_cap_flag_on_sealed_task():
 
 
 def test_run_scenario_feeds_learning():
-    world = generate_layout(2, 3)
+    world = generate_layout_sized(16, 16)
     store = HeuristicStore(eta=0.5)
     sc = Scenario(world=world, n_robots=2, n_tasks=3, ga=LIGHT_GA, seed=3)
     run_scenario(sc, heuristics=store)
@@ -229,13 +238,13 @@ def test_random_tasks_avoid_explicit_starts():
 
 
 def test_default_step_cap_formula():
-    world = generate_layout(2, 3)
+    world = generate_layout_sized(16, 16)
     assert default_step_cap(world, 4, 10) == 50 * (world.width + world.height) * 3
     assert default_step_cap(world, 4, 4) == 50 * (world.width + world.height)
 
 
 def test_run_sweep_shapes_and_order():
-    world = generate_layout(2, 3)
+    world = generate_layout_sized(16, 16)
     base = Scenario(world=world, n_robots=1, n_tasks=1, ga=LIGHT_GA, seed=40)
     reports, cells = run_sweep(base, [1, 2], [2, 3], seeds_per_cell=2)
     assert len(reports) == 8
@@ -249,7 +258,7 @@ def test_run_sweep_shapes_and_order():
 
 
 def test_run_sweep_warm_carries_learning():
-    world = generate_layout(2, 3)
+    world = generate_layout_sized(16, 16)
     base = Scenario(world=world, n_robots=2, n_tasks=2, ga=LIGHT_GA, seed=60)
     cold_reports, _ = run_sweep(base, [2], [2], seeds_per_cell=3)
     warm_reports, _ = run_sweep(base, [2], [2], seeds_per_cell=3, warm=True)
@@ -260,7 +269,7 @@ def test_run_sweep_warm_carries_learning():
 def test_run_scenario_k_total_counts_trace_ticks():
     # The trace is the ground truth the metrics use: one snapshot per tick
     # plus the initial one.
-    world = generate_layout(2, 3)
+    world = generate_layout_sized(16, 16)
     sc = Scenario(world=world, n_robots=2, n_tasks=2, ga=LIGHT_GA, seed=9)
     trace, report = run_scenario(sc)
     assert report.k_total == len(trace.positions) - 1

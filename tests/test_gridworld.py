@@ -4,15 +4,12 @@ import pickle
 import pytest
 from hypothesis import given, strategies as st
 
-from warefleet.errors import ConfigurationError, DomainError, LoadError
+from warefleet.errors import ConfigurationError, LoadError
 from warefleet.gridworld import (
     GridWorld,
     Position,
-    adjacent_neighborhood,
     distance,
-    generate_layout,
     generate_layout_sized,
-    neighborhood,
     parse_layout,
     serialize_layout,
 )
@@ -47,19 +44,17 @@ def test_metric_axioms(a, b, c, p):
 
 def test_neighborhood_open_interior():
     w = open_room(5, 5)
-    center = Position(2, 2)
-    assert neighborhood(w, center) == {
-        center,
+    assert w.adjacency[Position(2, 2)] == (
         Position(2, 1),
         Position(3, 2),
         Position(2, 3),
         Position(1, 2),
-    }
+    )
 
 
 def test_neighborhood_against_wall():
     w = open_room(5, 5)
-    assert len(neighborhood(w, Position(1, 2))) == 4
+    assert w.adjacency[Position(1, 2)] == (Position(1, 1), Position(2, 2), Position(1, 3))
 
 
 def test_neighborhood_fully_walled():
@@ -71,47 +66,52 @@ def test_neighborhood_fully_walled():
         "#####",
     ])
     # Corner-ish cell (1,2) has one open neighbor; the center has four.
-    assert neighborhood(w, Position(2, 2)) == {
-        Position(2, 2),
+    assert w.adjacency[Position(2, 2)] == (
         Position(2, 1),
         Position(3, 2),
         Position(2, 3),
         Position(1, 2),
-    }
+    )
+    assert w.adjacency[Position(1, 2)] == (Position(2, 2),)
     w2 = world_from([
         "###",
         "#.#",
         "###",
     ])
-    assert neighborhood(w2, Position(1, 1)) == {Position(1, 1)}
+    assert w2.adjacency[Position(1, 1)] == ()
 
 
 def test_neighborhood_requires_reachable_cell():
     w = open_room(5, 5)
-    with pytest.raises(DomainError):
-        neighborhood(w, Position(0, 0))
-    with pytest.raises(DomainError):
-        adjacent_neighborhood(w, Position(0, 0))
+    assert Position(0, 0) not in w.reachable
+    with pytest.raises(KeyError):
+        w.adjacency[Position(0, 0)]
+    assert not any(n in w.obstacles for steps in w.adjacency.values() for n in steps)
 
 
 def test_adjacent_neighborhood():
     w = open_room(5, 5)
-    center = Position(2, 2)
-    assert adjacent_neighborhood(w, center) == neighborhood(w, center) - {center}
-    w2 = world_from(["###", "#.#", "###"])
-    assert adjacent_neighborhood(w2, Position(1, 1)) == set()
+    assert w.adjacency[Position(1, 1)] == (Position(2, 1), Position(1, 2))
+    assert w.adjacency[Position(3, 3)] == (Position(3, 2), Position(2, 3))
+    assert w.adjacency[Position(3, 1)] == (Position(3, 2), Position(2, 1))
 
 
 def test_neighborhood_sizes_bounded(fig_layout):
+    assert fig_layout.reachable == set(fig_layout.adjacency)
     for cell in fig_layout.reachable:
-        n = neighborhood(fig_layout, cell)
-        assert 1 <= len(n) <= 5
-        assert adjacent_neighborhood(fig_layout, cell) == n - {cell}
+        steps = ((0, -1), (1, 0), (0, 1), (-1, 0))  # up, right, down, left
+        expected = tuple(
+            Position(cell.x + dx, cell.y + dy)
+            for dx, dy in steps
+            if Position(cell.x + dx, cell.y + dy) not in fig_layout.obstacles
+        )
+        assert fig_layout.adjacency[cell] == expected
+        assert len(expected) <= 4
 
 
 def test_generate_layout_small_pattern(fig_layout):
     assert (fig_layout.width, fig_layout.height) == (20, 22)
-    assert generate_layout(3, 4) == fig_layout  # deterministic
+    assert generate_layout_sized(20, 22) == fig_layout  # deterministic
     lattice = {Position(x, y) for x in range(20) for y in range(22)}
     assert fig_layout.reachable | fig_layout.obstacles == lattice
     assert not fig_layout.reachable & fig_layout.obstacles
@@ -124,15 +124,55 @@ def test_generate_layout_sized_benchmark_dimensions():
 
 
 def test_generate_layout_connected_smallest():
-    w = generate_layout(1, 1)
+    w = generate_layout_sized(8, 10)  # one shelf block
     assert flood_fill_components(w) == 1
 
 
 def test_generate_layout_rejects_degenerate():
     with pytest.raises(ConfigurationError):
-        generate_layout(0, 4)
+        generate_layout_sized(20, 22, shelf_width=0)
     with pytest.raises(ConfigurationError):
         generate_layout_sized(3, 3)
+
+
+def test_generate_layout_sized_tiles_whole_blocks():
+    # One 2x4 block inside 2-cell aisles fills an 8x10 floor exactly.
+    assert serialize_layout(generate_layout_sized(8, 10)).split() == [
+        "########",
+        "#......#",
+        "#......#",
+        "#..##..#",
+        "#..##..#",
+        "#..##..#",
+        "#..##..#",
+        "#......#",
+        "#......#",
+        "########",
+    ]
+    # A size off the tile pitch widens the trailing corridor instead.
+    w = generate_layout_sized(11, 10, shelf_width=1, shelf_height=2, aisle=1)
+    assert serialize_layout(w).split() == [
+        "###########",
+        "#.........#",
+        "#.#.#.#.#.#",
+        "#.#.#.#.#.#",
+        "#.........#",
+        "#.#.#.#.#.#",
+        "#.#.#.#.#.#",
+        "#.........#",
+        "#.........#",
+        "###########",
+    ]
+
+
+def test_reachable_is_a_view_of_the_adjacency_keys(fig_layout):
+    assert "reachable" not in GridWorld.__slots__
+    assert fig_layout.reachable == fig_layout.adjacency.keys()
+    assert len(fig_layout.reachable) == 20 * 22 - len(fig_layout.obstacles)
+    assert Position(1, 1) in fig_layout.reachable
+    assert sorted(fig_layout.reachable)[0] == Position(1, 1)
+    with pytest.raises(AttributeError):
+        fig_layout.reachable = frozenset()
 
 
 def test_boundary_cells_are_walls(fig_layout):
@@ -176,7 +216,8 @@ def test_parse_rejects_empty():
 
 @pytest.mark.parametrize("rows,cols", [(1, 1), (2, 3), (3, 4)])
 def test_serialize_parse_round_trip(rows, cols):
-    world = generate_layout(rows, cols)
+    # rows x cols blocks of the default 2x4 shelves with 2-cell aisles
+    world = generate_layout_sized(4 + 4 * cols, 4 + 6 * rows)
     assert parse_layout(serialize_layout(world)) == world
 
 
@@ -196,6 +237,10 @@ def test_world_is_a_value():
     world = generate_layout_sized(21, 20)
     copy = pickle.loads(pickle.dumps(world))
     assert copy is not world and copy == world and hash(copy) == hash(world)
+    # Each floor cell is one object: every neighbour is the floor's own key.
+    for w in (world, copy):
+        floor = {c: c for c in w.adjacency}
+        assert all(floor[n] is n for steps in w.adjacency.values() for n in steps)
     moved = GridWorld(21, 20, world.obstacles - {Position(3, 3)} | {Position(1, 1)})
     assert moved != world
     # Same cell count and walls, other shape.

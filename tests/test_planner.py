@@ -221,7 +221,7 @@ def test_goal_adjacent_arrival_then_pop():
     assert trace.outcome == COMPLETED
     assert trace.k_total == 2  # move on tick 1, pop on tick 2
     assert robot.segment_log == [Segment(Position(3, 3), Position(4, 3), 1)]
-    assert robot.distance_travelled == 1
+    assert sum(seg.length for seg in robot.segment_log) == 1
 
 
 def test_tasks_at_start_pop_one_per_tick():
@@ -232,7 +232,7 @@ def test_tasks_at_start_pop_one_per_tick():
     trace = run_until_done(fleet, room, PARAMS, SENSOR, 50)
     assert trace.outcome == COMPLETED
     assert trace.k_total == 3
-    assert robot.distance_travelled == 0
+    assert sum(seg.length for seg in robot.segment_log) == 0
     assert [seg.length for seg in robot.segment_log] == [0, 0, 0]
 
 
@@ -258,7 +258,7 @@ def test_single_robot_on_small_warehouse_beats_nothing(fig_layout):
     trace = run_until_done(fleet, fig_layout, PARAMS, SENSOR, 5000)
     assert trace.outcome == COMPLETED
     optimum = shortest_path(fig_layout, start, goal).length
-    assert robot.distance_travelled >= optimum
+    assert sum(seg.length for seg in robot.segment_log) >= optimum
 
 
 def test_trace_safety_and_monotone_tasks(fig_layout):
