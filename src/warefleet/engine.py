@@ -311,9 +311,20 @@ def _sweep_cell_scenario(base: Scenario, n: int, k: int, seed: int) -> Scenario:
     )
 
 
-def _sweep_worker(payload: tuple[Scenario, int, int, int]) -> tuple[int, int, int, MetricsReport]:
-    base, n, k, seed = payload
-    _, report = run_scenario(_sweep_cell_scenario(base, n, k, seed))
+# The base scenario of the sweep a pool worker serves. The pool initializer
+# sets it once per worker, so tasks carry only (N, K, seed); the parent
+# process never sets it.
+_sweep_base: Scenario | None = None
+
+
+def _set_sweep_base(base: Scenario) -> None:
+    global _sweep_base
+    _sweep_base = base
+
+
+def _sweep_worker(payload: tuple[int, int, int]) -> tuple[int, int, int, MetricsReport]:
+    n, k, seed = payload
+    _, report = run_scenario(_sweep_cell_scenario(_sweep_base, n, k, seed))
     return n, k, seed, report
 
 
@@ -350,25 +361,31 @@ def run_sweep(
     """Run every (N, K, seed) combination and aggregate per cell.
 
     Cold mode (default) gives every run a fresh heuristic store, so runs are
-    independent trials and may execute in parallel. Warm mode threads one
-    store through the runs in order and is therefore always serial.
+    independent trials and may execute in parallel on at most one worker
+    per run. Warm mode threads one store through the runs in order and is
+    therefore always serial.
     """
     if seeds_per_cell < 1:
         raise ConfigurationError("need at least one seed per cell")
+    if jobs < 1:
+        raise ConfigurationError("jobs must be at least 1")
     seeds = [base.seed + i for i in range(seeds_per_cell)]
     combos = [(n, k, seed) for n in n_values for k in k_values for seed in seeds]
+    # The pool may start all its workers at the first task, so never ask for
+    # more than there are runs.
+    workers = min(jobs, len(combos))
 
     reports: dict[tuple[int, int, int], MetricsReport] = {}
-    if warm or jobs <= 1:
+    if warm or workers <= 1:
         store = HeuristicStore(base.eta) if warm else None
         for n, k, seed in combos:
             _, report = run_scenario(_sweep_cell_scenario(base, n, k, seed), heuristics=store)
             reports[(n, k, seed)] = report
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for n, k, seed, report in pool.map(
-                _sweep_worker, [(base, n, k, seed) for n, k, seed in combos]
-            ):
+        with ProcessPoolExecutor(
+            max_workers=workers, initializer=_set_sweep_base, initargs=(base,)
+        ) as pool:
+            for n, k, seed, report in pool.map(_sweep_worker, combos):
                 reports[(n, k, seed)] = report
 
     ordered = [reports[combo] for combo in combos]

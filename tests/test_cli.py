@@ -203,6 +203,16 @@ def test_sweep_rows_and_summary(scenario_file, tmp_path):
     assert cells[0][:2] == ["N", "K"]
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_sweep_rejects_jobs_below_one(scenario_file, tmp_path, capsys, jobs):
+    out = tmp_path / "sweep.csv"
+    argv = ["sweep", "--scenario", str(scenario_file), "--out", str(out),
+            "--n-values", "1", "--k-values", "2", "--seeds", "1", f"--jobs={jobs}"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error: jobs must be at least 1\n"
+    assert not out.exists()
+
+
 def test_missing_scenario_file_is_io_error(tmp_path):
     out = tmp_path / "x.csv"
     assert main(["run", "--scenario", str(tmp_path / "nope.cfg"), "--out", str(out)]) == 2

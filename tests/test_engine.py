@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from warefleet import engine
 from warefleet.allocator import GAConfig, HeuristicStore
 from warefleet.engine import (
     METRICS_COLUMNS,
@@ -264,6 +265,71 @@ def test_run_sweep_warm_carries_learning():
     warm_reports, _ = run_sweep(base, [2], [2], seeds_per_cell=3, warm=True)
     # First runs coincide (store still at defaults); later runs may diverge.
     assert cold_reports[0].per_robot == warm_reports[0].per_robot
+
+
+def _deterministic_fields(report):
+    fields = dataclasses.asdict(report)
+    del fields["planner_seconds"], fields["astar_seconds"]
+    return fields
+
+
+def test_run_sweep_parallel_matches_serial():
+    world = generate_layout_sized(16, 16)
+    base = Scenario(world=world, n_robots=1, n_tasks=1, ga=LIGHT_GA, seed=70)
+    serial, serial_cells = run_sweep(base, [1, 2], [2], seeds_per_cell=2, jobs=1)
+    parallel, parallel_cells = run_sweep(base, [1, 2], [2], seeds_per_cell=2, jobs=2)
+    assert [_deterministic_fields(r) for r in parallel] == [
+        _deterministic_fields(r) for r in serial
+    ]
+    assert [(c.mean_j1, c.mean_j4) for c in parallel_cells] == [
+        (c.mean_j1, c.mean_j4) for c in serial_cells
+    ]
+
+
+def test_run_sweep_ships_base_once(monkeypatch):
+    pools = []
+
+    class InProcessPool:
+        """Runs the pool's initializer and tasks in this process."""
+
+        def __init__(self, max_workers, initializer, initargs):
+            self.max_workers = max_workers
+            self.initargs = initargs
+            self.payloads = []
+            pools.append(self)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, payloads):
+            self.payloads = list(payloads)
+            return map(fn, self.payloads)
+
+    monkeypatch.setattr(engine, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(engine, "_sweep_base", None)
+    world = generate_layout_sized(16, 16)
+    base = Scenario(world=world, n_robots=1, n_tasks=1, ga=LIGHT_GA, seed=80)
+    reports, _ = run_sweep(base, [1, 2], [2], seeds_per_cell=2, jobs=64)
+
+    assert len(pools) == 1
+    pool = pools[0]
+    assert pool.max_workers == 4  # one worker per run, not 64
+    assert pool.initargs == (base,)
+    assert len(pool.payloads) == 4
+    for payload in pool.payloads:
+        assert isinstance(payload, tuple) and len(payload) == 3
+        assert all(type(value) is int for value in payload)
+    serial, _ = run_sweep(base, [1, 2], [2], seeds_per_cell=2)
+    assert [_deterministic_fields(r) for r in reports] == [
+        _deterministic_fields(r) for r in serial
+    ]
+    # A grid of one run needs no pool at all.
+    run_sweep(base, [1], [2], seeds_per_cell=1, jobs=8)
+    assert len(pools) == 1
 
 
 def test_run_scenario_k_total_counts_trace_ticks():
