@@ -12,6 +12,7 @@ completed legs.
 from __future__ import annotations
 
 import random
+from bisect import bisect
 from collections import defaultdict
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -231,16 +232,6 @@ def mutate(genes: Chromosome, m: int, n: int, rng: random.Random) -> Chromosome:
     return child
 
 
-def _pick_parent_indices(rng: random.Random, cum_weights: list[int]) -> tuple[int, int]:
-    # Rank-weighted draw over the pool; the two parents are forced distinct.
-    indices = range(len(cum_weights))
-    first = rng.choices(indices, cum_weights=cum_weights)[0]
-    second = first
-    while second == first:
-        second = rng.choices(indices, cum_weights=cum_weights)[0]
-    return first, second
-
-
 def evolve(
     cfg: GAConfig,
     starts: list[Position],
@@ -266,8 +257,12 @@ def evolve(
 
     length = n_robots + n_tasks - 1
     pool_size = max(2, min(cfg.population_size, round(cfg.population_size * PARENT_FRACTION)))
-    # Rank weights: the best of the pool gets pool_size, the worst 1.
+    # Rank weights: the best of the pool gets pool_size, the worst 1. A parent
+    # is drawn with the arithmetic of Random.choices(k=1, cum_weights=...),
+    # so the random stream is the one that call would consume.
     cum_weights = list(accumulate(pool_size - r for r in range(pool_size)))
+    total = cum_weights[-1] + 0.0
+    last = pool_size - 1
 
     for _ in range(cfg.max_generations):
         # Elitism and crossover of near-identical parents repeat chromosomes,
@@ -275,19 +270,32 @@ def evolve(
         scores = {tuple(genes): value for value, genes in population}
         children: list[tuple[float, Chromosome]] = []
         while len(children) < cfg.population_size:
-            a, b = _pick_parent_indices(rng, cum_weights)
-            p1, p2 = population[a][1], population[b][1]
+            # Rank-weighted draw over the pool; the two parents are distinct.
+            a = bisect(cum_weights, rng.random() * total, 0, last)
+            b = a
+            while b == a:
+                b = bisect(cum_weights, rng.random() * total, 0, last)
+            v1, p1 = population[a]
+            p2 = population[b][1]
             i = rng.randint(1, length)
             j = rng.randint(i, length)
-            for child in (crossover(p1, p2, i, j), crossover(p2, p1, i, j)):
+            if p1 == p2:
+                # Order crossover of equal parents returns the parent; no
+                # operator changes a chromosome in place, so it is shared.
+                offspring = ((v1, p1), (v1, p1))
+            else:
+                offspring = ((None, crossover(p1, p2, i, j)), (None, crossover(p2, p1, i, j)))
+            for value, child in offspring:
                 if rng.random() < cfg.mutation_probability:
                     m = rng.randint(1, length)
                     n = rng.randint(m, length)
                     child = mutate(child, m, n, rng)
-                key = tuple(child)
-                value = scores.get(key)
+                    value = None
                 if value is None:
-                    value = scores[key] = score(child)
+                    key = tuple(child)
+                    value = scores.get(key)
+                    if value is None:
+                        value = scores[key] = score(child)
                 children.append((value, child))
         # Elitist truncation over survivors plus offspring; the sort is stable.
         population += children

@@ -33,6 +33,7 @@ from .engine import (
     SUMMARY_COLUMNS,
     MetricsReport,
     Scenario,
+    check_sweep_axis,
     metrics_row,
     run_scenario,
     run_sweep,
@@ -208,17 +209,19 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_int_list(raw: str, flag: str) -> list[int]:
+def _parse_grid_axis(raw: str, flag: str) -> list[int]:
     try:
-        return [int(piece) for piece in raw.split(",") if piece.strip()]
+        values = [int(piece) for piece in raw.split(",") if piece.strip()]
     except ValueError as exc:
         raise ConfigurationError(f"{flag}: expected comma-separated integers, got {raw!r}") from exc
+    check_sweep_axis(values, flag)
+    return values
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     base = build_scenario(args.scenario, args.seed)
-    n_values = _parse_int_list(args.n_values, "--n-values")
-    k_values = _parse_int_list(args.k_values, "--k-values")
+    n_values = _parse_grid_axis(args.n_values, "--n-values")
+    k_values = _parse_grid_axis(args.k_values, "--k-values")
     reports, cells = run_sweep(
         base, n_values, k_values, args.seeds, warm=args.warm, jobs=args.jobs
     )

@@ -350,6 +350,17 @@ def _summarize_cell(n: int, k: int, reports: list[MetricsReport]) -> CellSummary
     )
 
 
+def check_sweep_axis(values: list[int], name: str) -> None:
+    """A sweep grid axis names at least one value and no value twice."""
+    if not values:
+        raise ConfigurationError(f"{name}: expected at least one value")
+    seen = set()
+    for value in values:
+        if value in seen:
+            raise ConfigurationError(f"{name}: value {value} given more than once")
+        seen.add(value)
+
+
 def run_sweep(
     base: Scenario,
     n_values: list[int],
@@ -369,6 +380,8 @@ def run_sweep(
         raise ConfigurationError("need at least one seed per cell")
     if jobs < 1:
         raise ConfigurationError("jobs must be at least 1")
+    check_sweep_axis(n_values, "n_values")
+    check_sweep_axis(k_values, "k_values")
     seeds = [base.seed + i for i in range(seeds_per_cell)]
     combos = [(n, k, seed) for n in n_values for k in k_values for seed in seeds]
     # The pool may start all its workers at the first task, so never ask for

@@ -1,0 +1,72 @@
+"""Reference generational loop of the allocator, written without shortcuts.
+
+Every pair of parents is crossed, even when their genes are equal, and
+parents are drawn through `Random.choices`. `allocator.evolve` skips the
+crossover of equal parents and inlines the draw; tests check that it
+returns exactly what this loop returns.
+"""
+
+import random
+from itertools import accumulate
+from operator import itemgetter
+
+from warefleet.allocator import (
+    PARENT_FRACTION,
+    GAConfig,
+    HeuristicStore,
+    _points,
+    _scorer,
+    crossover,
+    mutate,
+    random_chromosome,
+    validate_chromosome,
+)
+
+
+def _pick_parent_indices(rng, cum_weights):
+    # Rank-weighted draw over the pool; the two parents are forced distinct.
+    indices = range(len(cum_weights))
+    first = rng.choices(indices, cum_weights=cum_weights)[0]
+    second = first
+    while second == first:
+        second = rng.choices(indices, cum_weights=cum_weights)[0]
+    return first, second
+
+
+def evolve(cfg: GAConfig, starts, task_positions, store: HeuristicStore):
+    n_robots = len(starts)
+    n_tasks = len(task_positions)
+    score = _scorer(store.table(_points(starts, task_positions), n_tasks), n_robots, n_tasks)
+    rng = random.Random(cfg.rng_seed)
+    by_fitness = itemgetter(0)
+
+    initial = [random_chromosome(n_robots, n_tasks, rng) for _ in range(cfg.population_size)]
+    population = [(score(genes), genes) for genes in initial]
+    population.sort(key=by_fitness, reverse=True)
+    history = [population[0][0]]
+
+    length = n_robots + n_tasks - 1
+    pool_size = max(2, min(cfg.population_size, round(cfg.population_size * PARENT_FRACTION)))
+    cum_weights = list(accumulate(pool_size - r for r in range(pool_size)))
+
+    for _ in range(cfg.max_generations):
+        children = []
+        while len(children) < cfg.population_size:
+            a, b = _pick_parent_indices(rng, cum_weights)
+            p1, p2 = population[a][1], population[b][1]
+            i = rng.randint(1, length)
+            j = rng.randint(i, length)
+            for child in (crossover(p1, p2, i, j), crossover(p2, p1, i, j)):
+                if rng.random() < cfg.mutation_probability:
+                    m = rng.randint(1, length)
+                    n = rng.randint(m, length)
+                    child = mutate(child, m, n, rng)
+                children.append((score(child), child))
+        population += children
+        population.sort(key=by_fitness, reverse=True)
+        del population[cfg.population_size :]
+        history.append(population[0][0])
+
+    best = population[0][1]
+    validate_chromosome(best, n_robots, n_tasks)
+    return best, history

@@ -6,6 +6,7 @@ from collections import Counter
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import allocator_oracle
 from warefleet.allocator import (
     GAConfig,
     HeuristicStore,
@@ -235,6 +236,15 @@ def test_crossover_always_yields_permutation(rnd, i, j):
     assert sorted(child) == sorted(pool)
 
 
+@given(st.permutations(gene_pool(4, 7)), cuts, cuts)
+def test_crossover_of_equal_parents_is_the_parent(parent, i, j):
+    # evolve relies on this to skip crossing equal parents.
+    if i > j:
+        i, j = j, i
+    assert crossover(parent, list(parent), i, j) == parent
+    assert crossover(parent, parent, i, j) == parent
+
+
 def test_operator_fuzz_preserves_permutation():
     rng = random.Random(31337)
     n, k = 5, 9
@@ -416,6 +426,31 @@ GOLDEN_SCENARIO_STEPS = [
     (3, 0.1523809523809524), (5, 0.15384615384615385), (6, 0.16),
     (7, 0.16842105263157894), (9, 0.17777777777777778),
 ]
+
+
+def test_evolve_matches_oracle_on_random_configs():
+    # The oracle crosses every pair and draws parents through Random.choices.
+    rng = random.Random(2718)
+    cells = [Position(x, y) for x in range(12) for y in range(12)]
+    for case in range(200):
+        n, k = rng.randint(1, 5), rng.randint(1, 8)
+        points = rng.sample(cells, n + k)
+        starts = points[:n]
+        tasks = {t: points[n + t - 1] for t in range(1, k + 1)}
+        store = HeuristicStore(eta=0.5)
+        if case % 2:
+            for _ in range(rng.randint(1, 10)):
+                a, b = rng.choice(points), rng.choice(points + cells[:3])
+                store.learn(a, b, rng.uniform(0.0, 30.0))
+        cfg = GAConfig(
+            population_size=rng.randint(2, 12),
+            max_generations=rng.randint(1, 8),
+            mutation_probability=(0.0, 0.2, 1.0)[case % 3],
+            rng_seed=rng.randrange(10**6),
+        )
+        assert evolve(cfg, starts, tasks, store) == allocator_oracle.evolve(
+            cfg, starts, tasks, store
+        ), (case, cfg)
 
 
 def test_evolve_golden(fig_layout):

@@ -213,6 +213,28 @@ def test_sweep_rejects_jobs_below_one(scenario_file, tmp_path, capsys, jobs):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "n_values, k_values, message",
+    [
+        (",", "2", "error: --n-values: expected at least one value\n"),
+        ("1", " ", "error: --k-values: expected at least one value\n"),
+        ("1,1", "2", "error: --n-values: value 1 given more than once\n"),
+        ("1", "2,3, 2", "error: --k-values: value 2 given more than once\n"),
+    ],
+)
+def test_sweep_rejects_empty_or_repeated_grid_value(
+    scenario_file, tmp_path, capsys, n_values, k_values, message
+):
+    out = tmp_path / "sweep.csv"
+    summary = tmp_path / "cells.csv"
+    argv = ["sweep", "--scenario", str(scenario_file), "--out", str(out),
+            f"--n-values={n_values}", f"--k-values={k_values}", "--seeds", "2",
+            "--summary", str(summary)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == message
+    assert not out.exists() and not summary.exists()
+
+
 def test_missing_scenario_file_is_io_error(tmp_path):
     out = tmp_path / "x.csv"
     assert main(["run", "--scenario", str(tmp_path / "nope.cfg"), "--out", str(out)]) == 2

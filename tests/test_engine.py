@@ -332,6 +332,26 @@ def test_run_sweep_ships_base_once(monkeypatch):
     assert len(pools) == 1
 
 
+@pytest.mark.parametrize(
+    "n_values, k_values, message",
+    [
+        ([], [2], "n_values: expected at least one value"),
+        ([1], [], "k_values: expected at least one value"),
+        ([1, 2, 1], [2], "n_values: value 1 given more than once"),
+        ([1], [3, 3], "k_values: value 3 given more than once"),
+    ],
+)
+def test_run_sweep_rejects_empty_or_repeated_axis(monkeypatch, n_values, k_values, message):
+    def no_run(*args, **kwargs):
+        raise AssertionError("a rejected grid must not run")
+
+    monkeypatch.setattr(engine, "run_scenario", no_run)
+    base = Scenario(world=open_room(6, 6), n_robots=1, n_tasks=1, ga=LIGHT_GA)
+    with pytest.raises(ConfigurationError) as raised:
+        run_sweep(base, n_values, k_values, seeds_per_cell=1)
+    assert str(raised.value) == message
+
+
 def test_run_scenario_k_total_counts_trace_ticks():
     # The trace is the ground truth the metrics use: one snapshot per tick
     # plus the initial one.
