@@ -12,9 +12,7 @@ from .allocator import (
     HeuristicStore,
     crossover,
     decode,
-    encode,
     evolve,
-    fitness,
     mutate,
 )
 from .baseline import PathResult, shortest_path
@@ -36,7 +34,6 @@ from .errors import (
 from .gridworld import (
     GridWorld,
     Position,
-    distance,
     generate_layout_sized,
     parse_layout,
     serialize_layout,
@@ -56,8 +53,6 @@ from .potential import (
     PotentialState,
     PotentialTerm,
     SensorModel,
-    check_divergence_condition,
-    expected_potential,
 )
 
 __version__ = "0.1.0"

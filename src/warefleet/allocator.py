@@ -103,9 +103,6 @@ class HeuristicStore:
         current = self.estimate(a, b)
         self._estimates[key] = current + self.eta * (realized - current)
 
-    def known_pairs(self) -> int:
-        return len(self._estimates)
-
 
 def gene_pool(n_robots: int, n_tasks: int) -> list[int]:
     """The full gene multiset: task indices 1..K plus delimiters -1..-(N-1)."""
@@ -139,17 +136,6 @@ def decode(genes: Chromosome, n_robots: int) -> list[list[int]]:
     return lists
 
 
-def encode(task_lists: list[list[int]]) -> Chromosome:
-    """Inverse of decode, with delimiter labels normalized to -1, -2, ..."""
-    genes: Chromosome = []
-    for index, tasks in enumerate(task_lists):
-        if index > 0:
-            genes.append(-index)
-        genes.extend(tasks)
-    validate_chromosome(genes, len(task_lists), sum(len(t) for t in task_lists))
-    return genes
-
-
 def random_chromosome(n_robots: int, n_tasks: int, rng: random.Random) -> Chromosome:
     genes = gene_pool(n_robots, n_tasks)
     rng.shuffle(genes)
@@ -164,8 +150,9 @@ def _points(starts: list[Position], task_positions: dict[int, Position]) -> list
 
 
 def _scorer(table: list[list[float]], n_robots: int, n_tasks: int) -> Callable[[Chromosome], float]:
-    """Fitness of a valid chromosome by walking its genes through a heuristic
-    table whose rows are the starts, then tasks 1..K."""
+    """Fitness of a valid chromosome: the reciprocal of its estimated
+    average-per-task plus bottleneck-per-task distance, found by walking its
+    genes through a heuristic table whose rows are the starts, then tasks 1..K."""
     start_rows = table[:n_robots]
     task_rows = table[n_robots - 1 :]  # task t's row is task_rows[t]
     per_robot_task = n_tasks * n_robots
@@ -190,20 +177,6 @@ def _scorer(table: list[list[float]], n_robots: int, n_tasks: int) -> Callable[[
         return 1.0 / combined
 
     return score
-
-
-def fitness(
-    genes: Chromosome,
-    starts: list[Position],
-    task_positions: dict[int, Position],
-    store: HeuristicStore,
-) -> float:
-    """Reciprocal of the estimated average-per-task plus bottleneck-per-task distance."""
-    n_robots = len(starts)
-    n_tasks = len(task_positions)
-    points = _points(starts, task_positions)
-    validate_chromosome(genes, n_robots, n_tasks)
-    return _scorer(store.table(points, n_tasks), n_robots, n_tasks)(genes)
 
 
 def crossover(parent1: Chromosome, parent2: Chromosome, i: int, j: int) -> Chromosome:

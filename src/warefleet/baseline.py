@@ -29,10 +29,6 @@ class PathResult:
     expanded_nodes: int = 0
     elapsed: float = 0.0
 
-    @property
-    def reachable(self) -> bool:
-        return self.length is not None
-
 
 def shortest_path(world: GridWorld, start: Position, goal: Position) -> PathResult:
     """Minimum-length 4-connected path from start to goal."""

@@ -103,11 +103,21 @@ _RUN_KEYS = {
 _SCENARIO_KEYS = {"layout", *_POTENTIAL_KEYS, *_SENSOR_KEYS, *_GA_KEYS, *_RUN_KEYS}
 
 
+def _read_text(path: Path) -> str:
+    """A UTF-8 document's text; a byte that does not decode is a LoadError at its line."""
+    data = path.read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise LoadError(f"{path}: byte 0x{data[exc.start]:02x} is not UTF-8", line=line) from None
+
+
 def read_scenario_file(path: str | Path) -> dict[str, tuple[str, int]]:
     """Read the flat key=value scenario document into key -> (value, line number)."""
     path = Path(path)
     values: dict[str, tuple[str, int]] = {}
-    for lineno, raw_line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, raw_line in enumerate(_read_text(path).splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
         if not line:
             continue
@@ -160,7 +170,7 @@ def build_scenario(path: str | Path, seed_override: int | None = None) -> Scenar
         layout_path = Path(layout_value)
         if not layout_path.is_absolute():
             layout_path = path.parent / layout_path
-        world = parse_layout(layout_path.read_text(encoding="utf-8"))
+        world = parse_layout(_read_text(layout_path))
 
     scenario = Scenario(
         world=world,
@@ -232,6 +242,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare_astar(args: argparse.Namespace) -> int:
+    if args.seeds < 1:
+        raise ConfigurationError(f"--seeds must be at least 1, got {args.seeds}")
     base = build_scenario(args.scenario, args.seed)
     rows = []
     for offset in range(args.seeds):

@@ -10,7 +10,6 @@ tiled shelf-block pattern or parsed from a plain ASCII document.
 
 from __future__ import annotations
 
-import math
 from typing import Iterable, NamedTuple
 
 from .errors import ConfigurationError, LoadError
@@ -26,19 +25,6 @@ ADJACENT_STEPS = ((0, -1), (1, 0), (0, 1), (-1, 0))
 
 OBSTACLE_GLYPH = "#"
 FLOOR_GLYPH = "."
-
-
-def distance(a: Position, b: Position, p: float) -> float:
-    """p-norm distance between two cells for p in {1, 2, inf}."""
-    dx = abs(a[0] - b[0])
-    dy = abs(a[1] - b[1])
-    if p == 1:
-        return float(dx + dy)
-    if p == 2:
-        return math.hypot(dx, dy)
-    if p == math.inf:
-        return float(max(dx, dy))
-    raise ConfigurationError(f"unsupported norm order {p!r}; use 1, 2 or math.inf")
 
 
 class GridWorld:

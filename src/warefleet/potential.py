@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .errors import ConfigurationError, DomainError
+from .errors import ConfigurationError
 from .gridworld import GridWorld, Position
 
 
@@ -178,23 +178,3 @@ def _obstacle_field(
         )
         for cell in sorted(world.reachable)
     }
-
-
-def check_divergence_condition(p: float, gamma: float, alpha: float) -> bool:
-    """Classify the excite/relax recursion for an occupancy frequency p.
-
-    The expected value of the recursion evolves with ratio
-    beta = p*gamma + (1-p)*(1-alpha); it diverges exactly when beta > 1,
-    equivalently gamma > 1 - alpha + alpha/p. Returns True for divergent.
-    """
-    if not 0.0 < p < 1.0:
-        raise DomainError(f"occupancy frequency must lie in (0, 1), got {p}")
-    beta = p * gamma + (1.0 - p) * (1.0 - alpha)
-    return beta > 1.0
-
-
-def expected_potential(steps: int, p: float, gamma: float, alpha: float, u_init: float) -> float:
-    """Closed-form mean of the recursion after `steps` random excite/relax ticks."""
-    beta = p * gamma + (1.0 - p) * (1.0 - alpha)
-    geometric = sum(beta**i for i in range(steps))
-    return (beta**steps + (1.0 - p) * alpha * geometric) * u_init

@@ -1,9 +1,15 @@
-"""Reference generational loop of the allocator, written without shortcuts.
+"""Reference pieces of the allocator for tests.
 
-Every pair of parents is crossed, even when their genes are equal, and
-parents are drawn through `Random.choices`. `allocator.evolve` skips the
-crossover of equal parents and inlines the draw; tests check that it
-returns exactly what this loop returns.
+`fitness` scores one chromosome from scratch: it checks the genes and
+builds the heuristic table on every call, then applies the scorer that
+`allocator.evolve` uses. `scorer` builds that function once per instance,
+for loops over many chromosomes known to be valid.
+
+`evolve` is the generational loop written without shortcuts: every pair
+of parents is crossed, even when their genes are equal, and parents are
+drawn through `Random.choices`. `allocator.evolve` skips the crossover of
+equal parents and inlines the draw; tests check that it returns exactly
+what this loop returns.
 """
 
 import random
@@ -23,6 +29,19 @@ from warefleet.allocator import (
 )
 
 
+def scorer(starts, task_positions, store: HeuristicStore):
+    """The fitness function of one instance, for valid chromosomes."""
+    n_tasks = len(task_positions)
+    return _scorer(store.table(_points(starts, task_positions), n_tasks), len(starts), n_tasks)
+
+
+def fitness(genes, starts, task_positions, store: HeuristicStore) -> float:
+    """Reciprocal of the estimated average-per-task plus bottleneck-per-task distance."""
+    score = scorer(starts, task_positions, store)
+    validate_chromosome(genes, len(starts), len(task_positions))
+    return score(genes)
+
+
 def _pick_parent_indices(rng, cum_weights):
     # Rank-weighted draw over the pool; the two parents are forced distinct.
     indices = range(len(cum_weights))
@@ -36,7 +55,7 @@ def _pick_parent_indices(rng, cum_weights):
 def evolve(cfg: GAConfig, starts, task_positions, store: HeuristicStore):
     n_robots = len(starts)
     n_tasks = len(task_positions)
-    score = _scorer(store.table(_points(starts, task_positions), n_tasks), n_robots, n_tasks)
+    score = scorer(starts, task_positions, store)
     rng = random.Random(cfg.rng_seed)
     by_fitness = itemgetter(0)
 

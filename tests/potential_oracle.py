@@ -3,15 +3,32 @@ definitions and evaluated one source at a time.
 
 The simulator evaluates its terms through precomputed tables; tests check
 the planner's descent step and the obstacle field against these formulas.
+The closed-form mean and divergence condition of the excite/relax
+recursion are here too: tests check them against seeded simulations.
 """
 
+import math
+
 from warefleet.errors import ConfigurationError, DomainError
-from warefleet.gridworld import GridWorld, Position, distance
+from warefleet.gridworld import GridWorld, Position
 from warefleet.potential import DYNAMIC_SCALE, PotentialParams, PotentialState, SensorModel
 
 GOAL = "goal"
 OBSTACLE = "obstacle"
 ROBOT = "robot"
+
+
+def distance(a: Position, b: Position, p: float) -> float:
+    """p-norm distance between two cells for p in {1, 2, inf}."""
+    dx = abs(a[0] - b[0])
+    dy = abs(a[1] - b[1])
+    if p == 1:
+        return float(dx + dy)
+    if p == 2:
+        return math.hypot(dx, dy)
+    if p == math.inf:
+        return float(max(dx, dy))
+    raise ConfigurationError(f"unsupported norm order {p!r}; use 1, 2 or math.inf")
 
 
 def terms_for(params: PotentialParams, source_class: str):
@@ -117,3 +134,23 @@ def dynamic_potential(
         if in_consistent_range(sensor, at, other):
             total += phi(params, ROBOT, at, other)
     return DYNAMIC_SCALE * total
+
+
+def check_divergence_condition(p: float, gamma: float, alpha: float) -> bool:
+    """Classify the excite/relax recursion for an occupancy frequency p.
+
+    The expected value of the recursion evolves with ratio
+    beta = p*gamma + (1-p)*(1-alpha); it diverges exactly when beta > 1,
+    equivalently gamma > 1 - alpha + alpha/p. Returns True for divergent.
+    """
+    if not 0.0 < p < 1.0:
+        raise DomainError(f"occupancy frequency must lie in (0, 1), got {p}")
+    beta = p * gamma + (1.0 - p) * (1.0 - alpha)
+    return beta > 1.0
+
+
+def expected_potential(steps: int, p: float, gamma: float, alpha: float, u_init: float) -> float:
+    """Closed-form mean of the recursion after `steps` random excite/relax ticks."""
+    beta = p * gamma + (1.0 - p) * (1.0 - alpha)
+    geometric = sum(beta**i for i in range(steps))
+    return (beta**steps + (1.0 - p) * alpha * geometric) * u_init

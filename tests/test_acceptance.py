@@ -19,7 +19,6 @@ from warefleet.allocator import (
     crossover,
     decode,
     evolve,
-    fitness,
     gene_pool,
 )
 from warefleet.baseline import shortest_path
@@ -34,9 +33,11 @@ from warefleet.planner import (
     Task,
     step_fleet,
 )
-from warefleet.potential import PotentialParams, SensorModel, check_divergence_condition
+from warefleet.potential import PotentialParams, SensorModel
 
+import allocator_oracle
 from conftest import bfs_length
+from potential_oracle import check_divergence_condition
 
 TABLE_PARAMS = PotentialParams(gamma=15.0, alpha=0.05)
 SENSOR = SensorModel(radius=3)
@@ -334,10 +335,10 @@ def test_criterion_09_ga_matches_exhaustive_search():
         starts = [Position(*c) for c in cells[:2]]
         tasks = {i + 1: Position(*c) for i, c in enumerate(cells[2:])}
         store = HeuristicStore()
-        best_exhaustive = max(
-            fitness(list(perm), starts, tasks, store)
-            for perm in itertools.permutations(gene_pool(2, k))
-        )
+        # Permutations of the gene pool are valid chromosomes, so the
+        # instance's scorer is built once and applied to each.
+        score = allocator_oracle.scorer(starts, tasks, store)
+        best_exhaustive = max(score(perm) for perm in itertools.permutations(gene_pool(2, k)))
         cfg = GAConfig(population_size=100, max_generations=200, rng_seed=trial)
         _, history = evolve(cfg, starts, tasks, store)
         if math.isclose(history[-1], best_exhaustive, rel_tol=1e-12):

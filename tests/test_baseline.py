@@ -49,7 +49,6 @@ def test_unreachable_goal_reported():
     ])
     result = shortest_path(w, Position(1, 1), Position(5, 1))
     assert result.length is None
-    assert not result.reachable
     assert result.path == []
 
 

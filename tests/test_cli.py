@@ -175,6 +175,16 @@ def test_compare_astar_rows(scenario_file, tmp_path):
     assert [r[0] for r in rows[1:]] == ["4", "5", "6"]
 
 
+@pytest.mark.parametrize("seeds", ["0", "-2"])
+def test_compare_astar_rejects_seeds_below_one(scenario_file, tmp_path, capsys, seeds):
+    out = tmp_path / "cmp.csv"
+    argv = ["compare-astar", "--scenario", str(scenario_file), "--out", str(out),
+            f"--seeds={seeds}"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: --seeds must be at least 1, got {seeds}\n"
+    assert not out.exists()
+
+
 def test_sweep_rows_and_summary(scenario_file, tmp_path):
     out = tmp_path / "sweep.csv"
     summary = tmp_path / "cells.csv"
@@ -274,6 +284,26 @@ def test_bad_number_is_load_error_with_line(tmp_path, capsys, key, bad, line):
     with pytest.raises(LoadError) as raised:
         build_scenario(cfg)
     assert raised.value.line == line
+
+
+@pytest.mark.parametrize("bad_file", ["scenario", "layout"])
+def test_non_utf8_file_is_load_error_with_line(tmp_path, capsys, bad_file):
+    layout = tmp_path / "w.layout"
+    rows = ["#####", "#...#", "#...#", "#####"]
+    if bad_file == "layout":
+        rows[2] = "#.\xe9.#"
+    layout.write_bytes("\n".join(rows).encode("latin-1") + b"\n")
+    text = "layout = w.layout\nn_robots = 1\nn_tasks = 1\n"
+    if bad_file == "scenario":
+        text += "# caf\xe9\n"
+    cfg = tmp_path / "s.cfg"
+    cfg.write_bytes(text.encode("latin-1"))
+    out = tmp_path / "x.csv"
+    assert main(["run", "--scenario", str(cfg), "--out", str(out)]) == 1
+    message = capsys.readouterr().err
+    assert message.startswith("error: ") and "0xe9" in message
+    assert message.rstrip().endswith(f"(line {3 if bad_file == 'layout' else 4})")
+    assert not out.exists()
 
 
 def test_invalid_layout_value_is_validation_error(tmp_path):

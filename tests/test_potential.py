@@ -14,8 +14,6 @@ from warefleet.potential import (
     PotentialTerm,
     SensorModel,
     _obstacle_field,
-    check_divergence_condition,
-    expected_potential,
     term_sum,
     term_table,
 )
@@ -24,8 +22,10 @@ from conftest import open_room, world_from
 from potential_oracle import (
     GOAL,
     OBSTACLE,
+    check_divergence_condition,
     dynamic_potential,
     excite,
+    expected_potential,
     in_consistent_range,
     obstacle_repulsion,
     phi,
