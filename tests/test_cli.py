@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 
 import pytest
 
@@ -211,6 +212,100 @@ def test_sweep_rows_and_summary(scenario_file, tmp_path):
     cells = read_csv(summary)
     assert len(cells) == 1 + 2
     assert cells[0][:2] == ["N", "K"]
+
+
+# Written forms of a 3-robot run at seed 6 and of a 12-run sweep from seed 4,
+# none of which caps. Timing values vary between executions and read "-".
+GOLDEN_RUN_CSV = """\
+N,K,seed,J1,J2,J3,J4,k_total,planner_time_us,astar_time_us,cap_reached
+3,2,6,1.5714285714285714,3.6666666666666665,6.5,0.14285714285714285,14,-,-,0
+"""
+
+GOLDEN_RUN_JSON = """\
+{
+  "n_robots": 3,
+  "n_tasks": 2,
+  "seed": 6,
+  "j1": 1.5714285714285714,
+  "j2": 3.6666666666666665,
+  "j3": 6.5,
+  "j4": 0.14285714285714285,
+  "k_total": 14,
+  "per_robot": [
+    [
+      13,
+      5
+    ],
+    [
+      9,
+      9
+    ],
+    [
+      0,
+      0
+    ]
+  ],
+  "completed_tasks": 2,
+  "cap_reached": false,
+  "planner_time_us": -,
+  "astar_time_us": -
+}
+"""
+
+GOLDEN_SWEEP_CSV = """\
+N,K,seed,J1,J2,J3,J4,k_total,planner_time_us,astar_time_us,cap_reached
+1,2,4,1.0,4.5,4.5,0.16666666666666666,12,-,-,0
+1,2,5,1.0,7.0,7.0,0.125,16,-,-,0
+1,2,6,1.0,10.5,10.5,0.08695652173913043,23,-,-,0
+1,4,4,1.0,5.25,5.25,0.15384615384615385,26,-,-,0
+1,4,5,1.0,6.5,6.5,0.13333333333333333,30,-,-,0
+1,4,6,1.0,7.25,7.25,0.12121212121212122,33,-,-,0
+3,2,4,1.0,1.1666666666666667,3.5,0.2222222222222222,9,-,-,0
+3,2,5,1.0,1.3333333333333333,2.0,0.4,5,-,-,0
+3,2,6,1.5714285714285714,3.6666666666666665,6.5,0.14285714285714285,14,-,-,0
+3,4,4,1.0,1.5833333333333333,1.75,0.5,8,-,-,0
+3,4,5,1.0,1.8333333333333333,3.5,0.25,16,-,-,0
+3,4,6,1.0,1.8333333333333333,2.75,0.3076923076923077,13,-,-,0
+"""
+
+GOLDEN_SUMMARY_CSV = """\
+N,K,runs,completed_runs,mean_J1,std_J1,mean_J2,std_J2,mean_J3,std_J3,mean_J4,std_J4,mean_k_total,planner_time_us,astar_time_us
+1,2,3,3,1.0,0.0,7.333333333333333,2.4608038433722332,7.333333333333333,2.4608038433722332,0.12620772946859904,0.03255273423174771,17.0,-,-
+1,4,3,3,1.0,0.0,6.333333333333333,0.8249579113843054,6.333333333333333,0.8249579113843054,0.13613053613053613,0.013468810368311082,29.666666666666668,-,-
+3,2,3,3,1.1904761904761905,0.2693740118805895,2.0555555555555554,1.1412576991207852,4.0,1.8708286933869707,0.255026455026455,0.10751031117154512,9.333333333333334,-,-
+3,4,3,3,1.0,0.0,1.75,0.11785113019775792,2.6666666666666665,0.7168604389202189,0.3525641025641026,0.10688033333675043,12.333333333333334,-,-
+"""
+
+
+def _masked_csv(path):
+    """The file's text with every value of a *_time_us column replaced by '-'."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    timed = [i for i, name in enumerate(lines[0].split(",")) if name.endswith("_time_us")]
+    masked = [lines[0]]
+    for line in lines[1:]:
+        values = line.split(",")
+        for i in timed:
+            values[i] = "-"
+        masked.append(",".join(values))
+    return "\n".join(masked) + "\n"
+
+
+def test_report_outputs_golden(tmp_path):
+    cfg = tmp_path / "three.cfg"
+    cfg.write_text(MINI_SCENARIO.replace("n_robots = 2", "n_robots = 3"), encoding="utf-8")
+    run_csv, run_json = tmp_path / "run.csv", tmp_path / "run.json"
+    sweep_csv, summary_csv = tmp_path / "sweep.csv", tmp_path / "cells.csv"
+    assert main(["run", "--scenario", str(cfg), "--seed", "6", "--out", str(run_csv)]) == 0
+    assert main(["run", "--scenario", str(cfg), "--seed", "6", "--format", "json",
+                 "--out", str(run_json)]) == 0
+    assert main(["sweep", "--scenario", str(cfg), "--seed", "4", "--n-values", "1,3",
+                 "--k-values", "2,4", "--seeds", "3", "--out", str(sweep_csv),
+                 "--summary", str(summary_csv)]) == 0
+    assert _masked_csv(run_csv) == GOLDEN_RUN_CSV
+    json_text = run_json.read_text(encoding="utf-8")
+    assert re.sub(r'(_time_us": )\d+', r"\1-", json_text) == GOLDEN_RUN_JSON
+    assert _masked_csv(sweep_csv) == GOLDEN_SWEEP_CSV
+    assert _masked_csv(summary_csv) == GOLDEN_SUMMARY_CSV
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])
