@@ -20,7 +20,6 @@ import argparse
 import csv
 import io
 import json
-import math
 import os
 import sys
 import tempfile
@@ -29,15 +28,15 @@ from pathlib import Path
 
 from .allocator import GAConfig
 from .engine import (
-    METRICS_COLUMNS,
+    RUN_COLUMNS,
     SUMMARY_COLUMNS,
-    MetricsReport,
+    TIME_COLUMNS,
     Scenario,
     check_sweep_axis,
-    metrics_row,
+    report_json,
     run_scenario,
     run_sweep,
-    summary_row,
+    written,
 )
 from .errors import ConfigurationError, LoadError, SimulatorError
 from .gridworld import Position, generate_layout_sized, parse_layout, serialize_layout
@@ -64,6 +63,11 @@ def _csv_text(columns, rows) -> str:
     writer.writerow(columns)
     writer.writerows(rows)
     return buffer.getvalue()
+
+
+def _records_csv(columns: dict[str, str], records) -> str:
+    """CSV of one row per record, each column written by the report schema."""
+    return _csv_text(columns, ([written(r, attr) for attr in columns.values()] for r in records))
 
 
 def _parse_positions(raw: str) -> tuple[Position, ...]:
@@ -186,31 +190,13 @@ def build_scenario(path: str | Path, seed_override: int | None = None) -> Scenar
     return scenario
 
 
-def _report_json(report: MetricsReport) -> dict:
-    return {
-        "n_robots": report.n_robots,
-        "n_tasks": report.n_tasks,
-        "seed": report.seed,
-        "j1": None if math.isnan(report.j1) else report.j1,  # undefined J1 as JSON null
-        "j2": report.j2,
-        "j3": report.j3,
-        "j4": report.j4,
-        "k_total": report.k_total,
-        "per_robot": [list(pair) for pair in report.per_robot],
-        "completed_tasks": report.completed_tasks,
-        "cap_reached": report.cap_reached,
-        "planner_time_us": int(round(report.planner_seconds * 1e6)),
-        "astar_time_us": int(round(report.astar_seconds * 1e6)),
-    }
-
-
 def _cmd_run(args: argparse.Namespace) -> int:
     scenario = build_scenario(args.scenario, args.seed)
     trace, report = run_scenario(scenario)
     if args.format == "json":
-        _atomic_write(args.out, json.dumps(_report_json(report), indent=2) + "\n")
+        _atomic_write(args.out, json.dumps(report_json(report), indent=2) + "\n")
     else:
-        _atomic_write(args.out, _csv_text(METRICS_COLUMNS, [metrics_row(report)]))
+        _atomic_write(args.out, _records_csv(RUN_COLUMNS, [report]))
     if args.trace:
         _atomic_write(args.trace, format_trace(trace))
     if args.ga_history:
@@ -235,9 +221,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     reports, cells = run_sweep(
         base, n_values, k_values, args.seeds, warm=args.warm, jobs=args.jobs
     )
-    _atomic_write(args.out, _csv_text(METRICS_COLUMNS, [metrics_row(r) for r in reports]))
+    _atomic_write(args.out, _records_csv(RUN_COLUMNS, reports))
     if args.summary:
-        _atomic_write(args.summary, _csv_text(SUMMARY_COLUMNS, [summary_row(c) for c in cells]))
+        _atomic_write(args.summary, _records_csv(SUMMARY_COLUMNS, cells))
     return 0
 
 
@@ -249,13 +235,10 @@ def _cmd_compare_astar(args: argparse.Namespace) -> int:
     for offset in range(args.seeds):
         scenario = replace(base, seed=base.seed + offset)
         _, report = run_scenario(scenario)
-        planner_us = int(round(report.planner_seconds * 1e6))
-        astar_us = int(round(report.astar_seconds * 1e6))
         speedup = report.astar_seconds / report.planner_seconds if report.planner_seconds else 0.0
-        rows.append([scenario.seed, planner_us, astar_us, repr(speedup)])
-    _atomic_write(
-        args.out, _csv_text(("seed", "planner_time_us", "astar_time_us", "astar_over_planner"), rows)
-    )
+        times = [written(report, attr) for attr in TIME_COLUMNS.values()]
+        rows.append([scenario.seed, *times, repr(speedup)])
+    _atomic_write(args.out, _csv_text(("seed", *TIME_COLUMNS, "astar_over_planner"), rows))
     return 0
 
 

@@ -15,10 +15,11 @@ Metrics:
 
 from __future__ import annotations
 
+import math
 import random
 import statistics
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 from .allocator import GAConfig, HeuristicStore, decode, evolve
 from .baseline import shortest_path
@@ -76,6 +77,7 @@ class Scenario:
 class MetricsReport:
     n_robots: int
     n_tasks: int
+    seed: int
     j1: float
     j2: float
     j3: float
@@ -84,42 +86,81 @@ class MetricsReport:
     per_robot: list[tuple[int, int]]
     completed_tasks: int
     cap_reached: bool
-    seed: int = 0
     planner_seconds: float = 0.0
     astar_seconds: float = 0.0
     ga_history: tuple[float, ...] = ()
 
 
-METRICS_COLUMNS = (
-    "N",
-    "K",
-    "seed",
-    "J1",
-    "J2",
-    "J3",
-    "J4",
-    "k_total",
-    "planner_time_us",
-    "astar_time_us",
-    "cap_reached",
-)
+@dataclass
+class CellSummary:
+    """Mean/spread of each metric over the seeds of one (N, K) sweep cell.
+
+    J1 is aggregated over completed runs only; a capped run has no defined
+    optimal-distance comparison.
+    """
+
+    n_robots: int
+    n_tasks: int
+    runs: int
+    completed_runs: int
+    mean_j1: float
+    std_j1: float
+    mean_j2: float
+    std_j2: float
+    mean_j3: float
+    std_j3: float
+    mean_j4: float
+    std_j4: float
+    mean_k_total: float
+    planner_seconds: float
+    astar_seconds: float
 
 
-def metrics_row(report: MetricsReport) -> list:
-    """One CSV row in the fixed column order; floats keep full precision."""
-    return [
-        report.n_robots,
-        report.n_tasks,
-        report.seed,
-        repr(report.j1),
-        repr(report.j2),
-        repr(report.j3),
-        repr(report.j4),
-        report.k_total,
-        int(round(report.planner_seconds * 1e6)),
-        int(round(report.astar_seconds * 1e6)),
-        int(report.cap_reached),
-    ]
+# The written metrics: output column -> the report attribute it holds, in
+# column order. A time column holds an attribute in seconds.
+TIME_COLUMNS = {"planner_time_us": "planner_seconds", "astar_time_us": "astar_seconds"}
+RUN_COLUMNS = {
+    "N": "n_robots",
+    "K": "n_tasks",
+    "seed": "seed",
+    **{f"J{i}": f"j{i}" for i in range(1, 5)},
+    "k_total": "k_total",
+    **TIME_COLUMNS,
+    "cap_reached": "cap_reached",
+}
+SUMMARY_COLUMNS = {
+    "N": "n_robots",
+    "K": "n_tasks",
+    "runs": "runs",
+    "completed_runs": "completed_runs",
+    **{f"{stat}_J{i}": f"{stat}_j{i}" for i in range(1, 5) for stat in ("mean", "std")},
+    "mean_k_total": "mean_k_total",
+    **TIME_COLUMNS,
+}
+
+
+def written(record, attr: str, csv: bool = True):
+    """The value of record.attr as written: seconds as rounded microseconds,
+    in CSV a float as its repr (full precision) and a flag as 0/1, in JSON
+    an undefined (NaN) value as null."""
+    value = getattr(record, attr)
+    if attr.endswith("_seconds"):
+        return round(value * 1e6)
+    if not csv:
+        return None if isinstance(value, float) and math.isnan(value) else value
+    if isinstance(value, bool):
+        return int(value)
+    return repr(value) if isinstance(value, float) else value
+
+
+def report_json(report: MetricsReport) -> dict:
+    """The JSON object of a run: the report's fields in declaration order,
+    times in microseconds. The GA history has its own output."""
+    return {
+        f.name.replace("_seconds", "_time_us"): written(report, f.name, csv=False)
+        for f in fields(report)
+        if f.name != "ga_history"
+    }
 
 
 def default_step_cap(world: GridWorld, n_robots: int, n_tasks: int) -> int:
@@ -157,7 +198,7 @@ def _resolve_placements(
     return starts, tasks
 
 
-def compute_metrics(trace: SimTrace, optima: list[int], n_tasks: int) -> MetricsReport:
+def compute_metrics(trace: SimTrace, optima: list[int], n_tasks: int, seed: int) -> MetricsReport:
     """J1..J4 from a trace's completed legs and the matching optimal lengths.
 
     Capped runs only contribute their completed legs; the flag is carried
@@ -181,6 +222,7 @@ def compute_metrics(trace: SimTrace, optima: list[int], n_tasks: int) -> Metrics
     return MetricsReport(
         n_robots=n_robots,
         n_tasks=n_tasks,
+        seed=seed,
         j1=j1,
         j2=j2,
         j3=j3,
@@ -189,6 +231,7 @@ def compute_metrics(trace: SimTrace, optima: list[int], n_tasks: int) -> Metrics
         per_robot=list(zip(realized, optima)),
         completed_tasks=completed,
         cap_reached=trace.outcome == CAP_REACHED,
+        planner_seconds=trace.plan_seconds,
     )
 
 
@@ -232,76 +275,10 @@ def run_scenario(
         for seg in segments:
             store.learn(seg.start, seg.end, seg.length)
 
-    report = compute_metrics(trace, optima, sc.n_tasks)
-    report.seed = sc.seed
-    report.planner_seconds = trace.plan_seconds
+    report = compute_metrics(trace, optima, sc.n_tasks, sc.seed)
     report.astar_seconds = astar_seconds
     report.ga_history = tuple(history)
     return trace, report
-
-
-@dataclass
-class CellSummary:
-    """Mean/spread of each metric over the seeds of one (N, K) sweep cell.
-
-    J1 is aggregated over completed runs only; a capped run has no defined
-    optimal-distance comparison.
-    """
-
-    n_robots: int
-    n_tasks: int
-    runs: int
-    completed_runs: int
-    mean_j1: float
-    std_j1: float
-    mean_j2: float
-    std_j2: float
-    mean_j3: float
-    std_j3: float
-    mean_j4: float
-    std_j4: float
-    mean_k_total: float
-    planner_seconds: float
-    astar_seconds: float
-
-
-SUMMARY_COLUMNS = (
-    "N",
-    "K",
-    "runs",
-    "completed_runs",
-    "mean_J1",
-    "std_J1",
-    "mean_J2",
-    "std_J2",
-    "mean_J3",
-    "std_J3",
-    "mean_J4",
-    "std_J4",
-    "mean_k_total",
-    "planner_time_us",
-    "astar_time_us",
-)
-
-
-def summary_row(cell: CellSummary) -> list:
-    return [
-        cell.n_robots,
-        cell.n_tasks,
-        cell.runs,
-        cell.completed_runs,
-        repr(cell.mean_j1),
-        repr(cell.std_j1),
-        repr(cell.mean_j2),
-        repr(cell.std_j2),
-        repr(cell.mean_j3),
-        repr(cell.std_j3),
-        repr(cell.mean_j4),
-        repr(cell.std_j4),
-        repr(cell.mean_k_total),
-        int(round(cell.planner_seconds * 1e6)),
-        int(round(cell.astar_seconds * 1e6)),
-    ]
 
 
 def _sweep_cell_scenario(base: Scenario, n: int, k: int, seed: int) -> Scenario:
@@ -328,22 +305,23 @@ def _sweep_worker(payload: tuple[int, int, int]) -> tuple[int, int, int, Metrics
     return n, k, seed, report
 
 
+def _mean_std(values: list[float]) -> tuple[float, float]:
+    """Mean and population standard deviation; NaN and 0.0 for no values."""
+    values = values or [math.nan]
+    return statistics.fmean(values), statistics.pstdev(values) if len(values) > 1 else 0.0
+
+
 def _summarize_cell(n: int, k: int, reports: list[MetricsReport]) -> CellSummary:
     completed = [r for r in reports if not r.cap_reached]
-    j1_values = [r.j1 for r in completed] or [float("nan")]
+    spreads = {}
+    for j, runs in (("j1", completed), ("j2", reports), ("j3", reports), ("j4", reports)):
+        spreads[f"mean_{j}"], spreads[f"std_{j}"] = _mean_std([getattr(r, j) for r in runs])
     return CellSummary(
         n_robots=n,
         n_tasks=k,
         runs=len(reports),
         completed_runs=len(completed),
-        mean_j1=statistics.fmean(j1_values),
-        std_j1=statistics.pstdev(j1_values) if len(j1_values) > 1 else 0.0,
-        mean_j2=statistics.fmean(r.j2 for r in reports),
-        std_j2=statistics.pstdev([r.j2 for r in reports]) if len(reports) > 1 else 0.0,
-        mean_j3=statistics.fmean(r.j3 for r in reports),
-        std_j3=statistics.pstdev([r.j3 for r in reports]) if len(reports) > 1 else 0.0,
-        mean_j4=statistics.fmean(r.j4 for r in reports),
-        std_j4=statistics.pstdev([r.j4 for r in reports]) if len(reports) > 1 else 0.0,
+        **spreads,
         mean_k_total=statistics.fmean(r.k_total for r in reports),
         planner_seconds=sum(r.planner_seconds for r in reports),
         astar_seconds=sum(r.astar_seconds for r in reports),

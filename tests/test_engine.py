@@ -6,13 +6,13 @@ import pytest
 from warefleet import engine
 from warefleet.allocator import GAConfig, HeuristicStore
 from warefleet.engine import (
-    METRICS_COLUMNS,
+    RUN_COLUMNS,
     Scenario,
     compute_metrics,
     default_step_cap,
-    metrics_row,
     run_scenario,
     run_sweep,
+    written,
 )
 from warefleet.errors import ConfigurationError
 from warefleet.gridworld import Position, generate_layout_sized
@@ -41,7 +41,7 @@ def seg(length):
 def test_compute_metrics_worked_example():
     # Five completed tasks, robot distances 10 and 20, optima equal.
     trace = make_trace([[seg(10)], [seg(5), seg(5), seg(4), seg(6)]], k_total=25)
-    report = compute_metrics(trace, [10, 20], n_tasks=5)
+    report = compute_metrics(trace, [10, 20], n_tasks=5, seed=0)
     assert report.j1 == 1.0
     assert report.j2 == 3.0
     assert report.j3 == 4.0
@@ -51,14 +51,14 @@ def test_compute_metrics_worked_example():
 
 def test_compute_metrics_single_robot():
     trace = make_trace([[seg(7)]], k_total=9)
-    report = compute_metrics(trace, [7], n_tasks=1)
+    report = compute_metrics(trace, [7], n_tasks=1, seed=0)
     assert report.j1 == 1.0
     assert report.completed_tasks == 1
 
 
 def test_compute_metrics_degenerate_zero_distance():
     trace = make_trace([[Segment(Position(2, 2), Position(2, 2), 0)]], k_total=1)
-    report = compute_metrics(trace, [0], n_tasks=1)
+    report = compute_metrics(trace, [0], n_tasks=1, seed=0)
     assert report.j1 == 1.0
     assert report.j2 == 0.0
     assert report.j3 == 0.0
@@ -66,7 +66,7 @@ def test_compute_metrics_degenerate_zero_distance():
 
 def test_compute_metrics_flags_cap():
     trace = make_trace([[seg(4)], []], k_total=100, outcome=CAP_REACHED)
-    report = compute_metrics(trace, [4, 0], n_tasks=3)
+    report = compute_metrics(trace, [4, 0], n_tasks=3, seed=0)
     assert report.cap_reached
     assert report.completed_tasks == 1
     assert report.j4 == pytest.approx(0.01)
@@ -74,18 +74,18 @@ def test_compute_metrics_flags_cap():
 
 def test_compute_metrics_no_completed_leg_leaves_j1_undefined():
     trace = make_trace([[], []], k_total=200, outcome=CAP_REACHED)
-    report = compute_metrics(trace, [0, 0], n_tasks=2)
+    report = compute_metrics(trace, [0, 0], n_tasks=2, seed=0)
     assert math.isnan(report.j1)
     assert report.completed_tasks == 0 and report.j2 == 0.0
-    assert metrics_row(report)[3] == "nan"
+    assert written(report, RUN_COLUMNS["J1"]) == "nan"
+    assert written(report, "j1", csv=False) is None
 
 
 def test_metrics_row_column_order():
     trace = make_trace([[seg(10)]], k_total=10)
-    report = compute_metrics(trace, [10], n_tasks=1)
-    report.seed = 7
-    row = metrics_row(report)
-    assert len(row) == len(METRICS_COLUMNS)
+    report = compute_metrics(trace, [10], n_tasks=1, seed=7)
+    row = [written(report, attr) for attr in RUN_COLUMNS.values()]
+    assert len(row) == len(RUN_COLUMNS)
     assert row[0] == 1 and row[1] == 1 and row[2] == 7
     assert float(row[3]) == report.j1  # repr round-trips
 
