@@ -95,8 +95,10 @@ class MetricsReport:
 class CellSummary:
     """Mean/spread of each metric over the seeds of one (N, K) sweep cell.
 
-    J1 is aggregated over completed runs only; a capped run has no defined
-    optimal-distance comparison.
+    J1..J4 are aggregated over completed runs only, and are NaN when none
+    completed: a capped run counts only its completed legs, so its J2 and
+    J3 would look better than a finished run's. The tick count and the
+    times cover every run.
     """
 
     n_robots: int
@@ -306,16 +308,17 @@ def _sweep_worker(payload: tuple[int, int, int]) -> tuple[int, int, int, Metrics
 
 
 def _mean_std(values: list[float]) -> tuple[float, float]:
-    """Mean and population standard deviation; NaN and 0.0 for no values."""
-    values = values or [math.nan]
-    return statistics.fmean(values), statistics.pstdev(values) if len(values) > 1 else 0.0
+    """Mean and population standard deviation; both NaN for no values."""
+    if not values:
+        return math.nan, math.nan
+    return statistics.fmean(values), statistics.pstdev(values)
 
 
 def _summarize_cell(n: int, k: int, reports: list[MetricsReport]) -> CellSummary:
     completed = [r for r in reports if not r.cap_reached]
     spreads = {}
-    for j, runs in (("j1", completed), ("j2", reports), ("j3", reports), ("j4", reports)):
-        spreads[f"mean_{j}"], spreads[f"std_{j}"] = _mean_std([getattr(r, j) for r in runs])
+    for j in ("j1", "j2", "j3", "j4"):
+        spreads[f"mean_{j}"], spreads[f"std_{j}"] = _mean_std([getattr(r, j) for r in completed])
     return CellSummary(
         n_robots=n,
         n_tasks=k,

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import statistics
 
 import pytest
 
@@ -270,6 +271,31 @@ def test_run_sweep_shapes_and_order():
         assert cell.runs == 2
         assert cell.mean_j1 >= 1.0
 
+
+def test_sweep_summary_aggregates_completed_runs_only():
+    # Two rooms split by a wall: a run with a task in the other room caps.
+    rooms = world_from(["#########", "#...#...#", "#...#...#", "#########"])
+    base = Scenario(world=rooms, n_robots=1, n_tasks=1, ga=LIGHT_GA, step_cap=50, seed=1)
+    reports, cells = run_sweep(base, [1, 2], [1, 2], seeds_per_cell=3)
+    by_cell = {(c.n_robots, c.n_tasks): c for c in cells}
+    one = by_cell[1, 1]  # one of three runs completes; the capped two read J2 0.0
+    assert (one.runs, one.completed_runs) == (3, 1)
+    assert (one.mean_j1, one.mean_j2, one.mean_j3, one.mean_j4) == (1.0, 1.0, 1.0, 0.5)
+    assert (one.std_j1, one.std_j2, one.std_j3, one.std_j4) == (0.0, 0.0, 0.0, 0.0)
+    assert one.mean_k_total == 34.0  # over every run
+    none = by_cell[1, 2]  # every run caps
+    assert (none.runs, none.completed_runs, none.mean_k_total) == (3, 0, 50.0)
+    for j in ("j1", "j2", "j3", "j4"):
+        assert math.isnan(getattr(none, f"mean_{j}")) and math.isnan(getattr(none, f"std_{j}"))
+    for cell in cells:
+        done = [
+            r for r in reports
+            if (r.n_robots, r.n_tasks) == (cell.n_robots, cell.n_tasks) and not r.cap_reached
+        ]
+        if done:
+            assert cell.mean_j2 == statistics.fmean(r.j2 for r in done)
+            assert cell.mean_j4 == statistics.fmean(r.j4 for r in done)
+    assert sum(c.completed_runs for c in cells) == 5 < len(reports)
 
 def test_run_sweep_warm_carries_learning():
     world = generate_layout_sized(16, 16)
