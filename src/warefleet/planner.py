@@ -175,7 +175,9 @@ def step_fleet(
     """
     repulsion = _obstacle_field(world, sensor.radius, params.obstacle_terms)
     goal_table = term_table(params.goal_terms, world.width, world.height)
-    robot_table = term_table(params.robot_terms, sensor.radius, sensor.radius)
+    # No two lattice cells lie its extent apart on an axis: a larger table is never read.
+    size = min(sensor.radius, max(world.width, world.height))
+    robot_table = term_table(params.robot_terms, size, size)
     alpha = params.alpha
     gamma = params.gamma
     adjacency = world.adjacency

@@ -4,10 +4,11 @@ import math
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from warefleet.engine import Scenario, run_scenario
+from warefleet.engine import Scenario, compute_metrics, run_scenario
 from warefleet.errors import ConfigurationError
-from warefleet.gridworld import Position, generate_layout_sized
+from warefleet.gridworld import GridWorld, Position, generate_layout_sized
 from warefleet.allocator import GAConfig
 from warefleet.baseline import shortest_path
 from warefleet.planner import (
@@ -22,7 +23,7 @@ from warefleet.planner import (
     run_until_done,
     step_fleet,
 )
-from warefleet.potential import PotentialParams, PotentialTerm, SensorModel
+from warefleet.potential import PotentialParams, PotentialTerm, SensorModel, _obstacle_field
 
 from conftest import open_room, world_from
 from potential_oracle import dynamic_potential, update_neighborhood
@@ -250,6 +251,72 @@ def test_sealed_goal_hits_cap_never_completes():
     assert trace.k_total == 400
     assert robot.tasks  # still outstanding
 
+
+
+@st.composite
+def walled_layouts(draw):
+    """A walled lattice with sides 6-16, interior cells walled with
+    probability 0.1-0.4, and a start and a goal on its floor."""
+    width, height = draw(st.integers(6, 16)), draw(st.integers(6, 16))
+    density = draw(st.floats(0.1, 0.4))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    walls = [
+        Position(x, y)
+        for y in range(height)
+        for x in range(width)
+        if x in (0, width - 1) or y in (0, height - 1) or rng.random() < density
+    ]
+    world = GridWorld(width, height, walls)
+    floor = sorted(world.reachable)
+    assume(floor)
+    start, goal = draw(st.sampled_from(floor)), draw(st.sampled_from(floor))
+    return world, start, goal
+
+
+@settings(max_examples=300, deadline=None)
+@given(walled_layouts())
+def test_single_robot_reaches_every_reachable_goal(layout):
+    # The semi-completeness claim: one robot among static obstacles reaches
+    # any goal that A* can reach, in finite time, never beating the optimum.
+    world, start, goal = layout
+    optimum = shortest_path(world, start, goal).length
+    assume(optimum is not None)  # the claim says nothing about an unreachable goal
+    fleet = FleetState(robots=[make_robot(start, goal)])
+    trace = run_until_done(fleet, world, PARAMS, SENSOR, 100 * world.width * world.height)
+    assert trace.outcome == COMPLETED
+    report = compute_metrics(trace, [optimum], n_tasks=1, seed=0)
+    assert not report.cap_reached and report.j1 >= 1.0
+
+
+def test_head_on_movers_in_dead_end_corridor_stay_capped():
+    # Outside the claim: two movers whose goals lie behind each other in a
+    # 1-wide corridor closed at both ends can never finish.
+    corridor = world_from(["#########", "#.......#", "#########"])
+    a = make_robot(Position(1, 1), Position(7, 1))
+    b = RobotState(ident=1, pos=Position(7, 1), tasks=[Task(2, Position(1, 1))])
+    trace = run_until_done(FleetState(robots=[a, b]), corridor, PARAMS, SENSOR, 2000)
+    assert trace.outcome == CAP_REACHED and trace.k_total == 2000
+    assert trace.outstanding[-1] == 2
+    report = compute_metrics(trace, [0, 0], n_tasks=2, seed=0)
+    assert report.cap_reached and report.completed_tasks == 0
+
+
+def test_oversized_sensor_radius_is_clipped_to_the_lattice():
+    # Past the lattice's extent a larger radius senses nothing more, and
+    # costs nothing more.
+    world = generate_layout_sized(14, 12)
+    extent = max(world.width, world.height)
+    terms = PARAMS.obstacle_terms
+    fields = [_obstacle_field(world, radius, terms) for radius in (extent, 3 * extent, 10**6)]
+    assert fields[0] == fields[1] == fields[2]
+    traces = [
+        run_scenario(
+            Scenario(world=world, n_robots=4, n_tasks=4, sensor=SensorModel(radius),
+                     ga=GOLDEN_LIGHT_GA, seed=2)
+        )[0]
+        for radius in (extent, 3 * extent, 10**6)
+    ]
+    assert traces[0].positions == traces[1].positions == traces[2].positions
 
 def test_single_robot_on_small_warehouse_beats_nothing(fig_layout):
     start, goal = Position(1, 1), Position(18, 20)
