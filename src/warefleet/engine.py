@@ -95,10 +95,8 @@ class MetricsReport:
 class CellSummary:
     """Mean/spread of each metric over the seeds of one (N, K) sweep cell.
 
-    J1..J4 are aggregated over completed runs only, and are NaN when none
-    completed: a capped run counts only its completed legs, so its J2 and
-    J3 would look better than a finished run's. The tick count and the
-    times cover every run.
+    J1..J4 cover completed runs only (NaN when none completed), since a
+    capped run counts only its completed legs; k_total and times cover all.
     """
 
     n_robots: int

@@ -161,21 +161,23 @@ def _obstacle_field(
     """Summed repulsion of the obstacles each reachable cell consistently senses.
 
     An obstacle counts when it lies within Chebyshev distance radius - 1,
-    so that it is visible from every cell of the cell's step cross. No
-    obstacle lies outside the lattice, so the box is clipped to it and the
-    cost stays bounded however large the radius. The field depends only on
-    the floor plan, the radius and the terms, so it is cached on their
-    values: an equal world, such as one unpickled in a sweep worker, gets
-    the same dict back.
+    so that it is visible from every cell of the cell's step cross. The box
+    is clipped to the lattice, which holds every obstacle, so no radius
+    costs more than the lattice's extent. The field depends only on the
+    floor plan, the radius and the terms, so it is cached on their values:
+    an equal world, such as one unpickled in a sweep worker, gets the same
+    dict back.
     """
     reach = radius - 1
     table = term_table(obstacle_terms, min(radius, world.width), min(radius, world.height))
+    xs = [range(max(0, x - reach), min(world.width, x + reach + 1)) for x in range(world.width)]
+    ys = [range(max(0, y - reach), min(world.height, y + reach + 1)) for y in range(world.height)]
     obstacles = world.obstacles
     return {
         cell: sum(
             table[abs(x - cell.x)][abs(y - cell.y)]
-            for y in range(max(0, cell.y - reach), min(world.height, cell.y + reach + 1))
-            for x in range(max(0, cell.x - reach), min(world.width, cell.x + reach + 1))
+            for y in ys[cell.y]
+            for x in xs[cell.x]
             if (x, y) in obstacles
         )
         for cell in sorted(world.reachable)
