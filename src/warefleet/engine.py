@@ -155,9 +155,10 @@ def written(record, attr: str, csv: bool = True):
 
 def report_json(report: MetricsReport) -> dict:
     """The JSON object of a run: the report's fields in declaration order,
-    times in microseconds. The GA history has its own output."""
+    times under their column names. The GA history has its own output."""
+    names = {attr: column for column, attr in TIME_COLUMNS.items()}
     return {
-        f.name.replace("_seconds", "_time_us"): written(report, f.name, csv=False)
+        names.get(f.name, f.name): written(report, f.name, csv=False)
         for f in fields(report)
         if f.name != "ga_history"
     }
