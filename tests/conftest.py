@@ -38,6 +38,30 @@ def bfs_length(world: GridWorld, start: Position, goal: Position) -> int | None:
     return None
 
 
+TRACE_FAULTS = ("collisions", "teleports", "swaps", "task_regressions")
+
+
+def trace_faults(trace) -> dict[str, int]:
+    """Safety faults of a trace, per kind: two robots on one cell, a move
+    of more than one cell, two robots exchanging cells in one tick, and a
+    tick whose outstanding-task count rises."""
+    faults = dict.fromkeys(TRACE_FAULTS, 0)
+    for prev, cur in zip(trace.positions, trace.positions[1:]):
+        if len(set(cur)) != len(cur):
+            faults["collisions"] += 1
+        came_from = {cell: robot for robot, cell in enumerate(prev)}
+        for robot, (a, b) in enumerate(zip(prev, cur)):
+            if abs(a.x - b.x) + abs(a.y - b.y) > 1:
+                faults["teleports"] += 1
+            other = came_from.get(b, robot)
+            if other > robot and cur[other] == a:
+                faults["swaps"] += 1
+    for earlier, later in zip(trace.outstanding, trace.outstanding[1:]):
+        if later > earlier:
+            faults["task_regressions"] += 1
+    return faults
+
+
 def flood_fill_components(world: GridWorld) -> int:
     """Number of connected components of the reachable set."""
     remaining = set(world.reachable)

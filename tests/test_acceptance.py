@@ -36,7 +36,7 @@ from warefleet.planner import (
 from warefleet.potential import PotentialParams, SensorModel
 
 import allocator_oracle
-from conftest import bfs_length
+from conftest import TRACE_FAULTS, bfs_length, trace_faults
 from potential_oracle import check_divergence_condition
 
 TABLE_PARAMS = PotentialParams(gamma=15.0, alpha=0.05)
@@ -52,21 +52,13 @@ SWEEP_SIZES = (1, 5, 10, 15, 20)
 SEEDS_PER_CELL = 50
 
 # Safety tallies accumulated by every run in this suite.
-SAFETY = {"runs": 0, "collisions": 0, "teleports": 0, "task_regressions": 0}
+SAFETY = {"runs": 0, **dict.fromkeys(TRACE_FAULTS, 0)}
 
 
 def audit_trace(trace):
     SAFETY["runs"] += 1
-    for k in range(1, len(trace.positions)):
-        prev, cur = trace.positions[k - 1], trace.positions[k]
-        if len(set(cur)) != len(cur):
-            SAFETY["collisions"] += 1
-        for a, b in zip(prev, cur):
-            if abs(a.x - b.x) + abs(a.y - b.y) > 1:
-                SAFETY["teleports"] += 1
-    for earlier, later in zip(trace.outstanding, trace.outstanding[1:]):
-        if later > earlier:
-            SAFETY["task_regressions"] += 1
+    for kind, count in trace_faults(trace).items():
+        SAFETY[kind] += count
 
 
 @pytest.fixture(scope="session")
@@ -427,8 +419,9 @@ def test_criterion_11_safety_invariants(benchmark_cells):
     assert SAFETY["runs"] > 0
     assert SAFETY["collisions"] == 0
     assert SAFETY["teleports"] == 0
+    assert SAFETY["swaps"] == 0
     assert SAFETY["task_regressions"] == 0
     print(
         f"PASS criterion 11: {SAFETY['runs']} audited runs, zero collisions, zero jumps, "
-        "task count monotone"
+        "zero swaps, task count monotone"
     )

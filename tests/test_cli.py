@@ -308,6 +308,49 @@ def test_report_outputs_golden(tmp_path):
     assert _masked_csv(summary_csv) == GOLDEN_SUMMARY_CSV
 
 
+# A warm sweep of the mini scenario from seed 4: the store carries each
+# run's learned distances into the next run's allocation, so run (3, 4, 5)
+# and its cell differ from the cold sweep. Timing values read "-".
+GOLDEN_WARM_SWEEP_CSV = """\
+N,K,seed,J1,J2,J3,J4,k_total,planner_time_us,astar_time_us,cap_reached
+2,4,4,1.0,2.625,3.0,0.2857142857142857,14,-,-,0
+2,4,5,1.0,3.125,4.5,0.19047619047619047,21,-,-,0
+2,4,6,1.0,3.5,4.25,0.21052631578947367,19,-,-,0
+2,6,4,1.0,2.75,2.8333333333333335,0.3,20,-,-,0
+2,6,5,1.0,2.75,3.3333333333333335,0.25,24,-,-,0
+2,6,6,1.0,2.6666666666666665,3.1666666666666665,0.2608695652173913,23,-,-,0
+3,4,4,1.0,1.5833333333333333,1.75,0.5,8,-,-,0
+3,4,5,1.0,1.4166666666666667,3.25,0.25,16,-,-,0
+3,4,6,1.0,1.8333333333333333,2.75,0.3076923076923077,13,-,-,0
+3,6,4,1.1142857142857143,2.1666666666666665,3.0,0.3,20,-,-,0
+3,6,5,1.0,1.8333333333333333,2.6666666666666665,0.3333333333333333,18,-,-,0
+3,6,6,1.0,1.3888888888888888,2.1666666666666665,0.375,16,-,-,0
+"""
+
+GOLDEN_WARM_SUMMARY_CSV = """\
+N,K,runs,completed_runs,mean_J1,std_J1,mean_J2,std_J2,mean_J3,std_J3,mean_J4,std_J4,mean_k_total,planner_time_us,astar_time_us
+2,4,3,3,1.0,0.0,3.0833333333333335,0.35843021946010944,3.9166666666666665,0.6561673228343176,0.22890559732664995,0.04099530207647551,18.0,-,-
+2,6,3,3,1.0,0.0,2.722222222222222,0.039283710065919374,3.111111111111111,0.2078698548207745,0.2702898550724638,0.02147178607250587,22.333333333333332,-,-
+3,4,3,3,1.0,0.0,1.611111111111111,0.17123372230469375,2.5833333333333335,0.6236095644623235,0.3525641025641026,0.10688033333675043,12.333333333333334,-,-
+3,6,3,3,1.0380952380952382,0.05387480237611793,1.796296296296296,0.31860463952009727,2.611111111111111,0.34246744460938766,0.3361111111111111,0.030681558381075728,18.0,-,-
+"""
+
+
+def test_warm_sweep_outputs_golden(scenario_file, tmp_path):
+    outputs = {}
+    for mode in ("cold", "warm"):
+        sweep_csv, summary_csv = tmp_path / f"{mode}.csv", tmp_path / f"{mode}-cells.csv"
+        argv = ["sweep", "--scenario", str(scenario_file), "--n-values", "2,3",
+                "--k-values", "4,6", "--seeds", "3", "--out", str(sweep_csv),
+                "--summary", str(summary_csv)]
+        assert main(argv + ["--warm"] * (mode == "warm")) == 0
+        outputs[mode] = _masked_csv(sweep_csv), _masked_csv(summary_csv)
+    assert outputs["warm"] == (GOLDEN_WARM_SWEEP_CSV, GOLDEN_WARM_SUMMARY_CSV)
+    cold_rows, warm_rows = (outputs[mode][0].splitlines() for mode in ("cold", "warm"))
+    assert cold_rows[:2] == warm_rows[:2]  # the first run starts from the 1-norm
+    assert any(cold != warm for cold, warm in zip(cold_rows, warm_rows))
+
+
 @pytest.mark.parametrize("jobs", ["0", "-3"])
 def test_sweep_rejects_jobs_below_one(scenario_file, tmp_path, capsys, jobs):
     out = tmp_path / "sweep.csv"
