@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import random
 from bisect import bisect
-from collections import defaultdict
 from collections.abc import Callable
 from dataclasses import dataclass
 from itertools import accumulate
@@ -53,22 +52,18 @@ class HeuristicStore:
 
     Unqueried pairs fall back to the 1-norm distance; a pair's estimate
     moves toward a realized distance by a fraction eta whenever a completed
-    leg for that pair is reported. Only pairs that actually occur are kept.
+    leg for that pair is reported. Only pairs that actually occur are kept,
+    each under both of its orders, so a lookup is one dict probe.
     """
 
     def __init__(self, eta: float = 0.5):
         if not 0.0 < eta <= 1.0:
             raise ConfigurationError("learning rate must lie in (0, 1]")
         self.eta = eta
-        self._estimates: dict[frozenset[Position], float] = {}
+        self._estimates: dict[tuple[Position, Position], float] = {}
 
     def estimate(self, a: Position, b: Position) -> float:
-        if a == b:
-            return 0.0
-        learned = self._estimates.get(frozenset((a, b)))
-        if learned is not None:
-            return learned
-        return float(abs(a[0] - b[0]) + abs(a[1] - b[1]))
+        return self._estimates.get((a, b), float(abs(a[0] - b[0]) + abs(a[1] - b[1])))
 
     def table(self, points: list[Position], n_columns: int) -> list[list[float]]:
         """Estimates from every point to each of the last n_columns points.
@@ -76,22 +71,11 @@ class HeuristicStore:
         Row r, column c holds estimate(points[r], points[len(points) - n_columns + c]).
         """
         targets = points[len(points) - n_columns :]
-        rows = [[float(abs(a[0] - b[0]) + abs(a[1] - b[1])) for b in targets] for a in points]
         if self._estimates:
-            rows_at = defaultdict(list)
-            for r, point in enumerate(points):
-                rows_at[point].append(r)
-            columns_at = defaultdict(list)
-            for c, point in enumerate(targets):
-                columns_at[point].append(c)
-            for pair, learned in self._estimates.items():
-                a, b = pair
-                for u, v in ((a, b), (b, a)):
-                    for r in rows_at.get(u, ()):
-                        row = rows[r]
-                        for c in columns_at.get(v, ()):
-                            row[c] = learned
-        return rows
+            estimate = self.estimate
+            return [[estimate(a, b) for b in targets] for a in points]
+        # A cold store, as every benchmark run has: the 1-norm, computed inline.
+        return [[float(abs(a[0] - b[0]) + abs(a[1] - b[1])) for b in targets] for a in points]
 
     def learn(self, a: Position, b: Position, realized: float) -> None:
         """Gradient step toward a realized distance."""
@@ -99,9 +83,8 @@ class HeuristicStore:
             raise DomainError("realized distance cannot be negative")
         if a == b:
             return
-        key = frozenset((a, b))
         current = self.estimate(a, b)
-        self._estimates[key] = current + self.eta * (realized - current)
+        self._estimates[a, b] = self._estimates[b, a] = current + self.eta * (realized - current)
 
 
 def gene_pool(n_robots: int, n_tasks: int) -> list[int]:

@@ -266,39 +266,32 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="warefleet", description="Grid-warehouse fleet simulator and benchmark harness"
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # The arguments every scenario command takes.
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--scenario", required=True)
+    common.add_argument("--out", required=True)
+    common.add_argument("--seed", type=int, default=None, help="override the file's seed")
 
-    run = sub.add_parser("run", help="execute one scenario")
-    run.add_argument("--scenario", required=True)
-    run.add_argument("--out", required=True)
-    run.add_argument("--seed", type=int, default=None, help="override the file's seed")
+    run = sub.add_parser("run", parents=[common], help="execute one scenario")
     run.add_argument("--format", choices=("csv", "json"), default="csv")
     run.add_argument("--trace", default=None, help="also write the trace here")
     run.add_argument("--ga-history", default=None, help="also write per-generation best fitness")
     run.set_defaults(handler=_cmd_run)
 
-    sweep = sub.add_parser("sweep", help="run an (N, K, seed) grid")
-    sweep.add_argument("--scenario", required=True)
-    sweep.add_argument("--out", required=True)
+    sweep = sub.add_parser("sweep", parents=[common], help="run an (N, K, seed) grid")
     sweep.add_argument("--n-values", required=True)
     sweep.add_argument("--k-values", required=True)
     sweep.add_argument("--seeds", type=int, default=1)
-    sweep.add_argument("--seed", type=int, default=None)
     sweep.add_argument("--summary", default=None, help="also write per-cell mean/std rows")
     sweep.add_argument("--warm", action="store_true", help="share learned heuristics across runs")
     sweep.add_argument("--jobs", type=int, default=1)
     sweep.set_defaults(handler=_cmd_sweep)
 
-    cmp_cmd = sub.add_parser("compare-astar", help="planner vs A* compute per seed")
-    cmp_cmd.add_argument("--scenario", required=True)
-    cmp_cmd.add_argument("--out", required=True)
+    cmp_cmd = sub.add_parser("compare-astar", parents=[common], help="planner vs A* compute per seed")
     cmp_cmd.add_argument("--seeds", type=int, default=1)
-    cmp_cmd.add_argument("--seed", type=int, default=None)
     cmp_cmd.set_defaults(handler=_cmd_compare_astar)
 
-    dump = sub.add_parser("dump-trace", help="write the tick-by-tick trace of a run")
-    dump.add_argument("--scenario", required=True)
-    dump.add_argument("--out", required=True)
-    dump.add_argument("--seed", type=int, default=None)
+    dump = sub.add_parser("dump-trace", parents=[common], help="write the tick-by-tick trace of a run")
     dump.set_defaults(handler=_cmd_dump_trace)
 
     gen = sub.add_parser("gen-layout", help="write a tiled warehouse layout")

@@ -261,6 +261,7 @@ def run_scenario(
     cap = sc.step_cap or default_step_cap(sc.world, sc.n_robots, sc.n_tasks)
     trace = run_until_done(fleet, sc.world, sc.potential, sc.sensor, cap)
 
+    # Per completed leg, in order: its A* optimum, and its realized distance learned.
     astar_seconds = 0.0
     optima = []
     for segments in trace.segments:
@@ -269,12 +270,8 @@ def run_scenario(
             leg = shortest_path(sc.world, seg.start, seg.end)
             astar_seconds += leg.elapsed
             total += leg.length  # a completed leg always has a path
-        optima.append(total)
-
-    # Realized distances feed the allocator's heuristics for later runs.
-    for segments in trace.segments:
-        for seg in segments:
             store.learn(seg.start, seg.end, seg.length)
+        optima.append(total)
 
     report = compute_metrics(trace, optima, sc.n_tasks, sc.seed)
     report.astar_seconds = astar_seconds

@@ -44,19 +44,9 @@ class GridWorld:
         self.width = width
         self.height = height
         self.obstacles = frozenset(Position(x, y) for x, y in obstacles)
-        for pos in self.obstacles:
-            if not (0 <= pos.x < width and 0 <= pos.y < height):
-                raise ConfigurationError(f"obstacle {pos} outside the {width}x{height} lattice")
-        for x in range(width):
-            for y in (0, height - 1):
-                if Position(x, y) not in self.obstacles:
-                    raise ConfigurationError(f"boundary cell ({x},{y}) is not a wall")
-        for y in range(height):
-            for x in (0, width - 1):
-                if Position(x, y) not in self.obstacles:
-                    raise ConfigurationError(f"boundary cell ({x},{y}) is not a wall")
         # One walk of the lattice, row by row: one byte per cell (1 on an
-        # obstacle) and one Position object per floor cell.
+        # obstacle) and one Position object per floor cell. It checks the
+        # walls on the way; an obstacle it never meets lies off the lattice.
         cells = bytearray()
         floor: dict[Position, Position] = {}
         for y in range(height):
@@ -64,9 +54,14 @@ class GridWorld:
                 pos = Position(x, y)
                 if pos in self.obstacles:
                     cells.append(1)
-                else:
+                elif 0 < x < width - 1 and 0 < y < height - 1:
                     cells.append(0)
                     floor[pos] = pos
+                else:
+                    raise ConfigurationError(f"boundary cell ({x},{y}) is not a wall")
+        if len(cells) - len(floor) != len(self.obstacles):
+            off = next(p for p in self.obstacles if not (0 <= p.x < width and 0 <= p.y < height))
+            raise ConfigurationError(f"obstacle {off} outside the {width}x{height} lattice")
         # Reachable 4-neighbors per cell in up/right/down/left order, as the
         # floor's own objects; the planner and the search baseline read this
         # dict directly in their inner loops.
@@ -173,6 +168,7 @@ def parse_layout(text: str) -> GridWorld:
     if not lines:
         raise LoadError("layout document is empty")
     width = len(lines[0])
+    height = len(lines)
     obstacles: set[Position] = set()
     for row, line in enumerate(lines):
         if len(line) != width:
@@ -184,14 +180,7 @@ def parse_layout(text: str) -> GridWorld:
                 obstacles.add(Position(col, row))
             elif glyph != FLOOR_GLYPH:
                 raise LoadError(f"unknown glyph {glyph!r}", line=row + 1, column=col + 1)
-    height = len(lines)
-    for row, line in enumerate(lines):
-        for col in (0, width - 1):
-            if line[col] != OBSTACLE_GLYPH:
-                raise LoadError("boundary is not enclosed by walls", line=row + 1, column=col + 1)
-    for row in (0, height - 1):
-        for col, glyph in enumerate(lines[row]):
-            if glyph != OBSTACLE_GLYPH:
+            elif not (0 < col < width - 1 and 0 < row < height - 1):
                 raise LoadError("boundary is not enclosed by walls", line=row + 1, column=col + 1)
     return GridWorld(width, height, obstacles)
 

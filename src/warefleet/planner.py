@@ -62,10 +62,6 @@ class RobotState:
         if self.leg_start is None:
             self.leg_start = self.pos
 
-    @property
-    def goal(self) -> Position | None:
-        return self.tasks[0].pos if self.tasks else None
-
 
 @dataclass
 class FleetState:
@@ -166,8 +162,9 @@ def step_fleet(
     world: GridWorld,
     params: PotentialParams,
     sensor: SensorModel,
-) -> FleetState:
-    """Advance the whole fleet one tick, robots in ascending id order.
+) -> int:
+    """Advance the whole fleet one tick, robots in ascending id order, and
+    return the number of tasks completed in it.
 
     A robot standing on its goal pops the task and starts a fresh potential
     recursion for the next one (no move that tick). Idle robots never move
@@ -183,6 +180,7 @@ def step_fleet(
     adjacency = world.adjacency
     robots = fleet.robots
     perf_counter = time.perf_counter
+    completed = 0
 
     for robot in robots:
         if not robot.tasks:
@@ -195,6 +193,7 @@ def step_fleet(
             robot.potential = PotentialState()
             robot.leg_start = pos
             robot.leg_moves = 0
+            completed += 1
             continue
         state = robot.potential
         near = sense_nearby(sensor, pos, [r.pos for r in robots if r is not robot])
@@ -217,7 +216,7 @@ def step_fleet(
             robot.pos = target
             robot.leg_moves += 1
     fleet.tick += 1
-    return fleet
+    return completed
 
 
 def run_until_done(
@@ -237,21 +236,14 @@ def run_until_done(
         raise ConfigurationError("step cap must be at least 1")
     positions = [tuple(r.pos for r in fleet.robots)]
     outstanding = [sum(len(r.tasks) for r in fleet.robots)]
-    outcome = CAP_REACHED
-    while True:
-        if outstanding[-1] == 0:
-            outcome = COMPLETED
-            break
-        if fleet.tick >= step_cap:
-            break
-        step_fleet(fleet, world, params, sensor)
+    while outstanding[-1] and fleet.tick < step_cap:
+        outstanding.append(outstanding[-1] - step_fleet(fleet, world, params, sensor))
         positions.append(tuple(r.pos for r in fleet.robots))
-        outstanding.append(sum(len(r.tasks) for r in fleet.robots))
     return SimTrace(
         positions=positions,
         outstanding=outstanding,
         segments=[list(r.segment_log) for r in fleet.robots],
-        outcome=outcome,
+        outcome=CAP_REACHED if outstanding[-1] else COMPLETED,
         k_total=fleet.tick,
         plan_seconds=fleet.plan_seconds,
     )

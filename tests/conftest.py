@@ -49,13 +49,9 @@ def trace_faults(trace) -> dict[str, int]:
     for prev, cur in zip(trace.positions, trace.positions[1:]):
         if len(set(cur)) != len(cur):
             faults["collisions"] += 1
-        came_from = {cell: robot for robot, cell in enumerate(prev)}
-        for robot, (a, b) in enumerate(zip(prev, cur)):
-            if abs(a.x - b.x) + abs(a.y - b.y) > 1:
-                faults["teleports"] += 1
-            other = came_from.get(b, robot)
-            if other > robot and cur[other] == a:
-                faults["swaps"] += 1
+        moves = {(a, b) for a, b in zip(prev, cur) if a != b}
+        faults["teleports"] += sum(abs(a.x - b.x) + abs(a.y - b.y) > 1 for a, b in moves)
+        faults["swaps"] += sum((b, a) in moves for a, b in moves) // 2
     for earlier, later in zip(trace.outstanding, trace.outstanding[1:]):
         if later > earlier:
             faults["task_regressions"] += 1

@@ -383,6 +383,31 @@ def test_sweep_rejects_empty_or_repeated_grid_value(
     assert not out.exists() and not summary.exists()
 
 
+# The four scenario commands, each with the arguments it needs besides
+# --scenario and --out.
+SCENARIO_COMMANDS = {
+    "run": [],
+    "sweep": ["--n-values", "1", "--k-values", "2"],
+    "compare-astar": [],
+    "dump-trace": [],
+}
+
+
+@pytest.mark.parametrize("command", SCENARIO_COMMANDS)
+def test_scenario_commands_share_their_arguments(command, scenario_file, tmp_path, capsys):
+    out = tmp_path / "out.txt"
+    extra = SCENARIO_COMMANDS[command]
+    for missing in ("--scenario", "--out"):
+        given = {"--scenario": str(scenario_file), "--out": str(out)}
+        del given[missing]
+        with pytest.raises(SystemExit) as exit_:
+            main([command, *[a for pair in given.items() for a in pair], *extra])
+        assert exit_.value.code == 2
+        assert f"the following arguments are required: {missing}" in capsys.readouterr().err
+    argv = [command, "--scenario", str(scenario_file), "--out", str(out), "--seed", "9", *extra]
+    assert main(argv) == 0 and out.exists()
+
+
 def test_missing_scenario_file_is_io_error(tmp_path):
     out = tmp_path / "x.csv"
     assert main(["run", "--scenario", str(tmp_path / "nope.cfg"), "--out", str(out)]) == 2

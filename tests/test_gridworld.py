@@ -203,10 +203,17 @@ def test_parse_rejects_ragged_rows():
 
 
 def test_parse_rejects_open_boundary():
-    with pytest.raises(LoadError):
+    with pytest.raises(LoadError) as err:
         parse_layout("###\n..#\n###\n")
-    with pytest.raises(LoadError):
+    assert (err.value.line, err.value.column) == (2, 1)
+    with pytest.raises(LoadError) as err:
         parse_layout(".##\n#.#\n###\n")
+    assert (err.value.line, err.value.column) == (1, 1)
+    # An open top-row cell and an open left-column cell on a later row:
+    # the first fault in reading order is named.
+    with pytest.raises(LoadError) as err:
+        parse_layout("#.##\n#..#\n...#\n####\n")
+    assert (err.value.line, err.value.column) == (1, 2)
 
 
 def test_parse_rejects_empty():
@@ -231,6 +238,16 @@ def test_gridworld_rejects_bad_partition():
         GridWorld(4, 4, [Position(0, 0)])  # unwalled boundary
     with pytest.raises(ConfigurationError):
         GridWorld(4, 4, [Position(9, 9)])  # obstacle off the lattice
+
+
+def test_gridworld_errors_name_the_fault():
+    with pytest.raises(ConfigurationError, match=r"^boundary cell \(1,0\) is not a wall$"):
+        GridWorld(4, 4, [Position(0, 0)])
+    walls = [Position(x, y) for x in range(4) for y in range(4) if x in (0, 3) or y in (0, 3)]
+    with pytest.raises(
+        ConfigurationError, match=r"^obstacle Position\(x=9, y=9\) outside the 4x4 lattice$"
+    ):
+        GridWorld(4, 4, [*walls, Position(9, 9)])
 
 
 def test_world_is_a_value():

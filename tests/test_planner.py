@@ -301,6 +301,54 @@ def test_head_on_movers_in_dead_end_corridor_stay_capped():
     assert report.cap_reached and report.completed_tasks == 0
 
 
+def _stepped_alongside(robots, world, cap):
+    """run_until_done on the robots, and step_fleet on a copy of them with the
+    task lists re-summed every tick. The re-sums must equal the trace's
+    outstanding counts, and each tick's return value its drop. Returns the
+    trace and, per tick, each robot's number of completed legs."""
+    fleet = FleetState(robots=robots)
+    twin = copy.deepcopy(fleet)
+    trace = run_until_done(fleet, world, PARAMS, SENSOR, cap)
+    sums = [sum(len(r.tasks) for r in twin.robots)]
+    returned, positions, legs = [], [trace.positions[0]], []
+    while len(sums) < len(trace.outstanding):
+        returned.append(step_fleet(twin, world, PARAMS, SENSOR))
+        sums.append(sum(len(r.tasks) for r in twin.robots))
+        positions.append(tuple(r.pos for r in twin.robots))
+        legs.append([len(r.segment_log) for r in twin.robots])
+    assert sums == trace.outstanding
+    assert returned == [before - after for before, after in zip(sums, sums[1:])]
+    assert positions == trace.positions
+    return trace, legs
+
+
+def test_outstanding_count_matches_a_resum_in_a_crowd():
+    world = generate_layout_sized(21, 20)
+    n = 40
+    cells = random.Random(5).sample(sorted(world.reachable), 3 * n)
+    robots = [
+        RobotState(ident=i, pos=cells[i],
+                   tasks=[Task(2 * i + 1, cells[n + 2 * i]), Task(2 * i + 2, cells[n + 2 * i + 1])])
+        for i in range(n - 1)
+    ]
+    # The last robot has three tasks stacked on its start cell.
+    stacked = cells[n - 1]
+    robots.append(RobotState(ident=n - 1, pos=stacked, tasks=[Task(2 * n + j, stacked) for j in range(3)]))
+    trace, legs = _stepped_alongside(robots, world, 600)
+    assert trace.outcome == COMPLETED
+    drops = [before - after for before, after in zip(trace.outstanding, trace.outstanding[1:])]
+    assert max(drops) > 1  # several tasks finish in one tick
+    assert [tick[-1] for tick in legs[:4]] == [1, 2, 3, 3]  # one stacked task per tick
+
+
+def test_outstanding_count_matches_a_resum_when_capped():
+    corridor = world_from(["#########", "#.......#", "#########"])
+    a = make_robot(Position(1, 1), Position(7, 1))
+    b = RobotState(ident=1, pos=Position(7, 1), tasks=[Task(2, Position(1, 1))])
+    trace, _ = _stepped_alongside([a, b], corridor, 300)
+    assert trace.outcome == CAP_REACHED and trace.outstanding[-1] == 2
+
+
 def test_oversized_sensor_radius_is_clipped_to_the_lattice():
     # Past the lattice's extent a larger radius senses nothing more, and
     # costs nothing more.
