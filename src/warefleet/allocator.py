@@ -71,11 +71,12 @@ class HeuristicStore:
         Row r, column c holds estimate(points[r], points[len(points) - n_columns + c]).
         """
         targets = points[len(points) - n_columns :]
-        if self._estimates:
-            estimate = self.estimate
-            return [[estimate(a, b) for b in targets] for a in points]
-        # A cold store, as every benchmark run has: the 1-norm, computed inline.
-        return [[float(abs(a[0] - b[0]) + abs(a[1] - b[1])) for b in targets] for a in points]
+        # estimate inlined: the table is the fitness function's only input.
+        get = self._estimates.get
+        return [
+            [get((a, b), float(abs(a[0] - b[0]) + abs(a[1] - b[1]))) for b in targets]
+            for a in points
+        ]
 
     def learn(self, a: Position, b: Position, realized: float) -> None:
         """Gradient step toward a realized distance."""

@@ -60,7 +60,7 @@ class GridWorld:
                 else:
                     raise ConfigurationError(f"boundary cell ({x},{y}) is not a wall")
         if len(cells) - len(floor) != len(self.obstacles):
-            off = next(p for p in self.obstacles if not (0 <= p.x < width and 0 <= p.y < height))
+            off = next(p for p in self.obstacles if p.x not in range(width) or p.y not in range(height))
             raise ConfigurationError(f"obstacle {off} outside the {width}x{height} lattice")
         # Reachable 4-neighbors per cell in up/right/down/left order, as the
         # floor's own objects; the planner and the search baseline read this

@@ -248,6 +248,11 @@ def test_gridworld_errors_name_the_fault():
         ConfigurationError, match=r"^obstacle Position\(x=9, y=9\) outside the 4x4 lattice$"
     ):
         GridWorld(4, 4, [*walls, Position(9, 9)])
+    # Inside the bounding box but not a lattice point.
+    with pytest.raises(
+        ConfigurationError, match=r"^obstacle Position\(x=1.5, y=2\) outside the 4x4 lattice$"
+    ):
+        GridWorld(4, 4, [*walls, Position(1.5, 2)])
 
 
 def test_world_is_a_value():
