@@ -43,7 +43,6 @@ from .planner import (
     RobotState,
     Segment,
     SimTrace,
-    Task,
     format_trace,
     run_until_done,
     step_fleet,

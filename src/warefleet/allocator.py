@@ -1,8 +1,9 @@
 """Genetic task allocation with learned distance heuristics.
 
-An allocation of K tasks to N robots is encoded as one permutation of the
-task indices 1..K and N-1 negative delimiter genes: the runs of task
-indices between delimiters are the ordered task lists of robots 1..N.
+An allocation of K task cells to N robots is encoded as one permutation
+of the task indices 1..K (gene t names the t-th task cell) and N-1
+negative delimiter genes: the runs of task indices between delimiters are
+the ordered task lists of robots 1..N.
 Fitness is the reciprocal of a combined average-plus-bottleneck estimate
 of travel distance, computed from pairwise distance heuristics that start
 at the 1-norm and are pulled toward realized distances as robots report
@@ -36,7 +37,6 @@ class GAConfig:
     population_size: int = 100
     max_generations: int = 200
     mutation_probability: float = 0.2
-    rng_seed: int = 0
 
     def __post_init__(self):
         if self.population_size < 2:
@@ -126,13 +126,6 @@ def random_chromosome(n_robots: int, n_tasks: int, rng: random.Random) -> Chromo
     return genes
 
 
-def _points(starts: list[Position], task_positions: dict[int, Position]) -> list[Position]:
-    """Starts, then task positions in index order: the rows of the heuristic table."""
-    if task_positions.keys() != set(range(1, len(task_positions) + 1)):
-        raise ValidationError("task indices must be 1..K")
-    return list(starts) + [task_positions[t] for t in range(1, len(task_positions) + 1)]
-
-
 def _scorer(table: list[list[float]], n_robots: int, n_tasks: int) -> Callable[[Chromosome], float]:
     """Fitness of a valid chromosome: the reciprocal of its estimated
     average-per-task plus bottleneck-per-task distance, found by walking its
@@ -192,19 +185,20 @@ def mutate(genes: Chromosome, m: int, n: int, rng: random.Random) -> Chromosome:
 def evolve(
     cfg: GAConfig,
     starts: list[Position],
-    task_positions: dict[int, Position],
+    tasks: list[Position],
     store: HeuristicStore,
+    seed: int,
 ) -> tuple[Chromosome, list[float]]:
-    """Run the generational loop; returns the best chromosome ever seen and
-    the best fitness per generation (non-decreasing under elitist survival)."""
+    """Run the generational loop on seed's random stream; returns the best chromosome
+    ever seen and the best fitness per generation (non-decreasing under elitist survival)."""
     n_robots = len(starts)
-    n_tasks = len(task_positions)
+    n_tasks = len(tasks)
     if n_robots < 1 or n_tasks < 1:
         raise ConfigurationError("need at least one robot and one task")
     # The operators only permute valid chromosomes, so genes are checked
     # here and on the result, not per evaluation.
-    score = _scorer(store.table(_points(starts, task_positions), n_tasks), n_robots, n_tasks)
-    rng = random.Random(cfg.rng_seed)
+    score = _scorer(store.table([*starts, *tasks], n_tasks), n_robots, n_tasks)
+    rng = random.Random(seed)
     by_fitness = itemgetter(0)
 
     initial = [random_chromosome(n_robots, n_tasks, rng) for _ in range(cfg.population_size)]

@@ -81,10 +81,6 @@ def _parse_positions(raw: str) -> tuple[Position, ...]:
     return tuple(Position(numbers[i], numbers[i + 1]) for i in range(0, len(numbers), 2))
 
 
-def _parse_step_cap(raw: str) -> int | None:
-    return int(raw) or None  # 0 asks for the default cap
-
-
 # Scenario keys other than `layout`, grouped by the object they configure:
 # key -> (the field it sets, the parser of its value). Within a group the
 # keys are applied in this order, so a count comes before its positions.
@@ -101,7 +97,7 @@ _RUN_KEYS = {
     "robot_starts": ("robot_starts", _parse_positions),
     "task_positions": ("task_positions", _parse_positions),
     "eta": ("eta", float),
-    "step_cap": ("step_cap", _parse_step_cap),
+    "step_cap": ("step_cap", int),
     "seed": ("seed", int),
 }
 _SCENARIO_KEYS = {"layout", *_POTENTIAL_KEYS, *_SENSOR_KEYS, *_GA_KEYS, *_RUN_KEYS}

@@ -30,7 +30,6 @@ from .planner import (
     FleetState,
     RobotState,
     SimTrace,
-    Task,
     run_until_done,
 )
 from .potential import PotentialParams, SensorModel
@@ -49,14 +48,14 @@ class Scenario:
     sensor: SensorModel = field(default_factory=SensorModel)
     ga: GAConfig = field(default_factory=GAConfig)
     eta: float = 0.5
-    step_cap: int | None = None
+    step_cap: int = 0  # 0 runs with default_step_cap
     seed: int = 0
 
     def __post_init__(self):
         if self.n_robots < 1 or self.n_tasks < 1:
             raise ConfigurationError("need at least one robot and one task")
-        if self.step_cap is not None and self.step_cap < 1:
-            raise ConfigurationError("step cap must be positive")
+        if self.step_cap < 0:
+            raise ConfigurationError("step cap must be positive, or 0 for the default")
         HeuristicStore(self.eta)  # the store owns the learning-rate check
         for label, cells, expected in (
             ("robot start", self.robot_starts, self.n_robots),
@@ -245,19 +244,16 @@ def run_scenario(
     by default each run starts cold with 1-norm estimates.
     """
     rng = random.Random(sc.seed)
-    starts, task_cells = _resolve_placements(sc, rng)
+    starts, tasks = _resolve_placements(sc, rng)
     store = heuristics if heuristics is not None else HeuristicStore(sc.eta)
-    task_map = {index + 1: pos for index, pos in enumerate(task_cells)}
 
-    ga_cfg = replace(sc.ga, rng_seed=rng.randrange(2**32))
-    best, history = evolve(ga_cfg, starts, task_map, store)
-    allocation = decode(best, sc.n_robots)
-
-    robots = [
-        RobotState(ident=i, pos=starts[i], tasks=[Task(t, task_map[t]) for t in allocation[i]])
-        for i in range(sc.n_robots)
-    ]
-    fleet = FleetState(robots=robots)
+    best, history = evolve(sc.ga, starts, tasks, store, rng.randrange(2**32))
+    fleet = FleetState(
+        robots=[
+            RobotState(pos=start, tasks=[tasks[t - 1] for t in genes])
+            for start, genes in zip(starts, decode(best, sc.n_robots))
+        ]
+    )
     cap = sc.step_cap or default_step_cap(sc.world, sc.n_robots, sc.n_tasks)
     trace = run_until_done(fleet, sc.world, sc.potential, sc.sensor, cap)
 

@@ -90,21 +90,6 @@ class GridWorld:
     def __repr__(self):
         return f"GridWorld({self.width}x{self.height}, {len(self.obstacles)} obstacles)"
 
-    def connected(self) -> bool:
-        """True when every reachable cell sits in one flood-fill component."""
-        if not self.reachable:
-            return True
-        start = next(iter(self.reachable))
-        seen = {start}
-        frontier = [start]
-        while frontier:
-            cell = frontier.pop()
-            for nxt in self.adjacency[cell]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    frontier.append(nxt)
-        return len(seen) == len(self.reachable)
-
 
 def _tile_obstacles(
     width: int,
@@ -148,16 +133,14 @@ def generate_layout_sized(
 
     Fits as many whole shelf blocks as the requested dimensions allow; when
     the size is not an exact multiple of the tile pitch the right/bottom
-    corridors absorb the remainder.
+    corridors absorb the remainder. Every block has an aisle on all four
+    sides, so the floor is always one connected component.
     """
     if shelf_width < 1 or shelf_height < 1 or aisle < 1:
         raise ConfigurationError("shelf and aisle dimensions must be positive")
     if width < 2 + aisle or height < 2 + aisle:
         raise ConfigurationError(f"{width}x{height} leaves no room for an aisle")
-    world = GridWorld(width, height, _tile_obstacles(width, height, shelf_width, shelf_height, aisle))
-    if not world.connected():
-        raise ConfigurationError("generated layout is not a single connected floor")
-    return world
+    return GridWorld(width, height, _tile_obstacles(width, height, shelf_width, shelf_height, aisle))
 
 
 def parse_layout(text: str) -> GridWorld:

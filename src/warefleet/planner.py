@@ -35,11 +35,6 @@ COMPLETED = "completed"
 CAP_REACHED = "cap_reached"
 
 
-class Task(NamedTuple):
-    ident: int
-    pos: Position
-
-
 class Segment(NamedTuple):
     """One completed task leg: where it began, its goal, and the moves it took."""
 
@@ -50,9 +45,10 @@ class Segment(NamedTuple):
 
 @dataclass
 class RobotState:
-    ident: int
+    """A robot's cell and its outstanding task cells in order; its id is its fleet index."""
+
     pos: Position
-    tasks: list[Task]
+    tasks: list[Position]
     potential: PotentialState = field(default_factory=PotentialState)
     segment_log: list[Segment] = field(default_factory=list)
     leg_start: Position = None  # type: ignore[assignment]
@@ -185,7 +181,7 @@ def step_fleet(
     for robot in robots:
         if not robot.tasks:
             continue
-        goal = robot.tasks[0].pos
+        goal = robot.tasks[0]
         pos = robot.pos
         if pos == goal:
             robot.segment_log.append(Segment(robot.leg_start, pos, robot.leg_moves))

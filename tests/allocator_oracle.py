@@ -20,7 +20,6 @@ from warefleet.allocator import (
     PARENT_FRACTION,
     GAConfig,
     HeuristicStore,
-    _points,
     _scorer,
     crossover,
     mutate,
@@ -29,16 +28,16 @@ from warefleet.allocator import (
 )
 
 
-def scorer(starts, task_positions, store: HeuristicStore):
+def scorer(starts, tasks, store: HeuristicStore):
     """The fitness function of one instance, for valid chromosomes."""
-    n_tasks = len(task_positions)
-    return _scorer(store.table(_points(starts, task_positions), n_tasks), len(starts), n_tasks)
+    n_tasks = len(tasks)
+    return _scorer(store.table([*starts, *tasks], n_tasks), len(starts), n_tasks)
 
 
-def fitness(genes, starts, task_positions, store: HeuristicStore) -> float:
+def fitness(genes, starts, tasks, store: HeuristicStore) -> float:
     """Reciprocal of the estimated average-per-task plus bottleneck-per-task distance."""
-    score = scorer(starts, task_positions, store)
-    validate_chromosome(genes, len(starts), len(task_positions))
+    score = scorer(starts, tasks, store)
+    validate_chromosome(genes, len(starts), len(tasks))
     return score(genes)
 
 
@@ -52,11 +51,11 @@ def _pick_parent_indices(rng, cum_weights):
     return first, second
 
 
-def evolve(cfg: GAConfig, starts, task_positions, store: HeuristicStore):
+def evolve(cfg: GAConfig, starts, tasks, store: HeuristicStore, seed: int):
     n_robots = len(starts)
-    n_tasks = len(task_positions)
-    score = scorer(starts, task_positions, store)
-    rng = random.Random(cfg.rng_seed)
+    n_tasks = len(tasks)
+    score = scorer(starts, tasks, store)
+    rng = random.Random(seed)
     by_fitness = itemgetter(0)
 
     initial = [random_chromosome(n_robots, n_tasks, rng) for _ in range(cfg.population_size)]

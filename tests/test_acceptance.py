@@ -23,20 +23,19 @@ from warefleet.allocator import (
 )
 from warefleet.baseline import shortest_path
 from warefleet.engine import Scenario, run_scenario
-from warefleet.gridworld import GridWorld, Position, generate_layout_sized, parse_layout
+from warefleet.gridworld import Position, generate_layout_sized, parse_layout
 from warefleet.planner import (
     CAP_REACHED,
     COMPLETED,
     FleetState,
     RobotState,
     SimTrace,
-    Task,
     step_fleet,
 )
 from warefleet.potential import PotentialParams, SensorModel
 
 import allocator_oracle
-from conftest import TRACE_FAULTS, bfs_length, trace_faults
+from conftest import TRACE_FAULTS, bfs_length, random_world, trace_faults
 from potential_oracle import check_divergence_condition
 
 TABLE_PARAMS = PotentialParams(gamma=15.0, alpha=0.05)
@@ -155,7 +154,7 @@ def test_criterion_05_trap_escape():
     episodes_total = 0
     for trial in range(50):
         start = Position(rng.randint(1, 4), rng.randint(1, 5))
-        robot = RobotState(ident=0, pos=start, tasks=[Task(1, goal)])
+        robot = RobotState(pos=start, tasks=[goal])
         fleet = FleetState(robots=[robot])
         entrap_tick = None
         crit = None
@@ -325,43 +324,25 @@ def test_criterion_09_ga_matches_exhaustive_search():
         while len(set(cells)) != len(cells):
             cells = [(rng.randint(0, 60), rng.randint(0, 60)) for _ in range(2 + k)]
         starts = [Position(*c) for c in cells[:2]]
-        tasks = {i + 1: Position(*c) for i, c in enumerate(cells[2:])}
+        tasks = [Position(*c) for c in cells[2:]]
         store = HeuristicStore()
         # Permutations of the gene pool are valid chromosomes, so the
         # instance's scorer is built once and applied to each.
         score = allocator_oracle.scorer(starts, tasks, store)
         best_exhaustive = max(score(perm) for perm in itertools.permutations(gene_pool(2, k)))
-        cfg = GAConfig(population_size=100, max_generations=200, rng_seed=trial)
-        _, history = evolve(cfg, starts, tasks, store)
+        cfg = GAConfig(population_size=100, max_generations=200)
+        _, history = evolve(cfg, starts, tasks, store, trial)
         if math.isclose(history[-1], best_exhaustive, rel_tol=1e-12):
             matches += 1
     assert matches >= 95, f"GA matched the optimum on only {matches}/100 instances"
     print(f"PASS criterion 9: GA found the exhaustive optimum on {matches}/100 instances")
 
 
-def _random_world(rng: random.Random) -> GridWorld:
-    width = rng.randint(8, 18)
-    height = rng.randint(8, 14)
-    obstacles = set()
-    for x in range(width):
-        obstacles.add(Position(x, 0))
-        obstacles.add(Position(x, height - 1))
-    for y in range(height):
-        obstacles.add(Position(0, y))
-        obstacles.add(Position(width - 1, y))
-    density = rng.uniform(0.05, 0.35)
-    for x in range(1, width - 1):
-        for y in range(1, height - 1):
-            if rng.random() < density:
-                obstacles.add(Position(x, y))
-    return GridWorld(width, height, obstacles)
-
-
 def test_criterion_10_search_oracle_equivalence():
     rng = random.Random(515)
     checked = 0
     while checked < 200:
-        world = _random_world(rng)
+        world = random_world(rng)
         free = sorted(world.reachable)
         if len(free) < 2:
             continue

@@ -55,7 +55,7 @@ def test_decode_rejects_malformed():
 
 def test_fitness_single_leg():
     starts = [Position(0, 0)]
-    tasks = {1: Position(10, 0)}
+    tasks = [Position(10, 0)]
     store = HeuristicStore()
     assert allocator_oracle.fitness([1], starts, tasks, store) == pytest.approx(0.05)
 
@@ -63,7 +63,7 @@ def test_fitness_single_leg():
 def test_fitness_idle_robot():
     # Robot 1 runs both tasks for an estimated 10 cells; robot 2 stays idle.
     starts = [Position(0, 0), Position(50, 50)]
-    tasks = {1: Position(4, 0), 2: Position(4, 6)}
+    tasks = [Position(4, 0), Position(4, 6)]
     store = HeuristicStore()
     genes = [1, 2, -1]
     # d(start1, t1) = 4, d(t1, t2) = 6
@@ -78,7 +78,7 @@ def _straight_fitness(genes, starts, tasks, leg):
         routes.append([]) if g < 0 else routes[-1].append(g)
     totals = []
     for start, route in zip(starts, routes):
-        stops = [start] + [tasks[t] for t in route]
+        stops = [start] + [tasks[t - 1] for t in route]
         total = 0.0
         for a, b in zip(stops, stops[1:]):
             total += leg(a, b)
@@ -95,7 +95,7 @@ def test_fitness_matches_straight_reimplementation():
         n, k = 4, 7
         cells = rng.sample([(x, y) for x in range(30) for y in range(30)], n + k)
         starts = [Position(*c) for c in cells[:n]]
-        tasks = {i + 1: Position(*c) for i, c in enumerate(cells[n:])}
+        tasks = [Position(*c) for c in cells[n:]]
         genes = random_chromosome(n, k, rng)
         expected = _straight_fitness(
             genes, starts, tasks, lambda a, b: abs(a.x - b.x) + abs(a.y - b.y)
@@ -114,7 +114,7 @@ def warm_instances(draw):
     k = draw(st.integers(1, 6))
     points = draw(st.lists(cells_small, min_size=n + k, max_size=n + k))
     starts = points[:n]
-    tasks = {i + 1: p for i, p in enumerate(points[n:])}
+    tasks = points[n:]
     store = HeuristicStore(eta=draw(st.sampled_from([0.25, 0.5, 1.0])))
     somewhere = st.one_of(st.sampled_from(points), cells_small)
     for a, b, realized in draw(
@@ -130,14 +130,14 @@ def _coincident_instance(genes):
     store = HeuristicStore()
     store.learn(Position(0, 0), Position(3, 3), 9.0)
     starts = [Position(0, 0), Position(1, 1), Position(2, 2)]
-    return starts, {1: Position(1, 1), 2: Position(1, 1)}, store, genes
+    return starts, [Position(1, 1), Position(1, 1)], store, genes
 
 
 @settings(deadline=None)
 @given(warm_instances())
 def test_heuristic_table_matches_estimate(instance):
     starts, tasks, store, _ = instance
-    points = starts + [tasks[t] for t in range(1, len(tasks) + 1)]
+    points = starts + tasks
     targets = points[len(starts) :]
     expected = [[store.estimate(p, q) for q in targets] for p in points]
     assert store.table(points, len(tasks)) == expected
@@ -156,7 +156,7 @@ def test_fitness_walk_matches_straight_oracle(instance):
 
 def test_fitness_zero_distance_sentinel():
     starts = [Position(3, 3)]
-    tasks = {1: Position(3, 3)}
+    tasks = [Position(3, 3)]
     assert allocator_oracle.fitness([1], starts, tasks, HeuristicStore()) == ZERO_DISTANCE_FITNESS
 
 
@@ -307,10 +307,10 @@ def test_ga_config_validation():
 
 def test_evolve_single_task_picks_nearest_robot():
     starts = [Position(0, 0), Position(10, 10), Position(40, 5)]
-    tasks = {1: Position(12, 11)}
+    tasks = [Position(12, 11)]
     store = HeuristicStore()
-    cfg = GAConfig(population_size=10, max_generations=20, rng_seed=3)
-    best, history = evolve(cfg, starts, tasks, store)
+    cfg = GAConfig(population_size=10, max_generations=20)
+    best, history = evolve(cfg, starts, tasks, store, 3)
     # Oracle: try the task on every robot.
     candidates = [
         allocator_oracle.fitness(genes, starts, tasks, store)
@@ -321,24 +321,22 @@ def test_evolve_single_task_picks_nearest_robot():
 
 
 def test_evolve_rejects_bad_task_indices():
-    cfg = GAConfig(population_size=4, max_generations=2)
+    # Gene t names the t-th task cell, so a gene outside 1..K names no task.
     starts = [Position(0, 0)]
-    p, q = Position(1, 1), Position(2, 2)
-    for tasks in ({1: p, 3: q}, {0: p, 1: q}):
-        with pytest.raises(ValidationError, match=r"task indices must be 1\.\.K"):
-            evolve(cfg, starts, tasks, HeuristicStore())
-        with pytest.raises(ValidationError, match=r"task indices must be 1\.\.K"):
-            allocator_oracle.fitness([1, 2], starts, tasks, HeuristicStore())
+    tasks = [Position(1, 1), Position(2, 2)]
+    for genes in ([1, 3], [0, 1]):
+        with pytest.raises(ValidationError, match=r"not a permutation of 1\.\.2"):
+            allocator_oracle.fitness(genes, starts, tasks, HeuristicStore())
 
 
 def test_evolve_history_is_monotone_and_deterministic():
     rng = random.Random(8)
     cells = rng.sample([(x, y) for x in range(40) for y in range(40)], 8)
     starts = [Position(*c) for c in cells[:2]]
-    tasks = {i + 1: Position(*c) for i, c in enumerate(cells[2:])}
-    cfg = GAConfig(population_size=30, max_generations=40, rng_seed=77)
-    best_a, hist_a = evolve(cfg, starts, tasks, HeuristicStore())
-    best_b, hist_b = evolve(cfg, starts, tasks, HeuristicStore())
+    tasks = [Position(*c) for c in cells[2:]]
+    cfg = GAConfig(population_size=30, max_generations=40)
+    best_a, hist_a = evolve(cfg, starts, tasks, HeuristicStore(), 77)
+    best_b, hist_b = evolve(cfg, starts, tasks, HeuristicStore(), 77)
     assert best_a == best_b
     assert hist_a == hist_b
     assert len(hist_a) == cfg.max_generations + 1
@@ -347,9 +345,9 @@ def test_evolve_history_is_monotone_and_deterministic():
 
 def test_evolve_no_variation_keeps_best_constant():
     starts = [Position(0, 0), Position(5, 5)]
-    tasks = {1: Position(1, 0), 2: Position(5, 6)}
-    cfg = GAConfig(population_size=8, max_generations=10, mutation_probability=0.0, rng_seed=1)
-    _, history = evolve(cfg, starts, tasks, HeuristicStore())
+    tasks = [Position(1, 0), Position(5, 6)]
+    cfg = GAConfig(population_size=8, max_generations=10, mutation_probability=0.0)
+    _, history = evolve(cfg, starts, tasks, HeuristicStore(), 1)
     # Crossover on a converged population reproduces its members, so once
     # variation is off the best plateaus after the initial climb.
     assert history[-1] == history[1] or history[-1] >= history[1]
@@ -360,12 +358,12 @@ def test_evolve_matches_exhaustive_on_small_instance():
     rng = random.Random(4)
     cells = rng.sample([(x, y) for x in range(25) for y in range(25)], 6)
     starts = [Position(*c) for c in cells[:2]]
-    tasks = {i + 1: Position(*c) for i, c in enumerate(cells[2:])}
+    tasks = [Position(*c) for c in cells[2:]]
     store = HeuristicStore()
     score = allocator_oracle.scorer(starts, tasks, store)
     best_exhaustive = max(score(perm) for perm in itertools.permutations(gene_pool(2, 4)))
-    cfg = GAConfig(population_size=60, max_generations=80, rng_seed=12)
-    _, history = evolve(cfg, starts, tasks, store)
+    cfg = GAConfig(population_size=60, max_generations=80)
+    _, history = evolve(cfg, starts, tasks, store, 12)
     assert math.isclose(history[-1], best_exhaustive, rel_tol=1e-12)
 
 
@@ -426,7 +424,7 @@ def test_evolve_matches_oracle_on_random_configs():
         n, k = rng.randint(1, 5), rng.randint(1, 8)
         points = rng.sample(cells, n + k)
         starts = points[:n]
-        tasks = {t: points[n + t - 1] for t in range(1, k + 1)}
+        tasks = points[n:]
         store = HeuristicStore(eta=0.5)
         if case % 2:
             for _ in range(rng.randint(1, 10)):
@@ -436,11 +434,11 @@ def test_evolve_matches_oracle_on_random_configs():
             population_size=rng.randint(2, 12),
             max_generations=rng.randint(1, 8),
             mutation_probability=(0.0, 0.2, 1.0)[case % 3],
-            rng_seed=rng.randrange(10**6),
         )
-        assert evolve(cfg, starts, tasks, store) == allocator_oracle.evolve(
-            cfg, starts, tasks, store
-        ), (case, cfg)
+        seed = rng.randrange(10**6)
+        assert evolve(cfg, starts, tasks, store, seed) == allocator_oracle.evolve(
+            cfg, starts, tasks, store, seed
+        ), (case, cfg, seed)
 
 
 def test_evolve_golden(fig_layout):
@@ -448,9 +446,9 @@ def test_evolve_golden(fig_layout):
     rng = random.Random(2024)
     cells = rng.sample([(x, y) for x in range(81) for y in range(80)], 60)
     starts = [Position(*c) for c in cells[:20]]
-    tasks = {i + 1: Position(*c) for i, c in enumerate(cells[20:])}
-    cfg = GAConfig(population_size=100, max_generations=200, rng_seed=7)
-    best, history = evolve(cfg, starts, tasks, HeuristicStore())
+    tasks = [Position(*c) for c in cells[20:]]
+    cfg = GAConfig(population_size=100, max_generations=200)
+    best, history = evolve(cfg, starts, tasks, HeuristicStore(), 7)
     assert best == GOLDEN_COLD_BEST
     assert len(history) == 201
     assert _steps(history) == GOLDEN_COLD_STEPS
@@ -458,19 +456,19 @@ def test_evolve_golden(fig_layout):
     # Warm store: learned pairs (one between points absent here), the second
     # start on task 2's cell, and a far robot that the best leaves idle.
     starts = [Position(0, 0), Position(5, 5), Position(60, 60)]
-    tasks = {
-        1: Position(2, 3), 2: Position(5, 5), 3: Position(8, 1),
-        4: Position(3, 9), 5: Position(9, 9), 6: Position(1, 7),
-    }
+    tasks = [
+        Position(2, 3), Position(5, 5), Position(8, 1),
+        Position(3, 9), Position(9, 9), Position(1, 7),
+    ]
     store = HeuristicStore(eta=0.5)
-    store.learn(starts[0], tasks[1], 11.0)
-    store.learn(tasks[1], tasks[3], 20.0)
-    store.learn(tasks[4], tasks[6], 3.0)
-    store.learn(starts[1], tasks[5], 14.0)
-    store.learn(tasks[2], tasks[5], 9.0)
+    store.learn(starts[0], tasks[0], 11.0)
+    store.learn(tasks[0], tasks[2], 20.0)
+    store.learn(tasks[3], tasks[5], 3.0)
+    store.learn(starts[1], tasks[4], 14.0)
+    store.learn(tasks[1], tasks[4], 9.0)
     store.learn(Position(40, 40), Position(41, 41), 5.0)
-    cfg = GAConfig(population_size=40, max_generations=60, rng_seed=11)
-    best, history = evolve(cfg, starts, tasks, store)
+    cfg = GAConfig(population_size=40, max_generations=60)
+    best, history = evolve(cfg, starts, tasks, store, 11)
     assert best == GOLDEN_WARM_BEST
     assert decode(best, 3)[2] == []
     assert len(history) == 61

@@ -4,9 +4,9 @@ import pytest
 
 from warefleet.baseline import shortest_path
 from warefleet.errors import DomainError
-from warefleet.gridworld import GridWorld, Position
+from warefleet.gridworld import Position
 
-from conftest import bfs_length, open_room, world_from
+from conftest import bfs_length, open_room, random_world, world_from
 
 
 def test_straight_corridor():
@@ -60,29 +60,11 @@ def test_rejects_obstacle_endpoints():
         shortest_path(w, Position(2, 2), Position(4, 4))
 
 
-def _random_world(rng: random.Random) -> GridWorld:
-    width = rng.randint(8, 18)
-    height = rng.randint(8, 14)
-    obstacles = set()
-    for x in range(width):
-        obstacles.add(Position(x, 0))
-        obstacles.add(Position(x, height - 1))
-    for y in range(height):
-        obstacles.add(Position(0, y))
-        obstacles.add(Position(width - 1, y))
-    density = rng.uniform(0.05, 0.35)
-    for x in range(1, width - 1):
-        for y in range(1, height - 1):
-            if rng.random() < density:
-                obstacles.add(Position(x, y))
-    return GridWorld(width, height, obstacles)
-
-
 def test_astar_equals_bfs_on_randomized_instances():
     rng = random.Random(2024)
     checked = 0
     while checked < 200:
-        world = _random_world(rng)
+        world = random_world(rng)
         free = sorted(world.reachable)
         if len(free) < 2:
             continue

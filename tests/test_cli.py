@@ -4,9 +4,12 @@ import re
 
 import pytest
 
+from warefleet.allocator import GAConfig
 from warefleet.cli import build_scenario, main, read_scenario_file
+from warefleet.engine import Scenario, default_step_cap, run_scenario
 from warefleet.errors import LoadError
 from warefleet.gridworld import Position, parse_layout
+from warefleet.planner import CAP_REACHED, format_trace
 
 MINI_SCENARIO = """\
 # tiny benchmark
@@ -21,6 +24,7 @@ generations = 8
 mutation_prob = 0.2
 eta = 0.5
 seed = 4
+step_cap = 0
 """
 
 
@@ -95,17 +99,40 @@ def test_run_seed_override_and_json(scenario_file, tmp_path):
     assert payload["j1"] >= 1.0
 
 
-def test_run_with_no_completed_leg_writes_undefined_j1(tmp_path):
-    # The only task sits behind a wall, so the run ends at the cap with no leg.
-    (tmp_path / "sealed.layout").write_text(
-        "###########\n#.....#...#\n#.....#...#\n#.....#...#\n###########\n", encoding="utf-8"
-    )
+# A layout whose right room no robot starting in the left room can reach.
+SEALED_LAYOUT = "###########\n#.....#...#\n#.....#...#\n#.....#...#\n###########\n"
+
+
+def _sealed_scenario_file(tmp_path, step_cap):
+    """One robot at (1,1) whose only task, (8,2), sits behind a wall."""
+    (tmp_path / "sealed.layout").write_text(SEALED_LAYOUT, encoding="utf-8")
     cfg = tmp_path / "sealed.cfg"
     cfg.write_text(
         "layout = sealed.layout\nn_robots = 1\nn_tasks = 1\nrobot_starts = 1,1\n"
-        "task_positions = 8,2\npopulation = 4\ngenerations = 2\nstep_cap = 200\nseed = 1\n",
+        f"task_positions = 8,2\npopulation = 4\ngenerations = 2\nstep_cap = {step_cap}\nseed = 1\n",
         encoding="utf-8",
     )
+    return cfg
+
+
+def test_step_cap_zero_is_the_default_cap_in_python_and_in_a_file(tmp_path):
+    built = Scenario(
+        world=parse_layout(SEALED_LAYOUT), n_robots=1, n_tasks=1,
+        robot_starts=(Position(1, 1),), task_positions=(Position(8, 2),),
+        ga=GAConfig(population_size=4, max_generations=2), step_cap=0, seed=1,
+    )
+    loaded = build_scenario(_sealed_scenario_file(tmp_path, 0))
+    assert loaded == built
+    trace = run_scenario(built)[0]
+    assert format_trace(run_scenario(loaded)[0]) == format_trace(trace)
+    # The run is capped, at the default cap.
+    assert trace.outcome == CAP_REACHED
+    assert trace.k_total == default_step_cap(built.world, 1, 1)
+
+
+def test_run_with_no_completed_leg_writes_undefined_j1(tmp_path):
+    # The only task sits behind a wall, so the run ends at the cap with no leg.
+    cfg = _sealed_scenario_file(tmp_path, 200)
     csv_out, json_out = tmp_path / "m.csv", tmp_path / "m.json"
     assert main(["run", "--scenario", str(cfg), "--out", str(csv_out)]) == 0
     row = dict(zip(*read_csv(csv_out)))
@@ -433,6 +460,7 @@ def test_malformed_scenario_is_validation_error(tmp_path):
         ("population", "1", 8),
         ("eta", "0", 11),
         ("layout", "generate:3x3", 2),
+        ("step_cap", "-1", 13),
     ],
 )
 def test_bad_number_is_load_error_with_line(tmp_path, capsys, key, bad, line):

@@ -108,6 +108,8 @@ def test_scenario_validation():
         Scenario(world=room, n_robots=1, n_tasks=2, task_positions=(Position(1, 1),))
     with pytest.raises(ConfigurationError):  # before the run starts
         Scenario(world=room, n_robots=1, n_tasks=1, eta=0.0)
+    with pytest.raises(ConfigurationError, match="step cap"):  # 0 is the default cap
+        Scenario(world=room, n_robots=1, n_tasks=1, step_cap=-1)
 
 
 def test_run_scenario_single_robot_open_room_is_optimal():

@@ -2,7 +2,7 @@ import math
 import pickle
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, reject, settings, strategies as st
 
 from warefleet.errors import ConfigurationError, LoadError
 from warefleet.gridworld import (
@@ -126,6 +126,23 @@ def test_generate_layout_sized_benchmark_dimensions():
 def test_generate_layout_connected_smallest():
     w = generate_layout_sized(8, 10)  # one shelf block
     assert flood_fill_components(w) == 1
+
+
+@settings(deadline=None)
+@given(
+    st.integers(3, 40), st.integers(3, 40),
+    st.integers(1, 4), st.integers(1, 4), st.integers(1, 4),
+)
+def test_generated_layout_is_one_component(width, height, shelf_width, shelf_height, aisle):
+    # Every shelf block has an aisle on all four sides, so the generator
+    # needs no connectivity check of its own.
+    try:
+        world = generate_layout_sized(
+            width, height, shelf_width=shelf_width, shelf_height=shelf_height, aisle=aisle
+        )
+    except ConfigurationError:
+        reject()
+    assert flood_fill_components(world) == 1
 
 
 def test_generate_layout_rejects_degenerate():

@@ -18,7 +18,6 @@ from warefleet.planner import (
     RobotState,
     Segment,
     SimTrace,
-    Task,
     format_trace,
     run_until_done,
     step_fleet,
@@ -65,14 +64,14 @@ def case_params(case):
     return TERM_SETS[case], SensorModel()
 
 
-def make_robot(pos, goal, ident=0):
-    return RobotState(ident=ident, pos=pos, tasks=[Task(1, goal)])
+def make_robot(pos, goal):
+    return RobotState(pos=pos, tasks=[goal])
 
 
 def plan_step(robot, world, params, sensor, others):
     """One descent decision of `robot` through step_fleet, with idle robots
     parked on the `others` cells; returns the robot's new cell."""
-    idle = [RobotState(ident=robot.ident + 1 + i, pos=cell, tasks=[]) for i, cell in enumerate(others)]
+    idle = [RobotState(pos=cell, tasks=[]) for cell in others]
     step_fleet(FleetState(robots=[robot, *idle]), world, params, sensor)
     return robot.pos
 
@@ -189,8 +188,8 @@ def test_plan_step_escapes_pocket_by_excitation():
 
 def test_corridor_swap_is_impossible():
     room = world_from(["########", "#......#", "########"])
-    a = RobotState(ident=0, pos=Position(1, 1), tasks=[Task(1, Position(6, 1))])
-    b = RobotState(ident=1, pos=Position(6, 1), tasks=[Task(2, Position(1, 1))])
+    a = RobotState(pos=Position(1, 1), tasks=[Position(6, 1)])
+    b = RobotState(pos=Position(6, 1), tasks=[Position(1, 1)])
     fleet = FleetState(robots=[a, b])
     for _ in range(60):
         before = tuple(r.pos for r in fleet.robots)
@@ -204,8 +203,8 @@ def test_corridor_swap_is_impossible():
 
 def test_idle_robot_blocks_and_repels():
     room = open_room(10, 6)
-    worker = RobotState(ident=0, pos=Position(1, 2), tasks=[Task(1, Position(8, 2))])
-    idler = RobotState(ident=1, pos=Position(4, 2), tasks=[])
+    worker = RobotState(pos=Position(1, 2), tasks=[Position(8, 2)])
+    idler = RobotState(pos=Position(4, 2), tasks=[])
     fleet = FleetState(robots=[worker, idler])
     trace = run_until_done(fleet, room, PARAMS, SENSOR, 200)
     assert trace.outcome == COMPLETED
@@ -228,7 +227,7 @@ def test_goal_adjacent_arrival_then_pop():
 def test_tasks_at_start_pop_one_per_tick():
     room = open_room(8, 8)
     start = Position(4, 4)
-    robot = RobotState(ident=0, pos=start, tasks=[Task(i, start) for i in (1, 2, 3)])
+    robot = RobotState(pos=start, tasks=[start, start, start])
     fleet = FleetState(robots=[robot])
     trace = run_until_done(fleet, room, PARAMS, SENSOR, 50)
     assert trace.outcome == COMPLETED
@@ -293,7 +292,7 @@ def test_head_on_movers_in_dead_end_corridor_stay_capped():
     # 1-wide corridor closed at both ends can never finish.
     corridor = world_from(["#########", "#.......#", "#########"])
     a = make_robot(Position(1, 1), Position(7, 1))
-    b = RobotState(ident=1, pos=Position(7, 1), tasks=[Task(2, Position(1, 1))])
+    b = RobotState(pos=Position(7, 1), tasks=[Position(1, 1)])
     trace = run_until_done(FleetState(robots=[a, b]), corridor, PARAMS, SENSOR, 2000)
     assert trace.outcome == CAP_REACHED and trace.k_total == 2000
     assert trace.outstanding[-1] == 2
@@ -327,13 +326,12 @@ def test_outstanding_count_matches_a_resum_in_a_crowd():
     n = 40
     cells = random.Random(5).sample(sorted(world.reachable), 3 * n)
     robots = [
-        RobotState(ident=i, pos=cells[i],
-                   tasks=[Task(2 * i + 1, cells[n + 2 * i]), Task(2 * i + 2, cells[n + 2 * i + 1])])
+        RobotState(pos=cells[i], tasks=[cells[n + 2 * i], cells[n + 2 * i + 1]])
         for i in range(n - 1)
     ]
     # The last robot has three tasks stacked on its start cell.
     stacked = cells[n - 1]
-    robots.append(RobotState(ident=n - 1, pos=stacked, tasks=[Task(2 * n + j, stacked) for j in range(3)]))
+    robots.append(RobotState(pos=stacked, tasks=[stacked, stacked, stacked]))
     trace, legs = _stepped_alongside(robots, world, 600)
     assert trace.outcome == COMPLETED
     drops = [before - after for before, after in zip(trace.outstanding, trace.outstanding[1:])]
@@ -344,7 +342,7 @@ def test_outstanding_count_matches_a_resum_in_a_crowd():
 def test_outstanding_count_matches_a_resum_when_capped():
     corridor = world_from(["#########", "#.......#", "#########"])
     a = make_robot(Position(1, 1), Position(7, 1))
-    b = RobotState(ident=1, pos=Position(7, 1), tasks=[Task(2, Position(1, 1))])
+    b = RobotState(pos=Position(7, 1), tasks=[Position(1, 1)])
     trace, _ = _stepped_alongside([a, b], corridor, 300)
     assert trace.outcome == CAP_REACHED and trace.outstanding[-1] == 2
 
@@ -397,8 +395,8 @@ def test_trace_safety_and_monotone_tasks(fig_layout):
 def test_run_until_done_deterministic(fig_layout):
     def run():
         robots = [
-            RobotState(ident=0, pos=Position(1, 1), tasks=[Task(1, Position(18, 20))]),
-            RobotState(ident=1, pos=Position(18, 1), tasks=[Task(2, Position(1, 20))]),
+            RobotState(pos=Position(1, 1), tasks=[Position(18, 20)]),
+            RobotState(pos=Position(18, 1), tasks=[Position(1, 20)]),
         ]
         fleet = FleetState(robots=robots)
         trace = run_until_done(fleet, fig_layout, PARAMS, SENSOR, 5000)
