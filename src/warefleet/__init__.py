@@ -13,7 +13,6 @@ from .allocator import (
     crossover,
     decode,
     evolve,
-    mutate,
 )
 from .baseline import PathResult, shortest_path
 from .engine import (

@@ -120,18 +120,46 @@ def decode(genes: Chromosome, n_robots: int) -> list[list[int]]:
     return lists
 
 
-def random_chromosome(n_robots: int, n_tasks: int, rng: random.Random) -> Chromosome:
-    genes = gene_pool(n_robots, n_tasks)
-    rng.shuffle(genes)
-    return genes
+def _draws(rng: random.Random, longest: int):
+    """`below(n)` and `shuffle(x)` for lists of at most `longest` genes, drawn
+    exactly as `rng.randrange(n)` and `rng.shuffle(x)` draw them.
+
+    They copy CPython's arithmetic, `_randbelow_with_getrandbits` and the
+    reversed swap loop of `shuffle`, and call `rng.getrandbits` directly, so
+    the stream and its results stay the same at one Python call per draw.
+    """
+    getrandbits = rng.getrandbits
+    # The bits shuffle draws to pick slot i's partner among slots 0..i.
+    widths = [(i + 1).bit_length() for i in range(longest)]
+
+    def below(n: int) -> int:
+        k = n.bit_length()
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        return r
+
+    def shuffle(x: list) -> None:
+        for i in reversed(range(1, len(x))):
+            k = widths[i]
+            j = getrandbits(k)
+            while j > i:
+                j = getrandbits(k)
+            x[i], x[j] = x[j], x[i]
+
+    return below, shuffle
 
 
 def _scorer(table: list[list[float]], n_robots: int, n_tasks: int) -> Callable[[Chromosome], float]:
     """Fitness of a valid chromosome: the reciprocal of its estimated
     average-per-task plus bottleneck-per-task distance, found by walking its
-    genes through a heuristic table whose rows are the starts, then tasks 1..K."""
-    start_rows = table[:n_robots]
-    task_rows = table[n_robots - 1 :]  # task t's row is task_rows[t]
+    genes through a heuristic table whose rows are the starts, then tasks 1..K.
+    Each robot's legs are added one by one, left to right: sum() adds floats
+    with compensation from Python 3.12 on, which would change the scores."""
+    # A zero column 0 pads each row, so task t's column is t.
+    rows = [[0.0, *row] for row in table]
+    start_rows = rows[:n_robots]
+    task_rows = rows[n_robots - 1 :]  # task t's row is task_rows[t]
     per_robot_task = n_tasks * n_robots
 
     def score(genes: Chromosome) -> float:
@@ -145,7 +173,7 @@ def _scorer(table: list[list[float]], n_robots: int, n_tasks: int) -> Callable[[
                 total = 0.0
                 row = next(robots)
             else:
-                total += row[gene - 1]
+                total += row[gene]
                 row = task_rows[gene]
         totals.append(total)
         combined = sum(totals) / per_robot_task + max(totals) / n_tasks
@@ -167,18 +195,8 @@ def crossover(parent1: Chromosome, parent2: Chromosome, i: int, j: int) -> Chrom
         raise DomainError(f"cut points ({i}, {j}) invalid for length {length}")
     kept = parent1[i - 1 : j]
     used = set(kept)
-    rest = [g for g in parent2 if g not in used]
-    return rest[: i - 1] + kept + rest[i - 1 :]
-
-
-def mutate(genes: Chromosome, m: int, n: int, rng: random.Random) -> Chromosome:
-    """Scramble mutation: randomly permute the 1-based gene range m..n."""
-    if not 1 <= m <= n <= len(genes):
-        raise DomainError(f"scramble range ({m}, {n}) invalid for length {len(genes)}")
-    child = list(genes)
-    segment = child[m - 1 : n]
-    rng.shuffle(segment)
-    child[m - 1 : n] = segment
+    child = [g for g in parent2 if g not in used]
+    child[i - 1 : i - 1] = kept
     return child
 
 
@@ -198,38 +216,48 @@ def evolve(
     # The operators only permute valid chromosomes, so genes are checked
     # here and on the result, not per evaluation.
     score = _scorer(store.table([*starts, *tasks], n_tasks), n_robots, n_tasks)
+    length = n_robots + n_tasks - 1
     rng = random.Random(seed)
+    below, shuffle = _draws(rng, length)
+    uniform = rng.random
+    size = cfg.population_size
     by_fitness = itemgetter(0)
 
-    initial = [random_chromosome(n_robots, n_tasks, rng) for _ in range(cfg.population_size)]
-    population = [(score(genes), genes) for genes in initial]
+    all_genes = gene_pool(n_robots, n_tasks)
+    population = []
+    for _ in range(size):
+        genes = all_genes.copy()
+        shuffle(genes)
+        population.append((score(genes), genes))
     population.sort(key=by_fitness, reverse=True)
     history = [population[0][0]]
 
-    length = n_robots + n_tasks - 1
-    pool_size = max(2, min(cfg.population_size, round(cfg.population_size * PARENT_FRACTION)))
+    pool_size = max(2, min(size, round(size * PARENT_FRACTION)))
     # Rank weights: the best of the pool gets pool_size, the worst 1. A parent
     # is drawn with the arithmetic of Random.choices(k=1, cum_weights=...),
     # so the random stream is the one that call would consume.
     cum_weights = list(accumulate(pool_size - r for r in range(pool_size)))
     total = cum_weights[-1] + 0.0
     last = pool_size - 1
+    mutation_probability = cfg.mutation_probability
 
     for _ in range(cfg.max_generations):
         # Elitism and crossover of near-identical parents repeat chromosomes,
         # so scores are reused within a generation.
         scores = {tuple(genes): value for value, genes in population}
         children: list[tuple[float, Chromosome]] = []
-        while len(children) < cfg.population_size:
+        add = children.append
+        for _ in range((size + 1) // 2):  # each pair of parents gives two children
             # Rank-weighted draw over the pool; the two parents are distinct.
-            a = bisect(cum_weights, rng.random() * total, 0, last)
+            a = bisect(cum_weights, uniform() * total, 0, last)
             b = a
             while b == a:
-                b = bisect(cum_weights, rng.random() * total, 0, last)
+                b = bisect(cum_weights, uniform() * total, 0, last)
             v1, p1 = population[a]
             p2 = population[b][1]
-            i = rng.randint(1, length)
-            j = rng.randint(i, length)
+            # Cut points i..j, 1-based: randint(1, length), then randint(i, length).
+            i = 1 + below(length)
+            j = i + below(length - i + 1)
             if p1 == p2:
                 # Order crossover of equal parents returns the parent; no
                 # operator changes a chromosome in place, so it is shared.
@@ -237,21 +265,24 @@ def evolve(
             else:
                 offspring = ((None, crossover(p1, p2, i, j)), (None, crossover(p2, p1, i, j)))
             for value, child in offspring:
-                if rng.random() < cfg.mutation_probability:
-                    m = rng.randint(1, length)
-                    n = rng.randint(m, length)
-                    child = mutate(child, m, n, rng)
+                if uniform() < mutation_probability:
+                    # Scramble mutation of the 1-based range m..n, drawn as the cuts are.
+                    m = 1 + below(length)
+                    n = m + below(length - m + 1)
+                    segment = child[m - 1 : n]
+                    shuffle(segment)
+                    child = child[: m - 1] + segment + child[n:]
                     value = None
                 if value is None:
                     key = tuple(child)
                     value = scores.get(key)
                     if value is None:
                         value = scores[key] = score(child)
-                children.append((value, child))
+                add((value, child))
         # Elitist truncation over survivors plus offspring; the sort is stable.
         population += children
         population.sort(key=by_fitness, reverse=True)
-        del population[cfg.population_size :]
+        del population[size:]
         history.append(population[0][0])
 
     best = population[0][1]

@@ -180,7 +180,7 @@ def _resolve_placements(
     tasks = list(sc.task_positions) if sc.task_positions is not None else None
     if starts is not None and tasks is not None:
         return starts, tasks
-    pool = sorted(sc.world.reachable)
+    pool = sc.world.floor
     taken = set(starts or []) | set(tasks or [])
     if taken:
         pool = [cell for cell in pool if cell not in taken]

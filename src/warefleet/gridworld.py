@@ -10,6 +10,7 @@ tiled shelf-block pattern or parsed from a plain ASCII document.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Iterable, NamedTuple
 
 from .errors import ConfigurationError, LoadError
@@ -36,7 +37,7 @@ class GridWorld:
     floor exactly cover the lattice and that every boundary cell is a wall.
     """
 
-    __slots__ = ("width", "height", "obstacles", "adjacency", "_value")
+    __slots__ = ("width", "height", "obstacles", "adjacency", "floor", "_value")
 
     def __init__(self, width: int, height: int, obstacles: Iterable[Position]):
         if width < 3 or height < 3:
@@ -45,10 +46,13 @@ class GridWorld:
         self.height = height
         self.obstacles = frozenset(Position(x, y) for x, y in obstacles)
         # One walk of the lattice, row by row: one byte per cell (1 on an
-        # obstacle) and one Position object per floor cell. It checks the
-        # walls on the way; an obstacle it never meets lies off the lattice.
+        # obstacle) and one Position object per floor cell, kept both by cell
+        # and by column. It checks the walls on the way, so an error names
+        # the first fault in reading order; an obstacle it never meets lies
+        # off the lattice.
         cells = bytearray()
         floor: dict[Position, Position] = {}
+        columns: list[list[Position]] = [[] for _ in range(width)]
         for y in range(height):
             for x in range(width):
                 pos = Position(x, y)
@@ -57,11 +61,15 @@ class GridWorld:
                 elif 0 < x < width - 1 and 0 < y < height - 1:
                     cells.append(0)
                     floor[pos] = pos
+                    columns[x].append(pos)
                 else:
                     raise ConfigurationError(f"boundary cell ({x},{y}) is not a wall")
         if len(cells) - len(floor) != len(self.obstacles):
             off = next(p for p in self.obstacles if p.x not in range(width) or p.y not in range(height))
             raise ConfigurationError(f"obstacle {off} outside the {width}x{height} lattice")
+        # The floor cells in (x, y) order, which is sorted order: random
+        # placement draws from this sequence and the obstacle field walks it.
+        self.floor: tuple[Position, ...] = tuple(chain.from_iterable(columns))
         # Reachable 4-neighbors per cell in up/right/down/left order, as the
         # floor's own objects; the planner and the search baseline read this
         # dict directly in their inner loops.

@@ -79,8 +79,10 @@ class PotentialParams:
     alpha: float = 0.05
 
     def __post_init__(self):
-        if not self.gamma > 1.0:
-            raise ConfigurationError(f"excitation factor must exceed 1, got {self.gamma}")
+        if not 1.0 < self.gamma < math.inf:
+            raise ConfigurationError(
+                f"excitation factor must be finite and exceed 1, got {self.gamma}"
+            )
         if not 0.0 <= self.alpha < 1.0:
             raise ConfigurationError(f"relaxation factor must lie in [0, 1), got {self.alpha}")
         for name, terms in (
@@ -89,7 +91,8 @@ class PotentialParams:
             ("robot", self.robot_terms),
         ):
             for term in terms:
-                if term.coefficient < 0 or term.offset < 0:
+                numbers = (term.coefficient, term.exponent, term.offset)
+                if not all(map(math.isfinite, numbers)) or term.coefficient < 0 or term.offset < 0:
                     raise ConfigurationError(f"invalid {name} term {term}")
                 if term.norm_order not in (1, 2, math.inf):
                     raise ConfigurationError(
@@ -180,5 +183,5 @@ def _obstacle_field(
             for x in xs[cell.x]
             if (x, y) in obstacles
         )
-        for cell in sorted(world.reachable)
+        for cell in world.floor
     }

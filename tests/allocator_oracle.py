@@ -6,10 +6,13 @@ builds the heuristic table on every call, then applies the scorer that
 for loops over many chromosomes known to be valid.
 
 `evolve` is the generational loop written without shortcuts: every pair
-of parents is crossed, even when their genes are equal, and parents are
-drawn through `Random.choices`. `allocator.evolve` skips the crossover of
-equal parents and inlines the draw; tests check that it returns exactly
-what this loop returns.
+of parents is crossed, even when their genes are equal, and every number
+is drawn through `random.Random`'s own methods: parents through `choices`,
+cut points through `randint`, and the initial chromosomes
+(`random_chromosome`) and the scramble mutation (`mutate`) through
+`shuffle`. `allocator.evolve` skips the crossover of equal parents and
+writes out CPython's arithmetic for each draw; tests check that it
+returns exactly what this loop returns.
 """
 
 import random
@@ -22,10 +25,10 @@ from warefleet.allocator import (
     HeuristicStore,
     _scorer,
     crossover,
-    mutate,
-    random_chromosome,
+    gene_pool,
     validate_chromosome,
 )
+from warefleet.errors import DomainError
 
 
 def scorer(starts, tasks, store: HeuristicStore):
@@ -39,6 +42,23 @@ def fitness(genes, starts, tasks, store: HeuristicStore) -> float:
     score = scorer(starts, tasks, store)
     validate_chromosome(genes, len(starts), len(tasks))
     return score(genes)
+
+
+def random_chromosome(n_robots: int, n_tasks: int, rng: random.Random):
+    genes = gene_pool(n_robots, n_tasks)
+    rng.shuffle(genes)
+    return genes
+
+
+def mutate(genes, m: int, n: int, rng: random.Random):
+    """Scramble mutation: randomly permute the 1-based gene range m..n."""
+    if not 1 <= m <= n <= len(genes):
+        raise DomainError(f"scramble range ({m}, {n}) invalid for length {len(genes)}")
+    child = list(genes)
+    segment = child[m - 1 : n]
+    rng.shuffle(segment)
+    child[m - 1 : n] = segment
+    return child
 
 
 def _pick_parent_indices(rng, cum_weights):

@@ -7,16 +7,16 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import allocator_oracle
+from allocator_oracle import mutate, random_chromosome
 from warefleet.allocator import (
     GAConfig,
     HeuristicStore,
     ZERO_DISTANCE_FITNESS,
     crossover,
     decode,
+    _draws,
     evolve,
     gene_pool,
-    mutate,
-    random_chromosome,
 )
 from warefleet.engine import Scenario, run_scenario
 from warefleet.errors import ConfigurationError, DomainError, ValidationError
@@ -211,6 +211,24 @@ def test_mutate_rejects_bad_range():
         mutate(PARENT_1, 0, 3, random.Random(0))
     with pytest.raises(DomainError):
         mutate(PARENT_1, 3, 2, random.Random(0))
+
+
+def test_draws_consume_the_stream_as_random_does():
+    # evolve draws through these copies of CPython's arithmetic; on the same
+    # seed they must return what Random.randrange and Random.shuffle return
+    # and leave the generator in the same state.
+    bounds = [*range(1, 301), *(2**e + d for e in range(1, 65) for d in (-1, 0, 1) if 2**e + d > 0)]
+    for seed in range(3):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        below, shuffle = _draws(ours, 80)
+        for n in bounds:
+            assert below(n) == theirs.randrange(n), (seed, n)
+        for length in range(81):
+            mine, reference = list(range(length)), list(range(length))
+            shuffle(mine)
+            theirs.shuffle(reference)
+            assert mine == reference, (seed, length)
+        assert ours.getstate() == theirs.getstate()
 
 
 cuts = st.integers(min_value=1, max_value=10)

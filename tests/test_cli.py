@@ -454,6 +454,8 @@ def test_malformed_scenario_is_validation_error(tmp_path):
         ("alpha", "0.05x", 6),
         # Values that parse but fail their owner's range check.
         ("gamma", "0.5", 5),
+        ("gamma", "inf", 5),
+        ("gamma", "nan", 5),
         ("sensor_radius", "1", 7),
         ("n_robots", "0", 3),
         ("mutation_prob", "2", 10),

@@ -192,6 +192,19 @@ def test_reachable_is_a_view_of_the_adjacency_keys(fig_layout):
         fig_layout.reachable = frozenset()
 
 
+def test_floor_lists_the_reachable_cells_in_sorted_order(fig_layout):
+    # Placement draws index this sequence, so its order is part of every
+    # fixed-seed result.
+    room = parse_layout("####\n#..#\n#..#\n####\n")
+    for world in (fig_layout, generate_layout_sized(21, 20), room):
+        assert world.floor == tuple(sorted(world.reachable))
+        copy = pickle.loads(pickle.dumps(world))
+        assert copy.floor == world.floor
+        # The floor's own objects, as the adjacency holds them.
+        keys = {c: c for c in copy.adjacency}
+        assert all(keys[cell] is cell for cell in copy.floor)
+
+
 def test_boundary_cells_are_walls(fig_layout):
     for x in range(fig_layout.width):
         assert Position(x, 0) in fig_layout.obstacles

@@ -65,6 +65,22 @@ def test_params_validation():
             PotentialParams(robot_terms=(PotentialTerm(0.1, p, -2.0, offset=1e-9),))
     for p in (1, 2, math.inf, 1.0, 2.0):
         PotentialParams(goal_terms=(PotentialTerm(1.0, p, 1.0),))
+    # NaN fails every ordered comparison, so it slips past "< 0", and inf
+    # passes "> 1": a non-finite number is rejected by its own check.
+    for gamma in (math.inf, math.nan):
+        with pytest.raises(ConfigurationError, match="excitation factor"):
+            PotentialParams(gamma=gamma)
+    for bad in (math.inf, -math.inf, math.nan):
+        for term in (
+            PotentialTerm(bad, 2, -2.0, offset=1e-9),
+            PotentialTerm(0.1, 2, bad, offset=1e-9),
+            PotentialTerm(0.1, 2, -2.0, offset=bad),
+        ):
+            for kind in ("obstacle_terms", "robot_terms"):
+                with pytest.raises(ConfigurationError, match="invalid"):
+                    PotentialParams(**{kind: (term,)})
+        with pytest.raises(ConfigurationError, match="invalid goal term"):
+            PotentialParams(goal_terms=(PotentialTerm(bad, math.inf, 1.0),))
     with pytest.raises(ConfigurationError):
         SensorModel(radius=1)
 
