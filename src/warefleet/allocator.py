@@ -154,8 +154,9 @@ def _scorer(table: list[list[float]], n_robots: int, n_tasks: int) -> Callable[[
     """Fitness of a valid chromosome: the reciprocal of its estimated
     average-per-task plus bottleneck-per-task distance, found by walking its
     genes through a heuristic table whose rows are the starts, then tasks 1..K.
-    Each robot's legs are added one by one, left to right: sum() adds floats
-    with compensation from Python 3.12 on, which would change the scores."""
+    Each robot's legs, and then the robots' totals, are added one by one, left
+    to right: sum() adds floats with compensation from Python 3.12 on, which
+    would make the scores depend on the Python version."""
     # A zero column 0 pads each row, so task t's column is t.
     rows = [[0.0, *row] for row in table]
     start_rows = rows[:n_robots]
@@ -165,18 +166,21 @@ def _scorer(table: list[list[float]], n_robots: int, n_tasks: int) -> Callable[[
     def score(genes: Chromosome) -> float:
         robots = iter(start_rows)
         row = next(robots)
-        totals = []
-        total = 0.0
+        grand = worst = total = 0.0
         for gene in genes:
             if gene < 0:
-                totals.append(total)
+                grand += total
+                if total > worst:
+                    worst = total
                 total = 0.0
                 row = next(robots)
             else:
                 total += row[gene]
                 row = task_rows[gene]
-        totals.append(total)
-        combined = sum(totals) / per_robot_task + max(totals) / n_tasks
+        grand += total
+        if total > worst:
+            worst = total
+        combined = grand / per_robot_task + worst / n_tasks
         if combined == 0.0:
             return ZERO_DISTANCE_FITNESS
         return 1.0 / combined

@@ -1,11 +1,9 @@
 """Command-line front end.
 
 Subcommands:
-  run            execute one scenario and write its metrics
-  sweep          run an (N, K, seed) grid and write per-run plus summary CSV
-  compare-astar  per-seed planner compute vs A* compute for the same legs
-  dump-trace     execute one scenario and write the tick-by-tick trace
-  gen-layout     write a tiled warehouse layout document
+  run         execute one scenario; write its metrics, trace and GA history
+  sweep       run an (N, K, seed) grid and write per-run plus summary CSV
+  gen-layout  write a tiled warehouse layout document
 
 Scenario files are flat `key = value` text with `#` comments. Position
 lists are flat comma-separated integers taken in x,y pairs, e.g.
@@ -30,7 +28,6 @@ from .allocator import GAConfig
 from .engine import (
     RUN_COLUMNS,
     SUMMARY_COLUMNS,
-    TIME_COLUMNS,
     Scenario,
     check_sweep_axis,
     report_json,
@@ -46,7 +43,7 @@ from .potential import PotentialParams, SensorModel
 
 def _atomic_write(path: str | Path, text: str) -> None:
     path = Path(path)
-    handle, tmp_name = tempfile.mkstemp(dir=path.parent or Path("."), prefix=path.name + ".")
+    handle, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
     try:
         with os.fdopen(handle, "w", encoding="utf-8", newline="") as tmp:
             tmp.write(text)
@@ -153,24 +150,27 @@ def build_scenario(path: str | Path, seed_override: int | None = None) -> Scenar
     if "layout" not in values:
         raise LoadError("scenario is missing the 'layout' key")
     layout_value, layout_line = values["layout"]
-    if layout_value.startswith("generate:"):
-        size = layout_value[len("generate:") :]
-        try:
-            width_text, height_text = size.lower().split("x", 1)
-            width, height = int(width_text), int(height_text)
-        except ValueError as exc:
-            raise LoadError(
-                f"layout: expected generate:WIDTHxHEIGHT, got {layout_value!r}", line=layout_line
-            ) from exc
-        try:
+    # A world the layout's numbers cannot make ends as an error at its line;
+    # a layout document's own LoadErrors carry their line in that document.
+    try:
+        if layout_value.startswith("generate:"):
+            size = layout_value[len("generate:") :]
+            try:
+                width_text, height_text = size.lower().split("x", 1)
+                width, height = int(width_text), int(height_text)
+            except ValueError as exc:
+                raise LoadError(
+                    f"layout: expected generate:WIDTHxHEIGHT, got {layout_value!r}",
+                    line=layout_line,
+                ) from exc
             world = generate_layout_sized(width, height)
-        except ConfigurationError as exc:
-            raise LoadError(f"layout: {exc}", line=layout_line) from None
-    else:
-        layout_path = Path(layout_value)
-        if not layout_path.is_absolute():
-            layout_path = path.parent / layout_path
-        world = parse_layout(_read_text(layout_path))
+        else:
+            layout_path = Path(layout_value)
+            if not layout_path.is_absolute():
+                layout_path = path.parent / layout_path
+            world = parse_layout(_read_text(layout_path))
+    except ConfigurationError as exc:
+        raise LoadError(f"layout: {exc}", line=layout_line) from None
 
     scenario = Scenario(
         world=world,
@@ -223,28 +223,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_compare_astar(args: argparse.Namespace) -> int:
-    if args.seeds < 1:
-        raise ConfigurationError(f"--seeds must be at least 1, got {args.seeds}")
-    base = build_scenario(args.scenario, args.seed)
-    rows = []
-    for offset in range(args.seeds):
-        scenario = replace(base, seed=base.seed + offset)
-        _, report = run_scenario(scenario)
-        speedup = report.astar_seconds / report.planner_seconds if report.planner_seconds else 0.0
-        times = [written(report, attr) for attr in TIME_COLUMNS.values()]
-        rows.append([scenario.seed, *times, repr(speedup)])
-    _atomic_write(args.out, _csv_text(("seed", *TIME_COLUMNS, "astar_over_planner"), rows))
-    return 0
-
-
-def _cmd_dump_trace(args: argparse.Namespace) -> int:
-    scenario = build_scenario(args.scenario, args.seed)
-    trace, _ = run_scenario(scenario)
-    _atomic_write(args.out, format_trace(trace))
-    return 0
-
-
 def _cmd_gen_layout(args: argparse.Namespace) -> int:
     world = generate_layout_sized(
         args.width,
@@ -282,13 +260,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--warm", action="store_true", help="share learned heuristics across runs")
     sweep.add_argument("--jobs", type=int, default=1)
     sweep.set_defaults(handler=_cmd_sweep)
-
-    cmp_cmd = sub.add_parser("compare-astar", parents=[common], help="planner vs A* compute per seed")
-    cmp_cmd.add_argument("--seeds", type=int, default=1)
-    cmp_cmd.set_defaults(handler=_cmd_compare_astar)
-
-    dump = sub.add_parser("dump-trace", parents=[common], help="write the tick-by-tick trace of a run")
-    dump.set_defaults(handler=_cmd_dump_trace)
 
     gen = sub.add_parser("gen-layout", help="write a tiled warehouse layout")
     gen.add_argument("--width", type=int, required=True)

@@ -15,6 +15,7 @@ from warefleet.allocator import (
     crossover,
     decode,
     _draws,
+    _scorer,
     evolve,
     gene_pool,
 )
@@ -72,7 +73,8 @@ def test_fitness_idle_robot():
 
 def _straight_fitness(genes, starts, tasks, leg):
     """Oracle: decode by hand and evaluate the two cost pieces directly, with
-    leg(a, b) as the distance of one leg."""
+    leg(a, b) as the distance of one leg. Legs and robots' totals are added
+    left to right, as the scorer adds them on every Python version."""
     routes = [[]]
     for g in genes:
         routes.append([]) if g < 0 else routes[-1].append(g)
@@ -83,8 +85,11 @@ def _straight_fitness(genes, starts, tasks, leg):
         for a, b in zip(stops, stops[1:]):
             total += leg(a, b)
         totals.append(total)
+    grand = 0.0
+    for total in totals:
+        grand += total
     n, k = len(starts), len(tasks)
-    combined = sum(totals) / (k * n) + max(totals) / k
+    combined = grand / (k * n) + max(totals) / k
     return ZERO_DISTANCE_FITNESS if combined == 0.0 else 1.0 / combined
 
 
@@ -152,6 +157,15 @@ def test_fitness_walk_matches_straight_oracle(instance):
     starts, tasks, store, genes = instance
     expected = _straight_fitness(genes, starts, tasks, store.estimate)
     assert allocator_oracle.fitness(genes, starts, tasks, store) == expected
+
+
+def test_fitness_adds_robot_totals_left_to_right():
+    # Each robot runs one leg, of 0.1, 0.2 and 0.3. Adding them left to right
+    # scores 5.999999999999999; sum() of floats from Python 3.12 on compensates
+    # and would score 6.0.
+    table = [[0.1, 9, 9], [9, 0.2, 9], [9, 9, 0.3], [0, 9, 9], [9, 0, 9], [9, 9, 0]]
+    grand = 0.1 + 0.2 + 0.3
+    assert _scorer(table, 3, 3)([1, -1, 2, -2, 3]) == 1 / (grand / 9 + 0.3 / 3)
 
 
 def test_fitness_zero_distance_sentinel():

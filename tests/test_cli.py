@@ -173,12 +173,13 @@ def test_run_trace_and_ga_history(scenario_file, tmp_path):
     assert values == sorted(values)
 
 
-def test_dump_trace_deterministic_bytes(scenario_file, tmp_path):
-    out_a = tmp_path / "a.txt"
-    out_b = tmp_path / "b.txt"
-    assert main(["dump-trace", "--scenario", str(scenario_file), "--out", str(out_a)]) == 0
-    assert main(["dump-trace", "--scenario", str(scenario_file), "--out", str(out_b)]) == 0
-    assert out_a.read_bytes() == out_b.read_bytes()
+def test_run_trace_deterministic_bytes(scenario_file, tmp_path):
+    traces = [tmp_path / "a.txt", tmp_path / "b.txt"]
+    for trace in traces:
+        argv = ["run", "--scenario", str(scenario_file), "--out", str(tmp_path / "m.csv"),
+                "--trace", str(trace)]
+        assert main(argv) == 0
+    assert traces[0].read_bytes() == traces[1].read_bytes()
 
 
 def test_gen_layout_writes_expected_file(tmp_path):
@@ -192,25 +193,30 @@ def test_gen_layout_writes_expected_file(tmp_path):
     assert out.read_bytes() == again.read_bytes()
 
 
-def test_compare_astar_rows(scenario_file, tmp_path):
-    out = tmp_path / "cmp.csv"
-    code = main(
-        ["compare-astar", "--scenario", str(scenario_file), "--out", str(out), "--seeds", "3"]
-    )
-    assert code == 0
-    rows = read_csv(out)
-    assert rows[0] == ["seed", "planner_time_us", "astar_time_us", "astar_over_planner"]
-    assert [r[0] for r in rows[1:]] == ["4", "5", "6"]
+def test_sweep_one_cell_times_each_seed(scenario_file, tmp_path):
+    # One cell of the file's N and K: seeds `seed`..`seed + S - 1`, each
+    # with its planner and A* compute.
+    out = tmp_path / "sweep.csv"
+    argv = ["sweep", "--scenario", str(scenario_file), "--out", str(out),
+            "--n-values", "2", "--k-values", "2", "--seeds", "3"]
+    assert main(argv) == 0
+    header, *body = read_csv(out)
+    rows = [dict(zip(header, row)) for row in body]
+    assert [row["seed"] for row in rows] == ["4", "5", "6"]
+    for row in rows:
+        assert (row["N"], row["K"]) == ("2", "2")
+        assert int(row["planner_time_us"]) >= 0 and int(row["astar_time_us"]) >= 0
 
 
 @pytest.mark.parametrize("seeds", ["0", "-2"])
-def test_compare_astar_rejects_seeds_below_one(scenario_file, tmp_path, capsys, seeds):
-    out = tmp_path / "cmp.csv"
-    argv = ["compare-astar", "--scenario", str(scenario_file), "--out", str(out),
-            f"--seeds={seeds}"]
+def test_sweep_rejects_seeds_below_one(scenario_file, tmp_path, capsys, seeds):
+    out = tmp_path / "sweep.csv"
+    summary = tmp_path / "cells.csv"
+    argv = ["sweep", "--scenario", str(scenario_file), "--out", str(out),
+            "--n-values", "1", "--k-values", "2", f"--seeds={seeds}", "--summary", str(summary)]
     assert main(argv) == 1
-    assert capsys.readouterr().err == f"error: --seeds must be at least 1, got {seeds}\n"
-    assert not out.exists()
+    assert capsys.readouterr().err == "error: need at least one seed per cell\n"
+    assert not out.exists() and not summary.exists()
 
 
 def test_sweep_rows_and_summary(scenario_file, tmp_path):
@@ -410,13 +416,11 @@ def test_sweep_rejects_empty_or_repeated_grid_value(
     assert not out.exists() and not summary.exists()
 
 
-# The four scenario commands, each with the arguments it needs besides
+# The two scenario commands, each with the arguments it needs besides
 # --scenario and --out.
 SCENARIO_COMMANDS = {
     "run": [],
     "sweep": ["--n-values", "1", "--k-values", "2"],
-    "compare-astar": [],
-    "dump-trace": [],
 }
 
 
@@ -497,6 +501,27 @@ def test_non_utf8_file_is_load_error_with_line(tmp_path, capsys, bad_file):
     assert message.startswith("error: ") and "0xe9" in message
     assert message.rstrip().endswith(f"(line {3 if bad_file == 'layout' else 4})")
     assert not out.exists()
+
+
+def test_layout_file_too_small_is_load_error_with_line(tmp_path, capsys):
+    (tmp_path / "tiny.layout").write_text("##\n##\n", encoding="utf-8")
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text("n_robots = 1\nlayout = tiny.layout\n", encoding="utf-8")
+    out = tmp_path / "x.csv"
+    assert main(["run", "--scenario", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: layout: grid 2x2 too small to hold walls and floor (line 2)\n"
+    )
+    assert not out.exists()
+
+
+def test_removed_commands_are_invalid_choices(scenario_file, tmp_path, capsys):
+    # A run's trace is `run --trace`; planner and A* compute per seed is a sweep.
+    for command in ("dump-trace", "compare-astar"):
+        with pytest.raises(SystemExit) as exit_:
+            main([command, "--scenario", str(scenario_file), "--out", str(tmp_path / "x")])
+        assert exit_.value.code == 2
+        assert f"invalid choice: '{command}'" in capsys.readouterr().err
 
 
 def test_invalid_layout_value_is_validation_error(tmp_path):
