@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 from .errors import ConfigurationError
 from .gridworld import GridWorld, Position
@@ -82,14 +82,50 @@ class SimTrace:
     plan_seconds: float = 0.0
 
 
-def sense_nearby(sensor: SensorModel, pos: Position, others: Sequence[Position]) -> list[Position]:
-    """The proximity-sensor reading: other robots within the sensing box of pos."""
+def _bucket_index(robots: list[RobotState], side: int) -> dict[tuple[int, int], list[int]]:
+    """The sensor's bucket index: each robot id filed under (x // side, y // side) of its cell."""
+    buckets: dict[tuple[int, int], list[int]] = {}
+    for me, robot in enumerate(robots):
+        x, y = robot.pos
+        buckets.setdefault((x // side, y // side), []).append(me)
+    return buckets
+
+
+def sense_nearby(
+    sensor: SensorModel,
+    pos: Position,
+    me: int,
+    robots: list[RobotState],
+    buckets: dict[tuple[int, int], list[int]],
+) -> list[Position]:
+    """The proximity-sensor reading of robot me at pos: the cells of the
+    other robots within its sensing box, in ascending robot id.
+
+    buckets is the fleet's bucket index with side = 2 * radius + 1, so the
+    box, that many cells wide, lies within the 2x2 buckets from the one of
+    its top-left corner on, and only the robots filed there are read. The
+    ids are sorted because _choose adds the robots' repulsion in this order,
+    and another order can flip a float tie.
+    """
     radius = sensor.radius
-    lo_x = pos[0] - radius
-    hi_x = pos[0] + radius
-    lo_y = pos[1] - radius
-    hi_y = pos[1] + radius
-    return [o for o in others if lo_x <= o[0] <= hi_x and lo_y <= o[1] <= hi_y]
+    side = 2 * radius + 1
+    x, y = pos
+    lo_x = x - radius
+    hi_x = x + radius
+    lo_y = y - radius
+    hi_y = y + radius
+    bx = lo_x // side
+    by = lo_y // side
+    get = buckets.get
+    ids = [*get((bx, by), ()), *get((bx + 1, by), ()), *get((bx, by + 1), ()), *get((bx + 1, by + 1), ())]
+    ids.sort()
+    near = []
+    for i in ids:
+        if i != me:
+            ox, oy = other = robots[i].pos
+            if lo_x <= ox <= hi_x and lo_y <= oy <= hi_y:
+                near.append(other)
+    return near
 
 
 def _choose(
@@ -158,6 +194,7 @@ def step_fleet(
     world: GridWorld,
     params: PotentialParams,
     sensor: SensorModel,
+    buckets: dict[tuple[int, int], list[int]] | None = None,
 ) -> int:
     """Advance the whole fleet one tick, robots in ascending id order, and
     return the number of tasks completed in it.
@@ -165,6 +202,11 @@ def step_fleet(
     A robot standing on its goal pops the task and starts a fresh potential
     recursion for the next one (no move that tick). Idle robots never move
     but still repel others.
+
+    Each mover senses the others through buckets, the fleet's bucket index
+    (see sense_nearby), and a move that crosses a bucket border refiles the
+    robot. run_until_done passes one index for the whole run; without it
+    the robots are filed afresh for this tick.
     """
     repulsion = _obstacle_field(world, sensor.radius, params.obstacle_terms)
     goal_table = term_table(params.goal_terms, world.width, world.height)
@@ -177,8 +219,11 @@ def step_fleet(
     robots = fleet.robots
     perf_counter = time.perf_counter
     completed = 0
+    side = 2 * sensor.radius + 1
+    if buckets is None:
+        buckets = _bucket_index(robots, side)
 
-    for robot in robots:
+    for me, robot in enumerate(robots):
         if not robot.tasks:
             continue
         goal = robot.tasks[0]
@@ -192,7 +237,7 @@ def step_fleet(
             completed += 1
             continue
         state = robot.potential
-        near = sense_nearby(sensor, pos, [r.pos for r in robots if r is not robot])
+        near = sense_nearby(sensor, pos, me, robots, buckets)
         t0 = perf_counter()
         target = _choose(
             state.values,
@@ -211,6 +256,11 @@ def step_fleet(
         if target != pos:
             robot.pos = target
             robot.leg_moves += 1
+            old = (pos[0] // side, pos[1] // side)
+            new = (target[0] // side, target[1] // side)
+            if new != old:
+                buckets[old].remove(me)
+                buckets.setdefault(new, []).append(me)
     fleet.tick += 1
     return completed
 
@@ -232,8 +282,9 @@ def run_until_done(
         raise ConfigurationError("step cap must be at least 1")
     positions = [tuple(r.pos for r in fleet.robots)]
     outstanding = [sum(len(r.tasks) for r in fleet.robots)]
+    buckets = _bucket_index(fleet.robots, 2 * sensor.radius + 1)
     while outstanding[-1] and fleet.tick < step_cap:
-        outstanding.append(outstanding[-1] - step_fleet(fleet, world, params, sensor))
+        outstanding.append(outstanding[-1] - step_fleet(fleet, world, params, sensor, buckets))
         positions.append(tuple(r.pos for r in fleet.robots))
     return SimTrace(
         positions=positions,

@@ -4,7 +4,8 @@ definitions and evaluated one source at a time.
 The simulator evaluates its terms through precomputed tables; tests check
 the planner's descent step and the obstacle field against these formulas.
 The closed-form mean and divergence condition of the excite/relax
-recursion are here too: tests check them against seeded simulations.
+recursion are here too: tests check them against seeded simulations. So is
+the proximity-sensor reading, found by scanning the whole fleet.
 """
 
 import math
@@ -134,6 +135,18 @@ def dynamic_potential(
         if in_consistent_range(sensor, at, other):
             total += phi(params, ROBOT, at, other)
     return DYNAMIC_SCALE * total
+
+
+def sensor_reading(sensor: SensorModel, me: int, positions: list[Position]) -> list[Position]:
+    """The proximity-sensor reading of robot `me`, by brute force: the cells
+    of all other robots within Chebyshev distance radius of its own, in
+    ascending robot id."""
+    x, y = positions[me]
+    return [
+        cell
+        for i, cell in enumerate(positions)
+        if i != me and max(abs(cell[0] - x), abs(cell[1] - y)) <= sensor.radius
+    ]
 
 
 def check_divergence_condition(p: float, gamma: float, alpha: float) -> bool:

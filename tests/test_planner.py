@@ -18,14 +18,24 @@ from warefleet.planner import (
     RobotState,
     Segment,
     SimTrace,
+    _bucket_index,
+    _choose,
     format_trace,
     run_until_done,
+    sense_nearby,
     step_fleet,
 )
-from warefleet.potential import PotentialParams, PotentialTerm, SensorModel, _obstacle_field
+from warefleet.potential import (
+    PotentialParams,
+    PotentialState,
+    PotentialTerm,
+    SensorModel,
+    _obstacle_field,
+    term_table,
+)
 
-from conftest import TRACE_FAULTS, open_room, trace_faults, world_from
-from potential_oracle import dynamic_potential, update_neighborhood
+from conftest import TRACE_FAULTS, open_room, random_world, trace_faults, world_from
+from potential_oracle import dynamic_potential, sensor_reading, update_neighborhood
 
 PARAMS = PotentialParams()
 SENSOR = SensorModel()
@@ -511,3 +521,116 @@ def test_crowded_trace_passes_the_safety_audit(case):
     trace, _ = run_scenario(_golden_scenario(case))
     assert trace.outcome == COMPLETED
     assert trace_faults(trace) == dict.fromkeys(TRACE_FAULTS, 0)
+
+
+@st.composite
+def crowds(draw):
+    """A conftest.random_world layout, a sensor radius and a crowd on its
+    floor. Part of the crowd stands on the borders of the sensor's buckets,
+    and each robot is idle, on its goal, or bound for another cell."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    world = random_world(rng)
+    floor = list(world.floor)
+    assume(floor)
+    radius = draw(st.sampled_from([2, 3, 4, 7, max(world.width, world.height), 10**6]))
+    side = 2 * radius + 1
+    border = [c for c in floor if c.x % side in (0, side - 1) or c.y % side in (0, side - 1)]
+    n = draw(st.integers(1, min(len(floor), 30)))
+    cells = rng.sample(border, draw(st.integers(0, min(n, len(border)))))
+    cells += rng.sample([c for c in floor if c not in cells], n - len(cells))
+    rng.shuffle(cells)
+    robots = [
+        RobotState(pos=cell, tasks=[[], [cell], [rng.choice(floor)]][rng.randrange(3)])
+        for cell in cells
+    ]
+    return world, SensorModel(radius), robots
+
+
+def _reference_tick(fleet, world, params, sensor):
+    """step_fleet's tick, with every sensor reading taken by scanning the
+    whole fleet at its current cells."""
+    repulsion = _obstacle_field(world, sensor.radius, params.obstacle_terms)
+    goal_table = term_table(params.goal_terms, world.width, world.height)
+    size = min(sensor.radius, max(world.width, world.height))
+    robot_table = term_table(params.robot_terms, size, size)
+    for me, robot in enumerate(fleet.robots):
+        if not robot.tasks:
+            continue
+        if robot.pos == robot.tasks[0]:
+            robot.tasks.pop(0)
+            robot.potential = PotentialState()
+            continue
+        near = sensor_reading(sensor, me, [r.pos for r in fleet.robots])
+        state = robot.potential
+        robot.pos = _choose(
+            state.values, state.initial, repulsion, goal_table, robot_table,
+            world.adjacency[robot.pos], robot.pos, robot.tasks[0], near, params.alpha, params.gamma,
+        )
+
+
+def _fleet_state(fleet):
+    return [(r.pos, r.tasks, r.potential.values, r.potential.initial) for r in fleet.robots]
+
+
+@settings(max_examples=200, deadline=None)
+@given(crowds())
+def test_bucketed_sensor_reading_matches_a_scan_of_the_fleet(crowd):
+    # The reading through the bucket index must equal the brute-force one
+    # element by element, in ascending id, and so must the ticks it drives:
+    # with one index carried across ticks, as run_until_done does, and with
+    # one filed afresh in each tick.
+    world, sensor, robots = crowd
+    carried = FleetState(robots=robots)
+    fresh, reference = copy.deepcopy(carried), copy.deepcopy(carried)
+    buckets = _bucket_index(carried.robots, 2 * sensor.radius + 1)
+    for _ in range(3):
+        positions = [r.pos for r in carried.robots]
+        for me, pos in enumerate(positions):
+            assert sense_nearby(sensor, pos, me, carried.robots, buckets) == sensor_reading(
+                sensor, me, positions
+            )
+        step_fleet(carried, world, PARAMS, sensor, buckets)
+        step_fleet(fresh, world, PARAMS, sensor)
+        _reference_tick(reference, world, PARAMS, sensor)
+        assert _fleet_state(carried) == _fleet_state(reference)
+        assert _fleet_state(fresh) == _fleet_state(reference)
+    # Refiling leaves ids out of order in a bucket and may leave it empty.
+    refiled = {key: sorted(ids) for key, ids in buckets.items() if ids}
+    assert refiled == _bucket_index(carried.robots, 2 * sensor.radius + 1)
+
+
+def test_no_sensor_state_survives_from_one_run_to_the_next():
+    # A crowded run, a small run with another radius on another world, then
+    # the crowded run again: both crowded traces are the golden one.
+    crowded, _ = run_scenario(_golden_scenario("fleet-100-seed2"))
+    run_scenario(
+        Scenario(world=generate_layout_sized(21, 20), n_robots=20, n_tasks=20,
+                 sensor=SensorModel(2), ga=GOLDEN_LIGHT_GA, seed=1)
+    )
+    again, _ = run_scenario(_golden_scenario("fleet-100-seed2"))
+    assert again.positions == crowded.positions
+    digest = hashlib.sha256(format_trace(again).encode()).hexdigest()
+    assert digest == GOLDEN_TRACES["fleet-100-seed2"][0]
+
+
+def _crowd_on(world, n, seed):
+    cells = random.Random(seed).sample(world.floor, 2 * n)
+    return FleetState(robots=[make_robot(cells[i], cells[n + i]) for i in range(n)])
+
+
+def test_interleaved_fleets_step_as_they_run_alone():
+    # Two fleets on different worlds and radii, stepped tick by tick in
+    # turn, each follow the trace of their own run.
+    cases = [
+        (generate_layout_sized(21, 20), SensorModel(2), _crowd_on(generate_layout_sized(21, 20), 20, 1)),
+        (generate_layout_sized(41, 40), SensorModel(), _crowd_on(generate_layout_sized(41, 40), 30, 2)),
+    ]
+    alone = [run_until_done(copy.deepcopy(fleet), world, PARAMS, sensor, 2000) for world, sensor, fleet in cases]
+    stepped = [[tuple(r.pos for r in fleet.robots)] for _, _, fleet in cases]
+    while any(len(steps) < len(trace.positions) for steps, trace in zip(stepped, alone)):
+        for (world, sensor, fleet), steps, trace in zip(cases, stepped, alone):
+            if len(steps) < len(trace.positions):
+                step_fleet(fleet, world, PARAMS, sensor)
+                steps.append(tuple(r.pos for r in fleet.robots))
+    assert [trace.outcome for trace in alone] == [COMPLETED, COMPLETED]
+    assert stepped == [trace.positions for trace in alone]
