@@ -11,13 +11,20 @@ cell makes it arbitrarily expensive, so the argmin can never select it).
 Ties in the descent are broken deterministically: smallest value first,
 then any cell other than the current one, then up, right, down, left.
 
+A mover senses the other robots through a bucket index rather than by
+scanning the fleet: robot ids are filed under the (x // side, y // side)
+bucket of their cell, with side = 2 * radius + 1, so a sensing box lies
+within 2x2 buckets and a tick costs time linear in the fleet size. The
+reading lists the sensed cells in ascending robot id, the order in which
+the descent step adds their repulsion.
+
 Timing note: reported planning compute covers the recursion update and
 the candidate choice. Producing the planner's inputs is not counted, the
 same way the search baseline is not billed for the map it searches: the
-proximity-sensor reading (which robots sit within the sensing box), the
-one-off obstacle-repulsion field of the world, and the goal and robot term
-tables (a few milliseconds, built once per process, world size and term
-set) are prepared outside the timed window.
+proximity-sensor reading (which robots sit within the sensing box, read
+from the bucket index), the one-off obstacle-repulsion field of the world,
+and the goal and robot term tables (a few milliseconds, built once per
+process, world size and term set) are prepared outside the timed window.
 """
 
 from __future__ import annotations
@@ -101,11 +108,12 @@ def sense_nearby(
     """The proximity-sensor reading of robot me at pos: the cells of the
     other robots within its sensing box, in ascending robot id.
 
-    buckets is the fleet's bucket index with side = 2 * radius + 1, so the
-    box, that many cells wide, lies within the 2x2 buckets from the one of
-    its top-left corner on, and only the robots filed there are read. The
-    ids are sorted because _choose adds the robots' repulsion in this order,
-    and another order can flip a float tie.
+    buckets files each robot id under (x // side, y // side) of its cell,
+    with side = 2 * radius + 1. The box is side cells wide, so it lies
+    within the 2x2 buckets whose top-left one holds its top-left corner, and
+    only the robots filed there are read. The ids are sorted because _choose
+    adds the robots' repulsion in this order, and another order can flip a
+    float tie.
     """
     radius = sensor.radius
     side = 2 * radius + 1
@@ -203,10 +211,10 @@ def step_fleet(
     recursion for the next one (no move that tick). Idle robots never move
     but still repel others.
 
-    Each mover senses the others through buckets, the fleet's bucket index
-    (see sense_nearby), and a move that crosses a bucket border refiles the
-    robot. run_until_done passes one index for the whole run; without it
-    the robots are filed afresh for this tick.
+    Each mover senses the others through buckets, the bucket index of the
+    fleet's current cells (see sense_nearby); a move that crosses a bucket
+    border refiles the robot. run_until_done passes one index for its whole
+    run; a call without one files the robots afresh.
     """
     repulsion = _obstacle_field(world, sensor.radius, params.obstacle_terms)
     goal_table = term_table(params.goal_terms, world.width, world.height)

@@ -527,7 +527,9 @@ def test_crowded_trace_passes_the_safety_audit(case):
 def crowds(draw):
     """A conftest.random_world layout, a sensor radius and a crowd on its
     floor. Part of the crowd stands on the borders of the sensor's buckets,
-    and each robot is idle, on its goal, or bound for another cell."""
+    and each robot is idle, on its goal, or bound for another cell. A box
+    within radius of the lattice's left or top edge starts in bucket -1,
+    and at radius 10**6 every box does."""
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     world = random_world(rng)
     floor = list(world.floor)
