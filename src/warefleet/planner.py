@@ -202,7 +202,6 @@ def step_fleet(
     world: GridWorld,
     params: PotentialParams,
     sensor: SensorModel,
-    buckets: dict[tuple[int, int], list[int]] | None = None,
 ) -> int:
     """Advance the whole fleet one tick, robots in ascending id order, and
     return the number of tasks completed in it.
@@ -211,10 +210,10 @@ def step_fleet(
     recursion for the next one (no move that tick). Idle robots never move
     but still repel others.
 
-    Each mover senses the others through buckets, the bucket index of the
-    fleet's current cells (see sense_nearby); a move that crosses a bucket
-    border refiles the robot. run_until_done passes one index for its whole
-    run; a call without one files the robots afresh.
+    Each mover senses the others through a bucket index of the fleet's
+    current cells (see sense_nearby), filed afresh at the start of the tick
+    and dropped at its end; a move that crosses a bucket border refiles the
+    robot within the tick.
     """
     repulsion = _obstacle_field(world, sensor.radius, params.obstacle_terms)
     goal_table = term_table(params.goal_terms, world.width, world.height)
@@ -228,8 +227,7 @@ def step_fleet(
     perf_counter = time.perf_counter
     completed = 0
     side = 2 * sensor.radius + 1
-    if buckets is None:
-        buckets = _bucket_index(robots, side)
+    buckets = _bucket_index(robots, side)
 
     for me, robot in enumerate(robots):
         if not robot.tasks:
@@ -290,9 +288,8 @@ def run_until_done(
         raise ConfigurationError("step cap must be at least 1")
     positions = [tuple(r.pos for r in fleet.robots)]
     outstanding = [sum(len(r.tasks) for r in fleet.robots)]
-    buckets = _bucket_index(fleet.robots, 2 * sensor.radius + 1)
     while outstanding[-1] and fleet.tick < step_cap:
-        outstanding.append(outstanding[-1] - step_fleet(fleet, world, params, sensor, buckets))
+        outstanding.append(outstanding[-1] - step_fleet(fleet, world, params, sensor))
         positions.append(tuple(r.pos for r in fleet.robots))
     return SimTrace(
         positions=positions,

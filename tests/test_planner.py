@@ -2,10 +2,12 @@ import copy
 import hashlib
 import math
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from warefleet import planner
 from warefleet.engine import Scenario, compute_metrics, run_scenario
 from warefleet.errors import ConfigurationError
 from warefleet.gridworld import GridWorld, Position, generate_layout_sized
@@ -578,27 +580,53 @@ def _fleet_state(fleet):
 @given(crowds())
 def test_bucketed_sensor_reading_matches_a_scan_of_the_fleet(crowd):
     # The reading through the bucket index must equal the brute-force one
-    # element by element, in ascending id, and so must the ticks it drives:
-    # with one index carried across ticks, as run_until_done does, and with
-    # one filed afresh in each tick.
+    # element by element, in ascending id: for every robot at the start of a
+    # tick, and for every mover within the tick, after the movers before it
+    # were refiled. So must the ticks it drives.
     world, sensor, robots = crowd
-    carried = FleetState(robots=robots)
-    fresh, reference = copy.deepcopy(carried), copy.deepcopy(carried)
-    buckets = _bucket_index(carried.robots, 2 * sensor.radius + 1)
+    bucketed = FleetState(robots=robots)
+    reference = copy.deepcopy(bucketed)
     for _ in range(3):
-        positions = [r.pos for r in carried.robots]
+        positions = [r.pos for r in bucketed.robots]
+        buckets = _bucket_index(bucketed.robots, 2 * sensor.radius + 1)
         for me, pos in enumerate(positions):
-            assert sense_nearby(sensor, pos, me, carried.robots, buckets) == sensor_reading(
+            assert sense_nearby(sensor, pos, me, bucketed.robots, buckets) == sensor_reading(
                 sensor, me, positions
             )
-        step_fleet(carried, world, PARAMS, sensor, buckets)
-        step_fleet(fresh, world, PARAMS, sensor)
+        with mock.patch.object(planner, "sense_nearby", _checked_sense_nearby):
+            step_fleet(bucketed, world, PARAMS, sensor)
         _reference_tick(reference, world, PARAMS, sensor)
-        assert _fleet_state(carried) == _fleet_state(reference)
-        assert _fleet_state(fresh) == _fleet_state(reference)
-    # Refiling leaves ids out of order in a bucket and may leave it empty.
-    refiled = {key: sorted(ids) for key, ids in buckets.items() if ids}
-    assert refiled == _bucket_index(carried.robots, 2 * sensor.radius + 1)
+        assert _fleet_state(bucketed) == _fleet_state(reference)
+
+
+def _checked_sense_nearby(sensor, pos, me, robots, buckets):
+    near = sense_nearby(sensor, pos, me, robots, buckets)
+    assert near == sensor_reading(sensor, me, [r.pos for r in robots])
+    return near
+
+
+def test_a_mover_that_crosses_a_bucket_border_is_sensed_in_the_same_tick():
+    # Robot 0 steps right from the last column of one bucket into the next.
+    # Robot 1, radius cells further right, reads only the buckets from the
+    # new one on, so it senses robot 0 only if the move refiled it.
+    sensor = SensorModel()
+    side = 2 * sensor.radius + 1
+    crossing = Position(side, 2)
+    fleet = FleetState(robots=[
+        make_robot(Position(side - 1, 2), Position(side + 4, 2)),
+        make_robot(Position(side + sensor.radius, 2), Position(side + sensor.radius, 8)),
+    ])
+    readings = []
+
+    def record(sensor, pos, me, robots, buckets):
+        near = sense_nearby(sensor, pos, me, robots, buckets)
+        readings.append((me, near))
+        return near
+
+    with mock.patch.object(planner, "sense_nearby", record):
+        step_fleet(fleet, open_room(2 * side + 2, 12), PARAMS, sensor)
+    assert fleet.robots[0].pos == crossing
+    assert readings == [(0, []), (1, [crossing])]
 
 
 def test_no_sensor_state_survives_from_one_run_to_the_next():
