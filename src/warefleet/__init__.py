@@ -38,13 +38,11 @@ from .gridworld import (
     serialize_layout,
 )
 from .planner import (
-    FleetState,
     RobotState,
     Segment,
     SimTrace,
     format_trace,
     run_until_done,
-    step_fleet,
 )
 from .potential import (
     PotentialParams,

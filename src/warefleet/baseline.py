@@ -38,9 +38,6 @@ def shortest_path(world: GridWorld, start: Position, goal: Position) -> PathResu
         raise DomainError(f"goal {goal} is not a reachable cell")
 
     t0 = time.perf_counter()
-    if start == goal:
-        return PathResult(length=0, path=[start], expanded_nodes=0, elapsed=time.perf_counter() - t0)
-
     # Heap entries: (f, insertion order, cell); equal-f ties expand in
     # insertion order, which keeps the search deterministic.
     counter = 0

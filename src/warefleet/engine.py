@@ -27,7 +27,6 @@ from .errors import ConfigurationError
 from .gridworld import GridWorld, Position
 from .planner import (
     CAP_REACHED,
-    FleetState,
     RobotState,
     SimTrace,
     run_until_done,
@@ -248,14 +247,12 @@ def run_scenario(
     store = heuristics if heuristics is not None else HeuristicStore(sc.eta)
 
     best, history = evolve(sc.ga, starts, tasks, store, rng.randrange(2**32))
-    fleet = FleetState(
-        robots=[
-            RobotState(pos=start, tasks=[tasks[t - 1] for t in genes])
-            for start, genes in zip(starts, decode(best, sc.n_robots))
-        ]
-    )
+    robots = [
+        RobotState(pos=start, tasks=[tasks[t - 1] for t in genes])
+        for start, genes in zip(starts, decode(best, sc.n_robots))
+    ]
     cap = sc.step_cap or default_step_cap(sc.world, sc.n_robots, sc.n_tasks)
-    trace = run_until_done(fleet, sc.world, sc.potential, sc.sensor, cap)
+    trace = run_until_done(robots, sc.world, sc.potential, sc.sensor, cap)
 
     # Per completed leg, in order: its A* optimum, and its realized distance learned.
     astar_seconds = 0.0
@@ -324,11 +321,13 @@ def _summarize_cell(n: int, k: int, reports: list[MetricsReport]) -> CellSummary
 
 
 def check_sweep_axis(values: list[int], name: str) -> None:
-    """A sweep grid axis names at least one value and no value twice."""
+    """A sweep grid axis names at least one value, each at least 1 and none twice."""
     if not values:
         raise ConfigurationError(f"{name}: expected at least one value")
     seen = set()
     for value in values:
+        if value < 1:
+            raise ConfigurationError(f"{name}: value {value} is below 1")
         if value in seen:
             raise ConfigurationError(f"{name}: value {value} given more than once")
         seen.add(value)

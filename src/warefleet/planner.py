@@ -1,8 +1,9 @@
-"""Fleet stepping and the per-robot descent rule.
+"""Fleet simulation and the per-robot descent rule.
 
-Each tick, every robot with outstanding tasks either pops a completed task
-(when it stands on its goal) or advances its potential recursion and moves
-to the cheapest cell of its neighborhood. Robots are processed in
+run_until_done is the one entry point that moves robots. Each tick, every
+robot with outstanding tasks either pops a completed task (when it stands
+on its goal) or advances its potential recursion and moves to the
+cheapest cell of its neighborhood. Robots are processed in
 ascending id within a tick; a mover sees every other robot at its current
 cell, which rules out swap conflicts, and cells currently occupied by
 other robots are treated as impassable for this tick (a robot parked on a
@@ -15,8 +16,10 @@ A mover senses the other robots through a bucket index rather than by
 scanning the fleet: robot ids are filed under the (x // side, y // side)
 bucket of their cell, with side = 2 * radius + 1, so a sensing box lies
 within 2x2 buckets and a tick costs time linear in the fleet size. The
-reading lists the sensed cells in ascending robot id, the order in which
-the descent step adds their repulsion.
+index is filed once per run_until_done call and refiled with every move
+that crosses a bucket border. The reading lists the sensed cells in
+ascending robot id, the order in which the descent step adds their
+repulsion.
 
 Timing note: reported planning compute covers the recursion update and
 the candidate choice. Producing the planner's inputs is not counted, the
@@ -64,13 +67,6 @@ class RobotState:
     def __post_init__(self):
         if self.leg_start is None:
             self.leg_start = self.pos
-
-
-@dataclass
-class FleetState:
-    robots: list[RobotState]
-    tick: int = 0
-    plan_seconds: float = 0.0
 
 
 @dataclass
@@ -197,24 +193,29 @@ def _choose(
     return best
 
 
-def step_fleet(
-    fleet: FleetState,
+def run_until_done(
+    robots: list[RobotState],
     world: GridWorld,
     params: PotentialParams,
     sensor: SensorModel,
-) -> int:
-    """Advance the whole fleet one tick, robots in ascending id order, and
-    return the number of tasks completed in it.
+    step_cap: int,
+) -> SimTrace:
+    """The one entry point that moves robots: tick after tick, robots in
+    ascending id, until every task list is empty or step_cap ticks have
+    run; k_total counts the ticks of this call.
 
     A robot standing on its goal pops the task and starts a fresh potential
     recursion for the next one (no move that tick). Idle robots never move
-    but still repel others.
+    but still repel others. The sensor's bucket index (see sense_nearby) is
+    filed once per call, refiled with each move across a bucket border and
+    dropped on return.
 
-    Each mover senses the others through a bucket index of the fleet's
-    current cells (see sense_nearby), filed afresh at the start of the tick
-    and dropped at its end; a move that crosses a bucket border refiles the
-    robot within the tick.
+    The planner cannot certify that a goal is unreachable, so the cap is
+    the only defense against impossible tasks; a capped run is reported as
+    such and never as completed.
     """
+    if step_cap < 1:
+        raise ConfigurationError("step cap must be at least 1")
     repulsion = _obstacle_field(world, sensor.radius, params.obstacle_terms)
     goal_table = term_table(params.goal_terms, world.width, world.height)
     # No two lattice cells lie its extent apart on an axis: a larger table is never read.
@@ -223,81 +224,64 @@ def step_fleet(
     alpha = params.alpha
     gamma = params.gamma
     adjacency = world.adjacency
-    robots = fleet.robots
     perf_counter = time.perf_counter
-    completed = 0
     side = 2 * sensor.radius + 1
     buckets = _bucket_index(robots, side)
+    plan_seconds = 0.0
+    tick = 0
+    left = sum(len(r.tasks) for r in robots)
+    positions = [tuple(r.pos for r in robots)]
+    outstanding = [left]
 
-    for me, robot in enumerate(robots):
-        if not robot.tasks:
-            continue
-        goal = robot.tasks[0]
-        pos = robot.pos
-        if pos == goal:
-            robot.segment_log.append(Segment(robot.leg_start, pos, robot.leg_moves))
-            robot.tasks.pop(0)
-            robot.potential = PotentialState()
-            robot.leg_start = pos
-            robot.leg_moves = 0
-            completed += 1
-            continue
-        state = robot.potential
-        near = sense_nearby(sensor, pos, me, robots, buckets)
-        t0 = perf_counter()
-        target = _choose(
-            state.values,
-            state.initial,
-            repulsion,
-            goal_table,
-            robot_table,
-            adjacency[pos],
-            pos,
-            goal,
-            near,
-            alpha,
-            gamma,
-        )
-        fleet.plan_seconds += perf_counter() - t0
-        if target != pos:
-            robot.pos = target
-            robot.leg_moves += 1
-            old = (pos[0] // side, pos[1] // side)
-            new = (target[0] // side, target[1] // side)
-            if new != old:
-                buckets[old].remove(me)
-                buckets.setdefault(new, []).append(me)
-    fleet.tick += 1
-    return completed
-
-
-def run_until_done(
-    fleet: FleetState,
-    world: GridWorld,
-    params: PotentialParams,
-    sensor: SensorModel,
-    step_cap: int,
-) -> SimTrace:
-    """Step until every task list is empty or the tick cap is hit.
-
-    The planner cannot certify that a goal is unreachable, so the cap is
-    the only defense against impossible tasks; a capped run is reported as
-    such and never as completed.
-    """
-    if step_cap < 1:
-        raise ConfigurationError("step cap must be at least 1")
-    positions = [tuple(r.pos for r in fleet.robots)]
-    outstanding = [sum(len(r.tasks) for r in fleet.robots)]
-    while outstanding[-1] and fleet.tick < step_cap:
-        outstanding.append(outstanding[-1] - step_fleet(fleet, world, params, sensor))
-        positions.append(tuple(r.pos for r in fleet.robots))
+    while left and tick < step_cap:
+        for me, robot in enumerate(robots):
+            if not robot.tasks:
+                continue
+            goal = robot.tasks[0]
+            pos = robot.pos
+            if pos == goal:
+                robot.segment_log.append(Segment(robot.leg_start, pos, robot.leg_moves))
+                robot.tasks.pop(0)
+                robot.potential = PotentialState()
+                robot.leg_start = pos
+                robot.leg_moves = 0
+                left -= 1
+                continue
+            state = robot.potential
+            near = sense_nearby(sensor, pos, me, robots, buckets)
+            t0 = perf_counter()
+            target = _choose(
+                state.values,
+                state.initial,
+                repulsion,
+                goal_table,
+                robot_table,
+                adjacency[pos],
+                pos,
+                goal,
+                near,
+                alpha,
+                gamma,
+            )
+            plan_seconds += perf_counter() - t0
+            if target != pos:
+                robot.pos = target
+                robot.leg_moves += 1
+                old = (pos[0] // side, pos[1] // side)
+                new = (target[0] // side, target[1] // side)
+                if new != old:
+                    buckets[old].remove(me)
+                    buckets.setdefault(new, []).append(me)
+        tick += 1
+        outstanding.append(left)
+        positions.append(tuple(r.pos for r in robots))
     return SimTrace(
         positions=positions,
         outstanding=outstanding,
-        segments=[list(r.segment_log) for r in fleet.robots],
-        outcome=CAP_REACHED if outstanding[-1] else COMPLETED,
-        k_total=fleet.tick,
-        plan_seconds=fleet.plan_seconds,
+        segments=[list(r.segment_log) for r in robots],
+        outcome=CAP_REACHED if left else COMPLETED,
+        k_total=tick,
+        plan_seconds=plan_seconds,
     )
 
 

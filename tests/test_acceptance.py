@@ -27,10 +27,9 @@ from warefleet.gridworld import Position, generate_layout_sized, parse_layout
 from warefleet.planner import (
     CAP_REACHED,
     COMPLETED,
-    FleetState,
     RobotState,
     SimTrace,
-    step_fleet,
+    run_until_done,
 )
 from warefleet.potential import PotentialParams, SensorModel
 
@@ -155,7 +154,6 @@ def test_criterion_05_trap_escape():
     for trial in range(50):
         start = Position(rng.randint(1, 4), rng.randint(1, 5))
         robot = RobotState(pos=start, tasks=[goal])
-        fleet = FleetState(robots=[robot])
         entrap_tick = None
         crit = None
         positions = [(start,)]
@@ -163,7 +161,7 @@ def test_criterion_05_trap_escape():
         done = False
         for tick in range(1, 800):
             before = robot.pos
-            step_fleet(fleet, world, TABLE_PARAMS, SENSOR)
+            run_until_done([robot], world, TABLE_PARAMS, SENSOR, 1)
             positions.append((robot.pos,))
             outstanding.append(len(robot.tasks))
             if not robot.tasks:

@@ -401,6 +401,8 @@ def test_sweep_rejects_jobs_below_one(scenario_file, tmp_path, capsys, jobs):
         ("1", " ", "error: --k-values: expected at least one value\n"),
         ("1,1", "2", "error: --n-values: value 1 given more than once\n"),
         ("1", "2,3, 2", "error: --k-values: value 2 given more than once\n"),
+        ("1,0", "2", "error: --n-values: value 0 is below 1\n"),
+        ("1", "2,-1", "error: --k-values: value -1 is below 1\n"),
     ],
 )
 def test_sweep_rejects_empty_or_repeated_grid_value(

@@ -380,6 +380,8 @@ def test_run_sweep_ships_base_once(monkeypatch):
         ([1], [], "k_values: expected at least one value"),
         ([1, 2, 1], [2], "n_values: value 1 given more than once"),
         ([1], [3, 3], "k_values: value 3 given more than once"),
+        ([1, 0], [2], "n_values: value 0 is below 1"),
+        ([1], [2, -1], "k_values: value -1 is below 1"),
     ],
 )
 def test_run_sweep_rejects_empty_or_repeated_axis(monkeypatch, n_values, k_values, message):

@@ -16,7 +16,6 @@ from warefleet.baseline import shortest_path
 from warefleet.planner import (
     CAP_REACHED,
     COMPLETED,
-    FleetState,
     RobotState,
     Segment,
     SimTrace,
@@ -25,7 +24,6 @@ from warefleet.planner import (
     format_trace,
     run_until_done,
     sense_nearby,
-    step_fleet,
 )
 from warefleet.potential import (
     PotentialParams,
@@ -81,10 +79,11 @@ def make_robot(pos, goal):
 
 
 def plan_step(robot, world, params, sensor, others):
-    """One descent decision of `robot` through step_fleet, with idle robots
-    parked on the `others` cells; returns the robot's new cell."""
+    """One descent decision of `robot` through a one-tick run_until_done,
+    with idle robots parked on the `others` cells; returns the robot's new
+    cell."""
     idle = [RobotState(pos=cell, tasks=[]) for cell in others]
-    step_fleet(FleetState(robots=[robot, *idle]), world, params, sensor)
+    run_until_done([robot, *idle], world, params, sensor, 1)
     return robot.pos
 
 
@@ -188,8 +187,7 @@ def test_plan_step_escapes_pocket_by_excitation():
     ])
     start, goal = Position(2, 3), Position(8, 5)
     robot = make_robot(start, goal)
-    fleet = FleetState(robots=[robot])
-    trace = run_until_done(fleet, room, PARAMS, SENSOR, 300)
+    trace = run_until_done([robot], room, PARAMS, SENSOR, 300)
     assert trace.outcome == COMPLETED
     path = [snapshot[0] for snapshot in trace.positions]
     stays = [k for k in range(1, len(path)) if path[k] == path[k - 1] and path[k] != goal]
@@ -202,11 +200,11 @@ def test_corridor_swap_is_impossible():
     room = world_from(["########", "#......#", "########"])
     a = RobotState(pos=Position(1, 1), tasks=[Position(6, 1)])
     b = RobotState(pos=Position(6, 1), tasks=[Position(1, 1)])
-    fleet = FleetState(robots=[a, b])
+    robots = [a, b]
     for _ in range(60):
-        before = tuple(r.pos for r in fleet.robots)
-        step_fleet(fleet, room, PARAMS, SENSOR)
-        after = tuple(r.pos for r in fleet.robots)
+        before = tuple(r.pos for r in robots)
+        run_until_done(robots, room, PARAMS, SENSOR, 1)
+        after = tuple(r.pos for r in robots)
         assert after[0] != after[1], "same-cell collision"
         assert not (after[0] == before[1] and after[1] == before[0]), "swap"
         for prev, cur in zip(before, after):
@@ -217,8 +215,7 @@ def test_idle_robot_blocks_and_repels():
     room = open_room(10, 6)
     worker = RobotState(pos=Position(1, 2), tasks=[Position(8, 2)])
     idler = RobotState(pos=Position(4, 2), tasks=[])
-    fleet = FleetState(robots=[worker, idler])
-    trace = run_until_done(fleet, room, PARAMS, SENSOR, 200)
+    trace = run_until_done([worker, idler], room, PARAMS, SENSOR, 200)
     assert trace.outcome == COMPLETED
     assert idler.pos == Position(4, 2)  # never moved
     for snapshot in trace.positions:
@@ -228,8 +225,7 @@ def test_idle_robot_blocks_and_repels():
 def test_goal_adjacent_arrival_then_pop():
     room = open_room(8, 8)
     robot = make_robot(Position(3, 3), Position(4, 3))
-    fleet = FleetState(robots=[robot])
-    trace = run_until_done(fleet, room, PARAMS, SENSOR, 50)
+    trace = run_until_done([robot], room, PARAMS, SENSOR, 50)
     assert trace.outcome == COMPLETED
     assert trace.k_total == 2  # move on tick 1, pop on tick 2
     assert robot.segment_log == [Segment(Position(3, 3), Position(4, 3), 1)]
@@ -240,8 +236,7 @@ def test_tasks_at_start_pop_one_per_tick():
     room = open_room(8, 8)
     start = Position(4, 4)
     robot = RobotState(pos=start, tasks=[start, start, start])
-    fleet = FleetState(robots=[robot])
-    trace = run_until_done(fleet, room, PARAMS, SENSOR, 50)
+    trace = run_until_done([robot], room, PARAMS, SENSOR, 50)
     assert trace.outcome == COMPLETED
     assert trace.k_total == 3
     assert sum(seg.length for seg in robot.segment_log) == 0
@@ -256,8 +251,7 @@ def test_sealed_goal_hits_cap_never_completes():
         "#########",
     ])
     robot = make_robot(Position(1, 1), Position(6, 2))
-    fleet = FleetState(robots=[robot])
-    trace = run_until_done(fleet, room, PARAMS, SENSOR, 400)
+    trace = run_until_done([robot], room, PARAMS, SENSOR, 400)
     assert trace.outcome == CAP_REACHED
     assert trace.k_total == 400
     assert robot.tasks  # still outstanding
@@ -292,8 +286,7 @@ def test_single_robot_reaches_every_reachable_goal(layout):
     world, start, goal = layout
     optimum = shortest_path(world, start, goal).length
     assume(optimum is not None)  # the claim says nothing about an unreachable goal
-    fleet = FleetState(robots=[make_robot(start, goal)])
-    trace = run_until_done(fleet, world, PARAMS, SENSOR, 100 * world.width * world.height)
+    trace = run_until_done([make_robot(start, goal)], world, PARAMS, SENSOR, 100 * world.width * world.height)
     assert trace.outcome == COMPLETED
     report = compute_metrics(trace, [optimum], n_tasks=1, seed=0)
     assert not report.cap_reached and report.j1 >= 1.0
@@ -305,7 +298,7 @@ def test_head_on_movers_in_dead_end_corridor_stay_capped():
     corridor = world_from(["#########", "#.......#", "#########"])
     a = make_robot(Position(1, 1), Position(7, 1))
     b = RobotState(pos=Position(7, 1), tasks=[Position(1, 1)])
-    trace = run_until_done(FleetState(robots=[a, b]), corridor, PARAMS, SENSOR, 2000)
+    trace = run_until_done([a, b], corridor, PARAMS, SENSOR, 2000)
     assert trace.outcome == CAP_REACHED and trace.k_total == 2000
     assert trace.outstanding[-1] == 2
     report = compute_metrics(trace, [0, 0], n_tasks=2, seed=0)
@@ -313,22 +306,22 @@ def test_head_on_movers_in_dead_end_corridor_stay_capped():
 
 
 def _stepped_alongside(robots, world, cap):
-    """run_until_done on the robots, and step_fleet on a copy of them with the
-    task lists re-summed every tick. The re-sums must equal the trace's
-    outstanding counts, and each tick's return value its drop. Returns the
-    trace and, per tick, each robot's number of completed legs."""
-    fleet = FleetState(robots=robots)
-    twin = copy.deepcopy(fleet)
-    trace = run_until_done(fleet, world, PARAMS, SENSOR, cap)
-    sums = [sum(len(r.tasks) for r in twin.robots)]
-    returned, positions, legs = [], [trace.positions[0]], []
+    """run_until_done on the robots, and one-tick calls on a copy of them
+    with the task lists re-summed every tick. The re-sums must equal the
+    trace's outstanding counts, and each one-tick call's counts the re-sums
+    before and after its tick. Returns the trace and, per tick, each
+    robot's number of completed legs."""
+    twin = copy.deepcopy(robots)
+    trace = run_until_done(robots, world, PARAMS, SENSOR, cap)
+    sums = [sum(len(r.tasks) for r in twin)]
+    ticks, positions, legs = [], [trace.positions[0]], []
     while len(sums) < len(trace.outstanding):
-        returned.append(step_fleet(twin, world, PARAMS, SENSOR))
-        sums.append(sum(len(r.tasks) for r in twin.robots))
-        positions.append(tuple(r.pos for r in twin.robots))
-        legs.append([len(r.segment_log) for r in twin.robots])
+        ticks.append(run_until_done(twin, world, PARAMS, SENSOR, 1).outstanding)
+        sums.append(sum(len(r.tasks) for r in twin))
+        positions.append(tuple(r.pos for r in twin))
+        legs.append([len(r.segment_log) for r in twin])
     assert sums == trace.outstanding
-    assert returned == [before - after for before, after in zip(sums, sums[1:])]
+    assert ticks == [[before, after] for before, after in zip(sums, sums[1:])]
     assert positions == trace.positions
     return trace, legs
 
@@ -379,8 +372,7 @@ def test_oversized_sensor_radius_is_clipped_to_the_lattice():
 def test_single_robot_on_small_warehouse_beats_nothing(fig_layout):
     start, goal = Position(1, 1), Position(18, 20)
     robot = make_robot(start, goal)
-    fleet = FleetState(robots=[robot])
-    trace = run_until_done(fleet, fig_layout, PARAMS, SENSOR, 5000)
+    trace = run_until_done([robot], fig_layout, PARAMS, SENSOR, 5000)
     assert trace.outcome == COMPLETED
     optimum = shortest_path(fig_layout, start, goal).length
     assert sum(seg.length for seg in robot.segment_log) >= optimum
@@ -410,8 +402,7 @@ def test_run_until_done_deterministic(fig_layout):
             RobotState(pos=Position(1, 1), tasks=[Position(18, 20)]),
             RobotState(pos=Position(18, 1), tasks=[Position(1, 20)]),
         ]
-        fleet = FleetState(robots=robots)
-        trace = run_until_done(fleet, fig_layout, PARAMS, SENSOR, 5000)
+        trace = run_until_done(robots, fig_layout, PARAMS, SENSOR, 5000)
         return trace.positions
 
     assert run() == run()
@@ -419,9 +410,9 @@ def test_run_until_done_deterministic(fig_layout):
 
 def test_step_cap_validation():
     room = open_room(6, 6)
-    fleet = FleetState(robots=[make_robot(Position(1, 1), Position(4, 4))])
+    robots = [make_robot(Position(1, 1), Position(4, 4))]
     with pytest.raises(ConfigurationError):
-        run_until_done(fleet, room, PARAMS, SENSOR, 0)
+        run_until_done(robots, room, PARAMS, SENSOR, 0)
 
 
 def test_format_trace_lines():
@@ -550,21 +541,21 @@ def crowds(draw):
     return world, SensorModel(radius), robots
 
 
-def _reference_tick(fleet, world, params, sensor):
-    """step_fleet's tick, with every sensor reading taken by scanning the
-    whole fleet at its current cells."""
+def _reference_tick(robots, world, params, sensor):
+    """One tick of run_until_done, with every sensor reading taken by
+    scanning the whole fleet at its current cells."""
     repulsion = _obstacle_field(world, sensor.radius, params.obstacle_terms)
     goal_table = term_table(params.goal_terms, world.width, world.height)
     size = min(sensor.radius, max(world.width, world.height))
     robot_table = term_table(params.robot_terms, size, size)
-    for me, robot in enumerate(fleet.robots):
+    for me, robot in enumerate(robots):
         if not robot.tasks:
             continue
         if robot.pos == robot.tasks[0]:
             robot.tasks.pop(0)
             robot.potential = PotentialState()
             continue
-        near = sensor_reading(sensor, me, [r.pos for r in fleet.robots])
+        near = sensor_reading(sensor, me, [r.pos for r in robots])
         state = robot.potential
         robot.pos = _choose(
             state.values, state.initial, repulsion, goal_table, robot_table,
@@ -572,8 +563,8 @@ def _reference_tick(fleet, world, params, sensor):
         )
 
 
-def _fleet_state(fleet):
-    return [(r.pos, r.tasks, r.potential.values, r.potential.initial) for r in fleet.robots]
+def _fleet_state(robots):
+    return [(r.pos, r.tasks, r.potential.values, r.potential.initial) for r in robots]
 
 
 @settings(max_examples=200, deadline=None)
@@ -581,28 +572,38 @@ def _fleet_state(fleet):
 def test_bucketed_sensor_reading_matches_a_scan_of_the_fleet(crowd):
     # The reading through the bucket index must equal the brute-force one
     # element by element, in ascending id: for every robot at the start of a
-    # tick, and for every mover within the tick, after the movers before it
-    # were refiled. So must the ticks it drives.
-    world, sensor, robots = crowd
-    bucketed = FleetState(robots=robots)
+    # run, and for every mover in each of its ticks, after the movers before
+    # it were refiled. So must the ticks it drives.
+    world, sensor, bucketed = crowd
     reference = copy.deepcopy(bucketed)
+    positions = [r.pos for r in bucketed]
+    buckets = _bucket_index(bucketed, 2 * sensor.radius + 1)
+    for me, pos in enumerate(positions):
+        assert sense_nearby(sensor, pos, me, bucketed, buckets) == sensor_reading(
+            sensor, me, positions
+        )
+    with mock.patch.object(planner, "sense_nearby", _checked_sense_nearby):
+        run_until_done(bucketed, world, PARAMS, sensor, 3)
     for _ in range(3):
-        positions = [r.pos for r in bucketed.robots]
-        buckets = _bucket_index(bucketed.robots, 2 * sensor.radius + 1)
-        for me, pos in enumerate(positions):
-            assert sense_nearby(sensor, pos, me, bucketed.robots, buckets) == sensor_reading(
-                sensor, me, positions
-            )
-        with mock.patch.object(planner, "sense_nearby", _checked_sense_nearby):
-            step_fleet(bucketed, world, PARAMS, sensor)
         _reference_tick(reference, world, PARAMS, sensor)
-        assert _fleet_state(bucketed) == _fleet_state(reference)
+    assert _fleet_state(bucketed) == _fleet_state(reference)
 
 
 def _checked_sense_nearby(sensor, pos, me, robots, buckets):
     near = sense_nearby(sensor, pos, me, robots, buckets)
     assert near == sensor_reading(sensor, me, [r.pos for r in robots])
     return near
+
+
+def _recording_sense_nearby(readings):
+    """A sense_nearby that appends each (robot id, reading) to readings."""
+
+    def record(sensor, pos, me, robots, buckets):
+        near = sense_nearby(sensor, pos, me, robots, buckets)
+        readings.append((me, near))
+        return near
+
+    return record
 
 
 def test_a_mover_that_crosses_a_bucket_border_is_sensed_in_the_same_tick():
@@ -612,21 +613,34 @@ def test_a_mover_that_crosses_a_bucket_border_is_sensed_in_the_same_tick():
     sensor = SensorModel()
     side = 2 * sensor.radius + 1
     crossing = Position(side, 2)
-    fleet = FleetState(robots=[
+    robots = [
         make_robot(Position(side - 1, 2), Position(side + 4, 2)),
         make_robot(Position(side + sensor.radius, 2), Position(side + sensor.radius, 8)),
-    ])
+    ]
     readings = []
-
-    def record(sensor, pos, me, robots, buckets):
-        near = sense_nearby(sensor, pos, me, robots, buckets)
-        readings.append((me, near))
-        return near
-
-    with mock.patch.object(planner, "sense_nearby", record):
-        step_fleet(fleet, open_room(2 * side + 2, 12), PARAMS, sensor)
-    assert fleet.robots[0].pos == crossing
+    with mock.patch.object(planner, "sense_nearby", _recording_sense_nearby(readings)):
+        run_until_done(robots, open_room(2 * side + 2, 12), PARAMS, sensor, 1)
+    assert robots[0].pos == crossing
     assert readings == [(0, []), (1, [crossing])]
+
+
+def test_a_robot_moved_between_calls_is_sensed_where_it_stands():
+    # No index survives a call: an idle robot moved by hand between two
+    # one-tick calls, from a far bucket into the mover's sensing box, is in
+    # the next call's first reading at its new cell.
+    side = 2 * SENSOR.radius + 1
+    mover = make_robot(Position(8, 5), Position(8, 15))
+    idler = RobotState(pos=Position(25, 15), tasks=[])
+    moved = Position(10, 8)
+    assert (moved.x // side, moved.y // side) != (idler.pos.x // side, idler.pos.y // side)
+    robots, room = [mover, idler], open_room(30, 20)
+    readings = []
+    with mock.patch.object(planner, "sense_nearby", _recording_sense_nearby(readings)):
+        run_until_done(robots, room, PARAMS, SENSOR, 1)
+        assert mover.pos == Position(8, 6) and readings == [(0, [])]
+        idler.pos = moved
+        run_until_done(robots, room, PARAMS, SENSOR, 1)
+    assert readings[1] == (0, [moved])
 
 
 def test_no_sensor_state_survives_from_one_run_to_the_next():
@@ -645,7 +659,7 @@ def test_no_sensor_state_survives_from_one_run_to_the_next():
 
 def _crowd_on(world, n, seed):
     cells = random.Random(seed).sample(world.floor, 2 * n)
-    return FleetState(robots=[make_robot(cells[i], cells[n + i]) for i in range(n)])
+    return [make_robot(cells[i], cells[n + i]) for i in range(n)]
 
 
 def test_interleaved_fleets_step_as_they_run_alone():
@@ -655,12 +669,12 @@ def test_interleaved_fleets_step_as_they_run_alone():
         (generate_layout_sized(21, 20), SensorModel(2), _crowd_on(generate_layout_sized(21, 20), 20, 1)),
         (generate_layout_sized(41, 40), SensorModel(), _crowd_on(generate_layout_sized(41, 40), 30, 2)),
     ]
-    alone = [run_until_done(copy.deepcopy(fleet), world, PARAMS, sensor, 2000) for world, sensor, fleet in cases]
-    stepped = [[tuple(r.pos for r in fleet.robots)] for _, _, fleet in cases]
+    alone = [run_until_done(copy.deepcopy(robots), world, PARAMS, sensor, 2000) for world, sensor, robots in cases]
+    stepped = [[tuple(r.pos for r in robots)] for _, _, robots in cases]
     while any(len(steps) < len(trace.positions) for steps, trace in zip(stepped, alone)):
-        for (world, sensor, fleet), steps, trace in zip(cases, stepped, alone):
+        for (world, sensor, robots), steps, trace in zip(cases, stepped, alone):
             if len(steps) < len(trace.positions):
-                step_fleet(fleet, world, PARAMS, sensor)
-                steps.append(tuple(r.pos for r in fleet.robots))
+                run_until_done(robots, world, PARAMS, sensor, 1)
+                steps.append(tuple(r.pos for r in robots))
     assert [trace.outcome for trace in alone] == [COMPLETED, COMPLETED]
     assert stepped == [trace.positions for trace in alone]
