@@ -46,7 +46,6 @@ from .planner import (
 )
 from .potential import (
     PotentialParams,
-    PotentialState,
     PotentialTerm,
     SensorModel,
 )

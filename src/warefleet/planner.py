@@ -22,8 +22,10 @@ ascending robot id, the order in which the descent step adds their
 repulsion.
 
 Timing note: reported planning compute covers the recursion update and
-the candidate choice. Producing the planner's inputs is not counted, the
-same way the search baseline is not billed for the map it searches: the
+the candidate choice. A candidate's initial static value, first visit or
+revisit, is read from the goal table and the obstacle field inside the
+timed window. Producing the planner's inputs is not counted, the same way
+the search baseline is not billed for the map it searches: the
 proximity-sensor reading (which robots sit within the sensing box, read
 from the bucket index), the one-off obstacle-repulsion field of the world,
 and the goal and robot term tables (a few milliseconds, built once per
@@ -39,7 +41,7 @@ from typing import NamedTuple
 
 from .errors import ConfigurationError
 from .gridworld import GridWorld, Position
-from .potential import DYNAMIC_SCALE, PotentialParams, PotentialState, SensorModel, _obstacle_field, term_table
+from .potential import DYNAMIC_SCALE, PotentialParams, SensorModel, _obstacle_field, term_table
 
 COMPLETED = "completed"
 CAP_REACHED = "cap_reached"
@@ -59,14 +61,13 @@ class RobotState:
 
     pos: Position
     tasks: list[Position]
-    potential: PotentialState = field(default_factory=PotentialState)
-    segment_log: list[Segment] = field(default_factory=list)
-    leg_start: Position = None  # type: ignore[assignment]
-    leg_moves: int = 0
+    potential: dict[Position, float] = field(init=False, default_factory=dict)
+    segment_log: list[Segment] = field(init=False, default_factory=list)
+    leg_start: Position = field(init=False)
+    leg_moves: int = field(init=False, default=0)
 
     def __post_init__(self):
-        if self.leg_start is None:
-            self.leg_start = self.pos
+        self.leg_start = self.pos
 
 
 @dataclass
@@ -134,7 +135,6 @@ def sense_nearby(
 
 def _choose(
     values: dict,
-    initial: dict,
     repulsion: dict,
     goal_table: tuple,
     robot_table: tuple,
@@ -147,10 +147,11 @@ def _choose(
 ) -> Position:
     """Fused recursion update and argmin over one robot's neighborhood.
 
-    The single implementation of the descent step. A cell seen for the
-    first time starts at its goal attraction plus obstacle repulsion;
-    afterwards the robot's own cell is excited and the adjacent cells
-    relaxed toward their initial values. Repulsion from the sensed robots
+    The single implementation of the descent step. A cell's initial value
+    is its goal attraction plus obstacle repulsion, read from goal_table
+    and repulsion. A cell seen for the first time starts at it; afterwards
+    the robot's own cell is excited and each adjacent cell relaxed toward
+    it, read again from the same tables. Repulsion from the sensed robots
     within consistent range (the extent of robot_table) is added for the
     choice only, and a cell another robot stands on is never chosen.
     Adjacent cells come first in up/right/down/left order and the own cell
@@ -167,14 +168,12 @@ def _choose(
     for cell in (*adjacent, pos):
         cx, cy = cell
         old = values_get(cell)
-        if old is None:
-            value = goal_table[cx - gx if cx >= gx else gx - cx][cy - gy if cy >= gy else gy - cy]
-            value += repulsion[cell]
-            values[cell] = initial[cell] = value
-        elif cell is pos:  # the own cell: the last candidate, never adjacent
+        if cell is pos and old is not None:  # the own cell: the last candidate, never adjacent
             value = values[cell] = gamma * old
         else:
-            value = values[cell] = keep * old + alpha * initial[cell]
+            u0 = goal_table[cx - gx if cx >= gx else gx - cx][cy - gy if cy >= gy else gy - cy]
+            u0 += repulsion[cell]
+            value = values[cell] = u0 if old is None else keep * old + alpha * u0
         if near:
             dyn = 0.0
             for ox, oy in near:
@@ -242,17 +241,15 @@ def run_until_done(
             if pos == goal:
                 robot.segment_log.append(Segment(robot.leg_start, pos, robot.leg_moves))
                 robot.tasks.pop(0)
-                robot.potential = PotentialState()
+                robot.potential = {}
                 robot.leg_start = pos
                 robot.leg_moves = 0
                 left -= 1
                 continue
-            state = robot.potential
             near = sense_nearby(sensor, pos, me, robots, buckets)
             t0 = perf_counter()
             target = _choose(
-                state.values,
-                state.initial,
+                robot.potential,
                 repulsion,
                 goal_table,
                 robot_table,

@@ -2,13 +2,14 @@
 
 The scalar field a robot descends splits into a static part (goal
 attraction plus sensed obstacle repulsion) and a dynamic part (repulsion
-from the other robots' current cells). The static part is not a fixed
-function of space: each robot re-evaluates its own copy recursively, every
-tick multiplying the value under its wheels by an excitation factor gamma
-and decaying the other cells of its neighborhood back toward their initial
-values with a relaxation factor alpha. Standing still therefore inflates
-the occupied cell until some neighbor looks cheaper, which is what destroys
-local minima in finite time.
+from the other robots' current cells). A cell's initial static value is a
+fixed function of the cell and the leg's goal, read from the tables and
+never stored; a robot keeps one map of its explored cells' recursive
+values per leg. Every tick it multiplies the value under its wheels by an
+excitation factor gamma and relaxes the other cells of its neighborhood
+back toward their initial values with a relaxation factor alpha. Standing
+still therefore inflates the occupied cell until some neighbor looks
+cheaper, which is what destroys local minima in finite time.
 
 Sensing is modeled as a square (Chebyshev) window. A source only
 contributes to the potential of cell s when it is visible from every cell
@@ -106,22 +107,6 @@ class PotentialParams:
                     # Robots can share a distance of zero, so their repulsion
                     # must stay finite.
                     raise ConfigurationError("robot terms with negative exponent need offset > 0")
-
-
-class PotentialState:
-    """Per-robot recursive store of static potentials for the active leg.
-
-    Tracks, for every explored cell, the current recursive value and the
-    initial value it relaxes back toward. A cell counts as explored exactly
-    when it has a stored value. Lives as long as one task leg; the planner
-    discards it when the goal changes.
-    """
-
-    __slots__ = ("values", "initial")
-
-    def __init__(self):
-        self.values: dict[Position, float] = {}
-        self.initial: dict[Position, float] = {}
 
 
 def term_sum(terms: tuple[PotentialTerm, ...], dx: int, dy: int) -> float:

@@ -12,7 +12,7 @@ import math
 
 from warefleet.errors import ConfigurationError, DomainError
 from warefleet.gridworld import GridWorld, Position
-from warefleet.potential import DYNAMIC_SCALE, PotentialParams, PotentialState, SensorModel
+from warefleet.potential import DYNAMIC_SCALE, PotentialParams, SensorModel
 
 GOAL = "goal"
 OBSTACLE = "obstacle"
@@ -101,7 +101,7 @@ def relax(u_prev: float, u_init: float, alpha: float) -> float:
 
 
 def update_neighborhood(
-    state: PotentialState,
+    values: dict[Position, float],
     world: GridWorld,
     params: PotentialParams,
     sensor: SensorModel,
@@ -113,17 +113,17 @@ def update_neighborhood(
     Cells seen for the first time are initialized from the static field
     (no excitation or relaxation on that visit). Afterwards the occupied
     cell is excited and every other neighborhood cell relaxed toward its
-    initial value. Cells outside the neighborhood are never touched.
+    initial value, computed again from the definition. Cells outside the
+    neighborhood are never touched.
     """
     for cell in (robot_pos, *world.adjacency[robot_pos]):
-        if cell not in state.values:
-            u = static_potential_initial(world, params, sensor, cell, goal)
-            state.values[cell] = u
-            state.initial[cell] = u
+        if cell not in values:
+            values[cell] = static_potential_initial(world, params, sensor, cell, goal)
         elif cell == robot_pos:
-            state.values[cell] = excite(state.values[cell], params.gamma)
+            values[cell] = excite(values[cell], params.gamma)
         else:
-            state.values[cell] = relax(state.values[cell], state.initial[cell], params.alpha)
+            u_init = static_potential_initial(world, params, sensor, cell, goal)
+            values[cell] = relax(values[cell], u_init, params.alpha)
 
 
 def dynamic_potential(

@@ -172,7 +172,7 @@ def test_criterion_05_trap_escape():
                     # Local minimum reached: freeze the realized potentials
                     # and derive the escape-time bound from them.
                     entrap_tick = tick
-                    values = robot.potential.values
+                    values = robot.potential
                     own = values[robot.pos]
                     best_neighbor = min(values[c] for c in world.adjacency[robot.pos])
                     crit = math.log(best_neighbor / own, TABLE_PARAMS.gamma)

@@ -27,7 +27,6 @@ from warefleet.planner import (
 )
 from warefleet.potential import (
     PotentialParams,
-    PotentialState,
     PotentialTerm,
     SensorModel,
     _obstacle_field,
@@ -124,7 +123,7 @@ def test_plan_step_tie_break_prefers_up_then_right():
 
 
 @pytest.mark.parametrize("case", TERM_CASES)
-def test_step_fleet_matches_reference_operations(case):
+def test_descent_step_matches_reference_operations(case):
     # The table-driven descent step must leave the recursion state exactly
     # as the reference operations do, with the obstacle repulsion summed
     # straight from the formula, and pick the same argmin.
@@ -151,13 +150,12 @@ def test_step_fleet_matches_reference_operations(case):
         for cell in candidates:
             if cell != slow.pos and cell in occupied:
                 continue
-            value = reference.values[cell] + dynamic_potential(params, sensor, cell, others)
+            value = reference[cell] + dynamic_potential(params, sensor, cell, others)
             if best is None or value < best_value:
                 best, best_value = cell, value
         chosen = plan_step(fast, room, params, sensor, others)
         assert chosen == best
-        assert fast.potential.values == reference.values
-        assert fast.potential.initial == reference.initial
+        assert fast.potential == reference
         slow.potential = reference
         slow.pos = chosen
         if chosen == goal:
@@ -553,18 +551,17 @@ def _reference_tick(robots, world, params, sensor):
             continue
         if robot.pos == robot.tasks[0]:
             robot.tasks.pop(0)
-            robot.potential = PotentialState()
+            robot.potential = {}
             continue
         near = sensor_reading(sensor, me, [r.pos for r in robots])
-        state = robot.potential
         robot.pos = _choose(
-            state.values, state.initial, repulsion, goal_table, robot_table,
+            robot.potential, repulsion, goal_table, robot_table,
             world.adjacency[robot.pos], robot.pos, robot.tasks[0], near, params.alpha, params.gamma,
         )
 
 
 def _fleet_state(robots):
-    return [(r.pos, r.tasks, r.potential.values, r.potential.initial) for r in robots]
+    return [(r.pos, r.tasks, r.potential) for r in robots]
 
 
 @settings(max_examples=200, deadline=None)

@@ -10,7 +10,6 @@ from warefleet.errors import ConfigurationError, DomainError
 from warefleet.gridworld import Position
 from warefleet.potential import (
     PotentialParams,
-    PotentialState,
     PotentialTerm,
     SensorModel,
     _obstacle_field,
@@ -276,57 +275,56 @@ def test_relax_is_contraction_toward_initial(u, u0, alpha):
 
 def test_update_neighborhood_first_visit_initializes():
     room = open_room(9, 9)
-    state = PotentialState()
+    values = {}
     pos, goal = Position(4, 4), Position(7, 4)
-    update_neighborhood(state, room, DEFAULTS, SENSOR, pos, goal)
-    assert set(state.values) == {
+    update_neighborhood(values, room, DEFAULTS, SENSOR, pos, goal)
+    assert set(values) == {
         pos,
         Position(4, 3),
         Position(5, 4),
         Position(4, 5),
         Position(3, 4),
     }
-    for cell in state.values:
+    for cell in values:
         expected = static_potential_initial(room, DEFAULTS, SENSOR, cell, goal)
-        assert state.values[cell] == expected
-        assert state.initial[cell] == expected
+        assert values[cell] == expected
 
 
 def test_update_neighborhood_excites_own_and_relaxes_rest():
     room = open_room(9, 9)
-    state = PotentialState()
+    values = {}
     pos, goal = Position(4, 4), Position(7, 4)
-    update_neighborhood(state, room, DEFAULTS, SENSOR, pos, goal)
+    update_neighborhood(values, room, DEFAULTS, SENSOR, pos, goal)
     east = Position(5, 4)
-    state.values[east] = 10.0  # pretend it was excited earlier
-    own_before = state.values[pos]
-    update_neighborhood(state, room, DEFAULTS, SENSOR, pos, goal)
-    assert state.values[pos] == 15.0 * own_before
-    assert state.values[east] == pytest.approx(0.95 * 10.0 + 0.05 * state.initial[east])
+    values[east] = 10.0  # pretend it was excited earlier
+    own_before = values[pos]
+    update_neighborhood(values, room, DEFAULTS, SENSOR, pos, goal)
+    assert values[pos] == 15.0 * own_before
+    east_initial = static_potential_initial(room, DEFAULTS, SENSOR, east, goal)
+    assert values[east] == pytest.approx(0.95 * 10.0 + 0.05 * east_initial)
 
 
 def test_update_neighborhood_repeated_stays_grow_geometrically():
     room = open_room(9, 9)
-    state = PotentialState()
+    values = {}
     pos = Position(4, 4)
     goal = Position(6, 4)
-    update_neighborhood(state, room, DEFAULTS, SENSOR, pos, goal)
-    state.values[pos] = 2.0
-    state.initial[pos] = 2.0
+    update_neighborhood(values, room, DEFAULTS, SENSOR, pos, goal)
+    values[pos] = 2.0
     seen = []
     for _ in range(3):
-        update_neighborhood(state, room, DEFAULTS, SENSOR, pos, goal)
-        seen.append(state.values[pos])
+        update_neighborhood(values, room, DEFAULTS, SENSOR, pos, goal)
+        seen.append(values[pos])
     assert seen == [30.0, 450.0, 6750.0]
 
 
 def test_update_neighborhood_touches_only_neighborhood():
     room = open_room(12, 12)
-    state = PotentialState()
+    values = {}
     goal = Position(10, 10)
-    update_neighborhood(state, room, DEFAULTS, SENSOR, Position(3, 3), goal)
-    snapshot = dict(state.values)
-    update_neighborhood(state, room, DEFAULTS, SENSOR, Position(4, 3), goal)
+    update_neighborhood(values, room, DEFAULTS, SENSOR, Position(3, 3), goal)
+    snapshot = dict(values)
+    update_neighborhood(values, room, DEFAULTS, SENSOR, Position(4, 3), goal)
     touched = {
         Position(4, 3),
         Position(4, 2),
@@ -336,7 +334,7 @@ def test_update_neighborhood_touches_only_neighborhood():
     }
     for cell, value in snapshot.items():
         if cell not in touched:
-            assert state.values[cell] == value
+            assert values[cell] == value
 
 
 def test_dynamic_potential_cases():
