@@ -280,6 +280,10 @@ def main(argv: list[str] | None = None) -> int:
     except SimulatorError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError:
+        # A layout, population or generation count too large for this host.
+        print("error: out of memory: the scenario is too large to run here", file=sys.stderr)
+        return 1
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 2

@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 import random
 import statistics
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 
 from .allocator import GAConfig, HeuristicStore, decode, evolve
@@ -367,6 +366,10 @@ def run_sweep(
             _, report = run_scenario(_sweep_cell_scenario(base, n, k, seed), heuristics=store)
             reports[(n, k, seed)] = report
     else:
+        # Imported here: multiprocessing costs every process that imports
+        # warefleet about as much as the rest of the package does.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(
             max_workers=workers, initializer=_set_sweep_base, initargs=(base,)
         ) as pool:

@@ -10,7 +10,7 @@ tiled shelf-block pattern or parsed from a plain ASCII document.
 
 from __future__ import annotations
 
-from itertools import chain
+from itertools import chain, compress, repeat
 from typing import Iterable, NamedTuple
 
 from .errors import ConfigurationError, LoadError
@@ -21,8 +21,8 @@ class Position(NamedTuple):
     y: int
 
 
-# Step offsets in deterministic preference order: up, right, down, left.
-ADJACENT_STEPS = ((0, -1), (1, 0), (0, 1), (-1, 0))
+# Maps a grid byte to 1 on floor and 0 on an obstacle.
+_FLOOR_BYTES = bytes.maketrans(b"\x00\x01", b"\x01\x00")
 
 OBSTACLE_GLYPH = "#"
 FLOOR_GLYPH = "."
@@ -45,42 +45,60 @@ class GridWorld:
         self.width = width
         self.height = height
         self.obstacles = frozenset(Position(x, y) for x, y in obstacles)
-        # One walk of the lattice, row by row: one byte per cell (1 on an
-        # obstacle) and one Position object per floor cell, kept both by cell
-        # and by column. It checks the walls on the way, so an error names
-        # the first fault in reading order; an obstacle it never meets lies
-        # off the lattice.
-        cells = bytearray()
-        floor: dict[Position, Position] = {}
-        columns: list[list[Position]] = [[] for _ in range(width)]
-        for y in range(height):
-            for x in range(width):
-                pos = Position(x, y)
-                if pos in self.obstacles:
-                    cells.append(1)
-                elif 0 < x < width - 1 and 0 < y < height - 1:
-                    cells.append(0)
-                    floor[pos] = pos
-                    columns[x].append(pos)
-                else:
-                    raise ConfigurationError(f"boundary cell ({x},{y}) is not a wall")
-        if len(cells) - len(floor) != len(self.obstacles):
-            off = next(p for p in self.obstacles if p.x not in range(width) or p.y not in range(height))
+        # The lattice as one byte per cell in reading order, 1 on an obstacle.
+        # range.index finds the lattice point an obstacle equals, so
+        # Position(2.0, 1) marks the cell (2, 1); an obstacle equal to no
+        # lattice point marks nothing and is named below.
+        size = width * height
+        grid = bytearray(size)
+        xs, ys = range(width), range(height)
+        for x, y in self.obstacles:
+            if x in xs and y in ys:
+                grid[ys.index(y) * width + xs.index(x)] = 1
+        # The border in reading order, so an error names the first fault.
+        sides = ((row, row + width - 1) for row in range(width, size - width, width))
+        border = chain(xs, chain.from_iterable(sides), range(size - width, size))
+        fault = next((i for i in border if not grid[i]), None)
+        if fault is not None:
+            y, x = divmod(fault, width)
+            raise ConfigurationError(f"boundary cell ({x},{y}) is not a wall")
+        if grid.count(1) != len(self.obstacles):
+            off = next(p for p in self.obstacles if p.x not in xs or p.y not in ys)
             raise ConfigurationError(f"obstacle {off} outside the {width}x{height} lattice")
+        # One Position object per floor cell at its index, None on an
+        # obstacle. tuple.__new__ makes each one as Position(x, y) would,
+        # without a Python call per cell. The walls hold every border cell, so
+        # a floor cell's four neighbours lie one row and one column away.
+        open_bytes = grid.translate(_FLOOR_BYTES)
+        pairs = chain.from_iterable(
+            zip(compress(xs, open_bytes[row : row + width]), repeat(y))
+            for y, row in enumerate(range(0, size, width))
+        )
+        positions = map(tuple.__new__, repeat(Position), pairs)
+        cells: list[Position | None] = [None] * size
+        for i, cell in zip(compress(range(size), open_bytes), positions):
+            cells[i] = cell
         # The floor cells in (x, y) order, which is sorted order: random
         # placement draws from this sequence and the obstacle field walks it.
-        self.floor: tuple[Position, ...] = tuple(chain.from_iterable(columns))
+        self.floor: tuple[Position, ...] = tuple(
+            filter(None, chain.from_iterable(cells[x::width] for x in xs))
+        )
         # Reachable 4-neighbors per cell in up/right/down/left order, as the
-        # floor's own objects; the planner and the search baseline read this
-        # dict directly in their inner loops.
-        self.adjacency: dict[Position, tuple[Position, ...]] = {}
-        for cell in floor:
-            x, y = cell
-            steps = (floor.get((x + dx, y + dy)) for dx, dy in ADJACENT_STEPS)
-            self.adjacency[cell] = tuple(n for n in steps if n is not None)
+        # floor's own objects, keyed in reading order; the planner and the
+        # search baseline read this dict directly in their inner loops.
+        self.adjacency: dict[Position, tuple[Position, ...]] = {
+            cell: tuple(filter(None, (cells[i - width], cells[i + 1], cells[i + width], cells[i - 1])))
+            for i, cell in enumerate(cells)
+            if cell is not None
+        }
         # Equal worlds, such as a copy unpickled in a sweep worker, compare
         # with one bytes comparison instead of a walk of the obstacle set.
-        self._value = (width, height, bytes(cells))
+        self._value = (width, height, bytes(grid))
+
+    @property
+    def grid(self) -> bytes:
+        """The lattice in reading order, one byte per cell: 1 on an obstacle."""
+        return self._value[2]
 
     @property
     def reachable(self):

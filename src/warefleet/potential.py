@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import chain
 
 from .errors import ConfigurationError
 from .gridworld import GridWorld, Position
@@ -150,23 +151,57 @@ def _obstacle_field(
 
     An obstacle counts when it lies within Chebyshev distance radius - 1,
     so that it is visible from every cell of the cell's step cross. The box
-    is clipped to the lattice, which holds every obstacle, so no radius
-    costs more than the lattice's extent. The field depends only on the
-    floor plan, the radius and the terms, so it is cached on their values:
-    an equal world, such as one unpickled in a sweep worker, gets the same
-    dict back.
+    is clipped to the lattice, which holds every obstacle. The field
+    depends only on the floor plan, the radius and the terms, so it is
+    cached on their values: an equal world, such as one unpickled in a
+    sweep worker, gets the same dict back.
+
+    Cost: what a cell senses on one row of its box, the row's grid bytes
+    between the box's sides and where they start relative to the cell, is
+    filed once per lattice cell and row, width x height lookups at any
+    radius. A box is the cell's row offset in it plus its rows' window ids,
+    and each distinct box is summed once, with one table read per obstacle
+    it senses. So a build costs the floor cells plus the sensed obstacles
+    of the distinct boxes: on the tiled 81x80 world at radius 3, 89 boxes
+    for 4,338 floor cells; on a layout without repeats, about one box per
+    cell. Each sum is one sum() over the box's obstacles by y, then x, as
+    the definition takes them, so a value does not depend on which cell's
+    box was summed first, on any Python version.
     """
     reach = radius - 1
-    table = term_table(obstacle_terms, min(radius, world.width), min(radius, world.height))
-    xs = [range(max(0, x - reach), min(world.width, x + reach + 1)) for x in range(world.width)]
-    ys = [range(max(0, y - reach), min(world.height, y + reach + 1)) for y in range(world.height)]
-    obstacles = world.obstacles
-    return {
-        cell: sum(
-            table[abs(x - cell.x)][abs(y - cell.y)]
-            for y in ys[cell.y]
-            for x in xs[cell.x]
-            if (x, y) in obstacles
+    width, height, grid = world.width, world.height, world.grid
+    table = term_table(obstacle_terms, min(radius, width), min(radius, height))
+    by_dy = tuple(zip(*table))  # the table indexed [dy][dx]
+    # window_ids[x][y]: the id of what a column-x cell senses on row y, one
+    # id per distinct (box start minus x, row bytes in the box).
+    windows: dict[tuple[int, bytes], int] = {}
+    window_ids = []
+    for x in range(width):
+        x0, x1 = max(0, x - reach), min(width, x + reach + 1)
+        window_ids.append(
+            [
+                windows.setdefault((x0 - x, grid[i : i + x1 - x0]), len(windows))
+                for i in range(x0, width * height, width)
+            ]
         )
-        for cell in world.floor
-    }
+    # Per window id, the x distances of its obstacles in ascending x.
+    sensed = [tuple(abs(start + i) for i, byte in enumerate(row) if byte) for start, row in windows]
+    # Per cell row y: its box's rows, and the table row each of them reads,
+    # as a lookup by x distance.
+    spans = [(max(0, y - reach), min(height, y + reach + 1)) for y in range(height)]
+    readers = [
+        tuple(by_dy[abs(row - y)].__getitem__ for row in range(y0, y1))
+        for y, (y0, y1) in enumerate(spans)
+    ]
+    sums: dict[tuple[int, ...], float] = {}
+    field = {}
+    for cell in world.floor:
+        x, y = cell
+        y0, y1 = spans[y]
+        ids = window_ids[x][y0:y1]
+        box = (y - y0, *ids)
+        value = sums.get(box)
+        if value is None:
+            value = sums[box] = sum(chain.from_iterable(map(map, readers[y], map(sensed.__getitem__, ids))))
+        field[cell] = value
+    return field

@@ -4,6 +4,7 @@ import re
 
 import pytest
 
+from warefleet import cli, engine
 from warefleet.allocator import GAConfig
 from warefleet.cli import build_scenario, main, read_scenario_file
 from warefleet.engine import Scenario, default_step_cap, run_scenario
@@ -524,6 +525,22 @@ def test_removed_commands_are_invalid_choices(scenario_file, tmp_path, capsys):
             main([command, "--scenario", str(scenario_file), "--out", str(tmp_path / "x")])
         assert exit_.value.code == 2
         assert f"invalid choice: '{command}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_out_of_memory_is_an_error_line(monkeypatch, scenario_file, tmp_path, capsys, command):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "run_scenario", exhausted)
+    monkeypatch.setattr(engine, "run_scenario", exhausted)
+    out = tmp_path / "x.csv"
+    extra = ["--n-values", "1", "--k-values", "2"] if command == "sweep" else []
+    assert main([command, "--scenario", str(scenario_file), "--out", str(out), *extra]) == 1
+    assert capsys.readouterr().err == (
+        "error: out of memory: the scenario is too large to run here\n"
+    )
+    assert list(tmp_path.iterdir()) == [scenario_file]  # no output, no temp file
 
 
 def test_invalid_layout_value_is_validation_error(tmp_path):

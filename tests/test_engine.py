@@ -1,6 +1,10 @@
+import concurrent.futures
 import dataclasses
 import math
+import os
 import statistics
+import subprocess
+import sys
 
 import pytest
 
@@ -350,7 +354,7 @@ def test_run_sweep_ships_base_once(monkeypatch):
             self.payloads = list(payloads)
             return map(fn, self.payloads)
 
-    monkeypatch.setattr(engine, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
     monkeypatch.setattr(engine, "_sweep_base", None)
     world = generate_layout_sized(16, 16)
     base = Scenario(world=world, n_robots=1, n_tasks=1, ga=LIGHT_GA, seed=80)
@@ -371,6 +375,23 @@ def test_run_sweep_ships_base_once(monkeypatch):
     # A grid of one run needs no pool at all.
     run_sweep(base, [1], [2], seeds_per_cell=1, jobs=8)
     assert len(pools) == 1
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    # run_sweep imports the pool only when it runs workers; loading it costs
+    # every fresh process about as much as the rest of the package.
+    code = (
+        "import sys, warefleet.cli; "
+        "print(sorted(m for m in sys.modules "
+        "if m.split('.')[0] in ('multiprocessing', 'concurrent')))"
+    )
+    src = os.path.dirname(os.path.dirname(engine.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    )
+    assert result.stdout == "[]\n"
 
 
 @pytest.mark.parametrize(

@@ -13,7 +13,8 @@ from warefleet.gridworld import (
     serialize_layout,
 )
 
-from conftest import flood_fill_components, open_room, world_from
+from conftest import flood_fill_components, open_room, random_world, world_from
+from gridworld_oracle import walk_lattice
 from potential_oracle import distance
 
 
@@ -297,3 +298,102 @@ def test_world_is_a_value():
     assert moved != world
     # Same cell count and walls, other shape.
     assert open_room(4, 6) != open_room(6, 4)
+
+
+def _built(make):
+    """What make() returns, or the message of the ConfigurationError it raises."""
+    try:
+        return make()
+    except ConfigurationError as exc:
+        return str(exc)
+
+
+def check_against_walk(width, height, obstacles):
+    """GridWorld(width, height, obstacles) has the walk's floor, adjacency
+    items in order, neighbour objects, value and hash, or its error."""
+    world = _built(lambda: GridWorld(width, height, obstacles))
+    walked = _built(lambda: walk_lattice(width, height, obstacles))
+    if isinstance(walked, str):
+        assert world == walked
+        return world
+    floor, adjacency, value = walked
+    assert world.floor == floor
+    assert list(world.adjacency.items()) == list(adjacency.items())
+    keys = {cell: cell for cell in world.adjacency}
+    assert all(keys[cell] is cell for cell in world.floor)
+    assert all(keys[n] is n for steps in world.adjacency.values() for n in steps)
+    assert world._value == value and world.grid == value[2]
+    assert hash(world) == hash(value)
+    return world
+
+
+@st.composite
+def lattices(draw):
+    """A lattice size and an obstacle set that may leave a border cell open,
+    hold points off the lattice, or name a cell with a float coordinate."""
+    width, height = draw(st.integers(3, 12)), draw(st.integers(3, 12))
+    border = [
+        (x, y) for y in range(height) for x in range(width)
+        if x in (0, width - 1) or y in (0, height - 1)
+    ]
+    interior = [(x, y) for y in range(1, height - 1) for x in range(1, width - 1)]
+    obstacles = set(border) - set(draw(st.lists(st.sampled_from(border), max_size=2)))
+    obstacles |= set(draw(st.lists(st.sampled_from(interior), max_size=len(interior))))
+    near = st.tuples(st.integers(-2, width + 1), st.integers(-2, height + 1))
+    obstacles |= set(draw(st.lists(near, max_size=2)))
+    if draw(st.booleans()):
+        obstacles.add((draw(st.sampled_from([0.5, 1.5, width - 0.5])), 1))
+    floats = set(draw(st.lists(st.sampled_from(sorted(obstacles)), max_size=3)))
+    return width, height, {
+        Position(float(x), y) if (x, y) in floats else Position(x, y) for x, y in obstacles
+    }
+
+
+@settings(deadline=None, max_examples=300)
+@given(lattices())
+def test_world_matches_the_row_walk(lattice):
+    check_against_walk(*lattice)
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.randoms(use_true_random=False))
+def test_random_and_tiled_worlds_match_the_row_walk(rng):
+    world = random_world(rng)
+    check_against_walk(world.width, world.height, world.obstacles)
+    width, height = rng.randint(4, 40), rng.randint(4, 40)
+    try:
+        tiled = generate_layout_sized(width, height)
+    except ConfigurationError:
+        return
+    check_against_walk(width, height, tiled.obstacles)
+
+
+def test_benchmark_world_matches_the_row_walk():
+    world = generate_layout_sized(81, 80)
+    assert check_against_walk(81, 80, world.obstacles) == world
+
+
+def test_world_errors_match_the_row_walk():
+    walls = {Position(x, y) for x in range(5) for y in range(4) if x in (0, 4) or y in (0, 3)}
+    # Two open border cells: the first in reading order is named, here the
+    # one on the top row although the other has the smaller x.
+    opened = walls - {Position(3, 0), Position(0, 2)}
+    assert check_against_walk(5, 4, opened) == "boundary cell (3,0) is not a wall"
+    opened = walls - {Position(4, 1), Position(0, 2)}
+    assert check_against_walk(5, 4, opened) == "boundary cell (4,1) is not a wall"
+    # A border fault is named before an obstacle off the lattice.
+    assert check_against_walk(5, 4, opened | {Position(7, 1)}) == (
+        "boundary cell (4,1) is not a wall"
+    )
+    assert check_against_walk(5, 4, walls | {Position(5, 1)}) == (
+        "obstacle Position(x=5, y=1) outside the 5x4 lattice"
+    )
+    assert check_against_walk(5, 4, walls | {Position(1.5, 2)}) == (
+        "obstacle Position(x=1.5, y=2) outside the 5x4 lattice"
+    )
+    # A float coordinate equal to a lattice point names that cell.
+    world = check_against_walk(5, 4, walls | {Position(2.0, 1)})
+    assert world == GridWorld(5, 4, walls | {Position(2, 1)})
+    assert Position(2, 1) not in world.reachable
+    floated_wall = walls - {Position(2, 0)} | {Position(2.0, 0)}
+    assert check_against_walk(5, 4, floated_wall) == GridWorld(5, 4, walls)

@@ -4,10 +4,10 @@ import pickle
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from warefleet.errors import ConfigurationError, DomainError
-from warefleet.gridworld import Position
+from warefleet.gridworld import Position, generate_layout_sized
 from warefleet.potential import (
     PotentialParams,
     PotentialTerm,
@@ -17,7 +17,7 @@ from warefleet.potential import (
     term_table,
 )
 
-from conftest import open_room, world_from
+from conftest import open_room, random_world, world_from
 from potential_oracle import (
     GOAL,
     OBSTACLE,
@@ -187,11 +187,10 @@ def test_term_table_matches_phi(term):
             assert table[dx][dy] == phi(params, source_class, origin, Position(10 - dx, 10 + dy))
 
 
-@pytest.mark.parametrize(
-    "obstacle_terms",
-    [DEFAULTS.obstacle_terms, (PotentialTerm(1.5, 1, -1.0),), TERMS_EVERY_NORM[2:]],
-    ids=["default", "offset-0", "two-terms"],
-)
+FIELD_TERMS = [DEFAULTS.obstacle_terms, (PotentialTerm(1.5, 1, -1.0),), TERMS_EVERY_NORM[2:]]
+
+
+@pytest.mark.parametrize("obstacle_terms", FIELD_TERMS, ids=["default", "offset-0", "two-terms"])
 @pytest.mark.parametrize("radius", [2, 3, 4])
 def test_obstacle_field_matches_reference(obstacle_terms, radius):
     world = world_from([
@@ -217,6 +216,30 @@ def test_obstacle_field_matches_reference(obstacle_terms, radius):
     del world
     gc.collect()
     assert _obstacle_field(copy, radius, obstacle_terms) is field
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.randoms(use_true_random=False),
+    st.booleans(),
+    st.sampled_from([2, 3, 5, "extent", "beyond"]),
+    st.sampled_from(FIELD_TERMS),
+)
+def test_obstacle_field_matches_the_oracle_cell_by_cell(rng, tiled, radius, obstacle_terms):
+    # Tiled worlds repeat their boxes, so most cells, those in clipped boxes
+    # along the walls too, read a sum that another cell's box computed.
+    if tiled:
+        world = generate_layout_sized(rng.randint(8, 30), rng.randint(8, 30))
+    else:
+        world = random_world(rng)
+    extent = max(world.width, world.height)
+    radius = {"extent": extent, "beyond": extent + rng.randint(1, 20)}.get(radius, radius)
+    params = PotentialParams(obstacle_terms=obstacle_terms)
+    sensor = SensorModel(radius)
+    field = _obstacle_field.__wrapped__(world, radius, obstacle_terms)
+    assert list(field.items()) == [
+        (cell, obstacle_repulsion(world, params, sensor, cell)) for cell in world.floor
+    ]
 
 
 def test_static_initial_at_goal_no_obstacles():
