@@ -47,7 +47,6 @@ from .planner import (
 from .potential import (
     PotentialParams,
     PotentialTerm,
-    SensorModel,
 )
 
 __version__ = "0.1.0"

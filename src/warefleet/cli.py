@@ -38,7 +38,7 @@ from .engine import (
 from .errors import ConfigurationError, LoadError, SimulatorError
 from .gridworld import Position, generate_layout_sized, parse_layout, serialize_layout
 from .planner import format_trace
-from .potential import PotentialParams, SensorModel
+from .potential import PotentialParams
 
 
 def _atomic_write(path: str | Path, text: str) -> None:
@@ -81,8 +81,11 @@ def _parse_positions(raw: str) -> tuple[Position, ...]:
 # Scenario keys other than `layout`, grouped by the object they configure:
 # key -> (the field it sets, the parser of its value). Within a group the
 # keys are applied in this order, so a count comes before its positions.
-_POTENTIAL_KEYS = {"gamma": ("gamma", float), "alpha": ("alpha", float)}
-_SENSOR_KEYS = {"sensor_radius": ("radius", int)}
+_POTENTIAL_KEYS = {
+    "gamma": ("gamma", float),
+    "alpha": ("alpha", float),
+    "sensor_radius": ("sensor_radius", int),
+}
 _GA_KEYS = {
     "population": ("population_size", int),
     "generations": ("max_generations", int),
@@ -97,7 +100,7 @@ _RUN_KEYS = {
     "step_cap": ("step_cap", int),
     "seed": ("seed", int),
 }
-_SCENARIO_KEYS = {"layout", *_POTENTIAL_KEYS, *_SENSOR_KEYS, *_GA_KEYS, *_RUN_KEYS}
+_SCENARIO_KEYS = {"layout", *_POTENTIAL_KEYS, *_GA_KEYS, *_RUN_KEYS}
 
 
 def _read_text(path: Path) -> str:
@@ -177,7 +180,6 @@ def build_scenario(path: str | Path, seed_override: int | None = None) -> Scenar
         n_robots=1,
         n_tasks=1,
         potential=configured(PotentialParams(), _POTENTIAL_KEYS),
-        sensor=configured(SensorModel(), _SENSOR_KEYS),
         ga=configured(GAConfig(), _GA_KEYS),
     )
     scenario = configured(scenario, _RUN_KEYS)

@@ -30,7 +30,7 @@ from .planner import (
     SimTrace,
     run_until_done,
 )
-from .potential import PotentialParams, SensorModel
+from .potential import PotentialParams
 
 
 @dataclass
@@ -43,7 +43,6 @@ class Scenario:
     robot_starts: tuple[Position, ...] | None = None
     task_positions: tuple[Position, ...] | None = None
     potential: PotentialParams = field(default_factory=PotentialParams)
-    sensor: SensorModel = field(default_factory=SensorModel)
     ga: GAConfig = field(default_factory=GAConfig)
     eta: float = 0.5
     step_cap: int = 0  # 0 runs with default_step_cap
@@ -251,7 +250,7 @@ def run_scenario(
         for start, genes in zip(starts, decode(best, sc.n_robots))
     ]
     cap = sc.step_cap or default_step_cap(sc.world, sc.n_robots, sc.n_tasks)
-    trace = run_until_done(robots, sc.world, sc.potential, sc.sensor, cap)
+    trace = run_until_done(robots, sc.world, sc.potential, cap)
 
     # Per completed leg, in order: its A* optimum, and its realized distance learned.
     astar_seconds = 0.0
@@ -290,6 +289,7 @@ def _set_sweep_base(base: Scenario) -> None:
 
 
 def _sweep_worker(payload: tuple[int, int, int]) -> tuple[int, int, int, MetricsReport]:
+    """The task with its report, last; run_sweep reads only the report."""
     n, k, seed = payload
     _, report = run_scenario(_sweep_cell_scenario(_sweep_base, n, k, seed))
     return n, k, seed, report
@@ -359,12 +359,14 @@ def run_sweep(
     # more than there are runs.
     workers = min(jobs, len(combos))
 
-    reports: dict[tuple[int, int, int], MetricsReport] = {}
+    # Both paths yield the reports in combos order, so each cell's seeds
+    # are one consecutive slice.
     if warm or workers <= 1:
         store = HeuristicStore(base.eta) if warm else None
-        for n, k, seed in combos:
-            _, report = run_scenario(_sweep_cell_scenario(base, n, k, seed), heuristics=store)
-            reports[(n, k, seed)] = report
+        reports = [
+            run_scenario(_sweep_cell_scenario(base, n, k, seed), heuristics=store)[1]
+            for n, k, seed in combos
+        ]
     else:
         # Imported here: multiprocessing costs every process that imports
         # warefleet about as much as the rest of the package does.
@@ -373,13 +375,10 @@ def run_sweep(
         with ProcessPoolExecutor(
             max_workers=workers, initializer=_set_sweep_base, initargs=(base,)
         ) as pool:
-            for n, k, seed, report in pool.map(_sweep_worker, combos):
-                reports[(n, k, seed)] = report
+            reports = [result[-1] for result in pool.map(_sweep_worker, combos)]
 
-    ordered = [reports[combo] for combo in combos]
     cells = [
-        _summarize_cell(n, k, [reports[(n, k, seed)] for seed in seeds])
-        for n in n_values
-        for k in k_values
+        _summarize_cell(n, k, reports[i * seeds_per_cell : (i + 1) * seeds_per_cell])
+        for i, (n, k, _) in enumerate(combos[::seeds_per_cell])
     ]
-    return ordered, cells
+    return reports, cells

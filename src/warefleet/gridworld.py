@@ -26,6 +26,8 @@ _FLOOR_BYTES = bytes.maketrans(b"\x00\x01", b"\x01\x00")
 
 OBSTACLE_GLYPH = "#"
 FLOOR_GLYPH = "."
+# Maps a grid byte to its glyph.
+_GLYPH_BYTES = bytes.maketrans(b"\x00\x01", (FLOOR_GLYPH + OBSTACLE_GLYPH).encode())
 
 
 class GridWorld:
@@ -195,12 +197,7 @@ def parse_layout(text: str) -> GridWorld:
 
 
 def serialize_layout(world: GridWorld) -> str:
-    rows = []
-    for y in range(world.height):
-        rows.append(
-            "".join(
-                OBSTACLE_GLYPH if Position(x, y) in world.obstacles else FLOOR_GLYPH
-                for x in range(world.width)
-            )
-        )
-    return "\n".join(rows) + "\n"
+    """The ASCII layout document of a world, read from its grid bytes."""
+    text = world.grid.translate(_GLYPH_BYTES).decode("ascii")
+    width = world.width
+    return "".join(text[i : i + width] + "\n" for i in range(0, len(text), width))

@@ -14,12 +14,12 @@ then any cell other than the current one, then up, right, down, left.
 
 A mover senses the other robots through a bucket index rather than by
 scanning the fleet: robot ids are filed under the (x // side, y // side)
-bucket of their cell, with side = 2 * radius + 1, so a sensing box lies
-within 2x2 buckets and a tick costs time linear in the fleet size. The
-index is filed once per run_until_done call and refiled with every move
-that crosses a bucket border. The reading lists the sensed cells in
-ascending robot id, the order in which the descent step adds their
-repulsion.
+bucket of their cell, with side = 2 * PotentialParams.sensor_radius + 1,
+so a sensing box lies within 2x2 buckets and a tick costs time linear in
+the fleet size. The index is filed once per run_until_done call and
+refiled with every move that crosses a bucket border. The reading lists
+the sensed cells in ascending robot id, the order in which the descent
+step adds their repulsion.
 
 Timing note: reported planning compute covers the recursion update and
 the candidate choice. A candidate's initial static value, first visit or
@@ -41,10 +41,16 @@ from typing import NamedTuple
 
 from .errors import ConfigurationError
 from .gridworld import GridWorld, Position
-from .potential import DYNAMIC_SCALE, PotentialParams, SensorModel, _obstacle_field, term_table
+from .potential import DYNAMIC_SCALE, PotentialParams, _obstacle_field, term_table
 
 COMPLETED = "completed"
 CAP_REACHED = "cap_reached"
+
+# The ceiling of an excited value. A robot that can never leave its cell,
+# such as one of two movers head-on in a dead-end corridor, would otherwise
+# excite its value to inf, which no relaxation brings back. Completing runs
+# peak far below it, at about 1e5 with N=K=100 on the 81x80 world.
+POTENTIAL_CAP = 1e300
 
 
 class Segment(NamedTuple):
@@ -96,14 +102,15 @@ def _bucket_index(robots: list[RobotState], side: int) -> dict[tuple[int, int], 
 
 
 def sense_nearby(
-    sensor: SensorModel,
+    radius: int,
     pos: Position,
     me: int,
     robots: list[RobotState],
     buckets: dict[tuple[int, int], list[int]],
 ) -> list[Position]:
     """The proximity-sensor reading of robot me at pos: the cells of the
-    other robots within its sensing box, in ascending robot id.
+    other robots within its sensing box of the given Chebyshev radius, in
+    ascending robot id.
 
     buckets files each robot id under (x // side, y // side) of its cell,
     with side = 2 * radius + 1. The box is side cells wide, so it lies
@@ -112,7 +119,6 @@ def sense_nearby(
     adds the robots' repulsion in this order, and another order can flip a
     float tie.
     """
-    radius = sensor.radius
     side = 2 * radius + 1
     x, y = pos
     lo_x = x - radius
@@ -150,13 +156,13 @@ def _choose(
     The single implementation of the descent step. A cell's initial value
     is its goal attraction plus obstacle repulsion, read from goal_table
     and repulsion. A cell seen for the first time starts at it; afterwards
-    the robot's own cell is excited and each adjacent cell relaxed toward
-    it, read again from the same tables. Repulsion from the sensed robots
-    within consistent range (the extent of robot_table) is added for the
-    choice only, and a cell another robot stands on is never chosen.
-    Adjacent cells come first in up/right/down/left order and the own cell
-    last, so ties resolve to the smallest value, preferring to leave over
-    staying.
+    the robot's own cell is excited, up to POTENTIAL_CAP, and each adjacent
+    cell relaxed toward it, read again from the same tables. Repulsion from
+    the sensed robots within consistent range (the extent of robot_table)
+    is added for the choice only, and a cell another robot stands on is
+    never chosen. Adjacent cells come first in up/right/down/left order and
+    the own cell last, so ties resolve to the smallest value, preferring to
+    leave over staying.
     """
     keep = 1.0 - alpha
     reach = len(robot_table) - 1
@@ -169,7 +175,8 @@ def _choose(
         cx, cy = cell
         old = values_get(cell)
         if cell is pos and old is not None:  # the own cell: the last candidate, never adjacent
-            value = values[cell] = gamma * old
+            value = gamma * old
+            value = values[cell] = value if value < POTENTIAL_CAP else POTENTIAL_CAP
         else:
             u0 = goal_table[cx - gx if cx >= gx else gx - cx][cy - gy if cy >= gy else gy - cy]
             u0 += repulsion[cell]
@@ -196,7 +203,6 @@ def run_until_done(
     robots: list[RobotState],
     world: GridWorld,
     params: PotentialParams,
-    sensor: SensorModel,
     step_cap: int,
 ) -> SimTrace:
     """The one entry point that moves robots: tick after tick, robots in
@@ -215,16 +221,17 @@ def run_until_done(
     """
     if step_cap < 1:
         raise ConfigurationError("step cap must be at least 1")
-    repulsion = _obstacle_field(world, sensor.radius, params.obstacle_terms)
+    radius = params.sensor_radius
+    repulsion = _obstacle_field(world, radius, params.obstacle_terms)
     goal_table = term_table(params.goal_terms, world.width, world.height)
     # No two lattice cells lie its extent apart on an axis: a larger table is never read.
-    size = min(sensor.radius, max(world.width, world.height))
+    size = min(radius, max(world.width, world.height))
     robot_table = term_table(params.robot_terms, size, size)
     alpha = params.alpha
     gamma = params.gamma
     adjacency = world.adjacency
     perf_counter = time.perf_counter
-    side = 2 * sensor.radius + 1
+    side = 2 * radius + 1
     buckets = _bucket_index(robots, side)
     plan_seconds = 0.0
     tick = 0
@@ -246,7 +253,7 @@ def run_until_done(
                 robot.leg_moves = 0
                 left -= 1
                 continue
-            near = sense_nearby(sensor, pos, me, robots, buckets)
+            near = sense_nearby(radius, pos, me, robots, buckets)
             t0 = perf_counter()
             target = _choose(
                 robot.potential,

@@ -11,10 +11,12 @@ back toward their initial values with a relaxation factor alpha. Standing
 still therefore inflates the occupied cell until some neighbor looks
 cheaper, which is what destroys local minima in finite time.
 
-Sensing is modeled as a square (Chebyshev) window. A source only
-contributes to the potential of cell s when it is visible from every cell
-of the geometric step-neighborhood of s, so the value computed for s is
-the same no matter which adjacent cell the robot evaluated it from.
+Sensing is modeled as a square (Chebyshev) window, and its radius is a
+parameter of the potential like the terms and the recursion factors. A
+source only contributes to the potential of cell s when it is visible
+from every cell of the geometric step-neighborhood of s, so the value
+computed for s is the same no matter which adjacent cell the robot
+evaluated it from.
 """
 
 from __future__ import annotations
@@ -46,32 +48,20 @@ def _default_repulsive_terms() -> tuple[PotentialTerm, ...]:
     return (PotentialTerm(coefficient=0.1, norm_order=2, exponent=-2.0, offset=1e-9),)
 
 
-@dataclass(frozen=True)
-class SensorModel:
-    """Square proximity-sensing window with a Chebyshev radius in cells.
-
-    Radius 2 is the minimum: the consistently-sensed region around a cell
-    must still contain the cell's whole step-neighborhood.
-    """
-
-    radius: int = 3
-
-    def __post_init__(self):
-        if self.radius < 2:
-            raise ConfigurationError("sensor radius must be at least 2")
-
-
 # Other robots repel with the robot terms scaled by this factor.
 DYNAMIC_SCALE = 0.01
 
 
 @dataclass(frozen=True)
 class PotentialParams:
-    """Shape of the potential field plus the recursion factors.
+    """Shape of the potential field, the recursion factors and the sensing
+    window, a square with a Chebyshev radius in cells.
 
     Defaults are the benchmark functions: goal attraction is the Chebyshev
     distance, obstacle repulsion 0.1*(d_2 + 1e-9)**-2, and other robots
-    reuse the obstacle shape scaled by 0.01.
+    reuse the obstacle shape scaled by 0.01. Radius 2 is the minimum: the
+    consistently-sensed region around a cell must still contain the cell's
+    whole step-neighborhood.
     """
 
     goal_terms: tuple[PotentialTerm, ...] = field(default_factory=_default_goal_terms)
@@ -79,6 +69,7 @@ class PotentialParams:
     robot_terms: tuple[PotentialTerm, ...] = field(default_factory=_default_repulsive_terms)
     gamma: float = 15.0
     alpha: float = 0.05
+    sensor_radius: int = 3
 
     def __post_init__(self):
         if not 1.0 < self.gamma < math.inf:
@@ -87,6 +78,8 @@ class PotentialParams:
             )
         if not 0.0 <= self.alpha < 1.0:
             raise ConfigurationError(f"relaxation factor must lie in [0, 1), got {self.alpha}")
+        if self.sensor_radius < 2:
+            raise ConfigurationError("sensor radius must be at least 2")
         for name, terms in (
             ("goal", self.goal_terms),
             ("obstacle", self.obstacle_terms),

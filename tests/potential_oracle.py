@@ -12,7 +12,7 @@ import math
 
 from warefleet.errors import ConfigurationError, DomainError
 from warefleet.gridworld import GridWorld, Position
-from warefleet.potential import DYNAMIC_SCALE, PotentialParams, SensorModel
+from warefleet.potential import DYNAMIC_SCALE, PotentialParams
 
 GOAL = "goal"
 OBSTACLE = "obstacle"
@@ -53,41 +53,37 @@ def phi(params: PotentialParams, source_class: str, at: Position, source: Positi
     return total
 
 
-def in_consistent_range(sensor: SensorModel, at: Position, source: Position) -> bool:
+def in_consistent_range(params: PotentialParams, at: Position, source: Position) -> bool:
     """Whether the source is sensed from every cell of the step cross at `at`.
 
     Uses the full geometric cross (the cell plus its four lattice
     neighbors, obstacles included) so membership depends only on the two
     positions; the worst cross cell is one step farther than `at` itself.
     """
-    return max(abs(at.x - source.x), abs(at.y - source.y)) + 1 <= sensor.radius
+    return max(abs(at.x - source.x), abs(at.y - source.y)) + 1 <= params.sensor_radius
 
 
-def phi_sensed(
-    params: PotentialParams, source_class: str, at: Position, source: Position, sensor: SensorModel
-) -> float:
+def phi_sensed(params: PotentialParams, source_class: str, at: Position, source: Position) -> float:
     """Potential contribution restricted to consistently sensed sources."""
-    if not in_consistent_range(sensor, at, source):
+    if not in_consistent_range(params, at, source):
         return 0.0
     return phi(params, source_class, at, source)
 
 
-def obstacle_repulsion(
-    world: GridWorld, params: PotentialParams, sensor: SensorModel, cell: Position
-) -> float:
+def obstacle_repulsion(world: GridWorld, params: PotentialParams, cell: Position) -> float:
     """Summed repulsion of the obstacles within Chebyshev distance radius - 1
     of a cell, taken row by row: by y, then by x."""
-    reach = sensor.radius - 1
+    reach = params.sensor_radius - 1
     sensed = [o for o in world.obstacles if max(abs(o.x - cell.x), abs(o.y - cell.y)) <= reach]
     sensed.sort(key=lambda o: (o.y, o.x))
     return sum(phi(params, OBSTACLE, cell, obstacle) for obstacle in sensed)
 
 
 def static_potential_initial(
-    world: GridWorld, params: PotentialParams, sensor: SensorModel, cell: Position, goal: Position
+    world: GridWorld, params: PotentialParams, cell: Position, goal: Position
 ) -> float:
     """Initial static potential: goal attraction plus sensed obstacle repulsion."""
-    return phi(params, GOAL, cell, goal) + obstacle_repulsion(world, params, sensor, cell)
+    return phi(params, GOAL, cell, goal) + obstacle_repulsion(world, params, cell)
 
 
 def excite(u_prev: float, gamma: float) -> float:
@@ -104,7 +100,6 @@ def update_neighborhood(
     values: dict[Position, float],
     world: GridWorld,
     params: PotentialParams,
-    sensor: SensorModel,
     robot_pos: Position,
     goal: Position,
 ) -> None:
@@ -118,26 +113,24 @@ def update_neighborhood(
     """
     for cell in (robot_pos, *world.adjacency[robot_pos]):
         if cell not in values:
-            values[cell] = static_potential_initial(world, params, sensor, cell, goal)
+            values[cell] = static_potential_initial(world, params, cell, goal)
         elif cell == robot_pos:
             values[cell] = excite(values[cell], params.gamma)
         else:
-            u_init = static_potential_initial(world, params, sensor, cell, goal)
+            u_init = static_potential_initial(world, params, cell, goal)
             values[cell] = relax(values[cell], u_init, params.alpha)
 
 
-def dynamic_potential(
-    params: PotentialParams, sensor: SensorModel, at: Position, others: list[Position]
-) -> float:
+def dynamic_potential(params: PotentialParams, at: Position, others: list[Position]) -> float:
     """Scaled repulsion from every other robot within consistent sensing."""
     total = 0.0
     for other in others:
-        if in_consistent_range(sensor, at, other):
+        if in_consistent_range(params, at, other):
             total += phi(params, ROBOT, at, other)
     return DYNAMIC_SCALE * total
 
 
-def sensor_reading(sensor: SensorModel, me: int, positions: list[Position]) -> list[Position]:
+def sensor_reading(radius: int, me: int, positions: list[Position]) -> list[Position]:
     """The proximity-sensor reading of robot `me`, by brute force: the cells
     of all other robots within Chebyshev distance radius of its own, in
     ascending robot id."""
@@ -145,7 +138,7 @@ def sensor_reading(sensor: SensorModel, me: int, positions: list[Position]) -> l
     return [
         cell
         for i, cell in enumerate(positions)
-        if i != me and max(abs(cell[0] - x), abs(cell[1] - y)) <= sensor.radius
+        if i != me and max(abs(cell[0] - x), abs(cell[1] - y)) <= radius
     ]
 
 

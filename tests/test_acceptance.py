@@ -31,14 +31,13 @@ from warefleet.planner import (
     SimTrace,
     run_until_done,
 )
-from warefleet.potential import PotentialParams, SensorModel
+from warefleet.potential import PotentialParams
 
 import allocator_oracle
 from conftest import TRACE_FAULTS, bfs_length, random_world, trace_faults
 from potential_oracle import check_divergence_condition
 
-TABLE_PARAMS = PotentialParams(gamma=15.0, alpha=0.05)
-SENSOR = SensorModel(radius=3)
+TABLE_PARAMS = PotentialParams(gamma=15.0, alpha=0.05, sensor_radius=3)
 
 # Allocation quality does not enter the path-cost or timing comparisons, so
 # the big sweeps use a light allocator; the trend sweep needs real route
@@ -77,7 +76,6 @@ def benchmark_cells(benchmark_world):
                 n_robots=n,
                 n_tasks=n,
                 potential=TABLE_PARAMS,
-                sensor=SENSOR,
                 ga=LIGHT_GA,
                 seed=seed,
             )
@@ -161,7 +159,7 @@ def test_criterion_05_trap_escape():
         done = False
         for tick in range(1, 800):
             before = robot.pos
-            run_until_done([robot], world, TABLE_PARAMS, SENSOR, 1)
+            run_until_done([robot], world, TABLE_PARAMS, 1)
             positions.append((robot.pos,))
             outstanding.append(len(robot.tasks))
             if not robot.tasks:
@@ -223,7 +221,6 @@ def test_criterion_06_sealed_goal_never_completes():
             robot_starts=(start,),
             task_positions=(sealed_task,),
             potential=TABLE_PARAMS,
-            sensor=SENSOR,
             ga=LIGHT_GA,
             step_cap=300,
             seed=trial,
@@ -363,7 +360,6 @@ def test_criterion_12_task_count_trends(benchmark_world):
                     n_robots=n,
                     n_tasks=k,
                     potential=TABLE_PARAMS,
-                    sensor=SENSOR,
                     ga=FULL_GA,
                     seed=1000 + seed,
                 )

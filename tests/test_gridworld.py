@@ -264,6 +264,19 @@ def test_serialize_parse_round_trip_sized():
     assert parse_layout(serialize_layout(world)) == world
 
 
+@settings(deadline=None, max_examples=100)
+@given(st.randoms(use_true_random=False))
+def test_serialize_random_layout_matches_cell_walk(rng):
+    # Unlike the tiled worlds above, random layouts do not repeat rows.
+    world = random_world(rng)
+    text = serialize_layout(world)
+    assert text == "".join(
+        "".join("#" if Position(x, y) in world.obstacles else "." for x in range(world.width)) + "\n"
+        for y in range(world.height)
+    )
+    assert parse_layout(text) == world
+
+
 def test_gridworld_rejects_bad_partition():
     with pytest.raises(ConfigurationError):
         GridWorld(4, 4, [Position(0, 0)])  # unwalled boundary

@@ -28,7 +28,6 @@ from warefleet.planner import (
 from warefleet.potential import (
     PotentialParams,
     PotentialTerm,
-    SensorModel,
     _obstacle_field,
     term_table,
 )
@@ -37,7 +36,6 @@ from conftest import TRACE_FAULTS, open_room, random_world, trace_faults, world_
 from potential_oracle import dynamic_potential, sensor_reading, update_neighborhood
 
 PARAMS = PotentialParams()
-SENSOR = SensorModel()
 
 # Term sets beyond the benchmark defaults: every norm on the goal and robot
 # terms, multi-term sums, and an obstacle term with a zero offset (valid,
@@ -69,27 +67,27 @@ TERM_CASES = [*TERM_SETS, "radius-2", "radius-4"]
 
 def case_params(case):
     if case.startswith("radius-"):
-        return PotentialParams(), SensorModel(int(case[len("radius-"):]))
-    return TERM_SETS[case], SensorModel()
+        return PotentialParams(sensor_radius=int(case[len("radius-"):]))
+    return TERM_SETS[case]
 
 
 def make_robot(pos, goal):
     return RobotState(pos=pos, tasks=[goal])
 
 
-def plan_step(robot, world, params, sensor, others):
+def plan_step(robot, world, params, others):
     """One descent decision of `robot` through a one-tick run_until_done,
     with idle robots parked on the `others` cells; returns the robot's new
     cell."""
     idle = [RobotState(pos=cell, tasks=[]) for cell in others]
-    run_until_done([robot, *idle], world, params, sensor, 1)
+    run_until_done([robot, *idle], world, params, 1)
     return robot.pos
 
 
 def test_plan_step_moves_toward_goal_in_open_room():
     room = open_room(20, 20)
     robot = make_robot(Position(5, 10), Position(14, 10))
-    assert plan_step(robot, room, PARAMS, SENSOR, []) == Position(6, 10)
+    assert plan_step(robot, room, PARAMS, []) == Position(6, 10)
 
 
 def test_plan_step_stays_when_surrounded():
@@ -97,7 +95,7 @@ def test_plan_step_stays_when_surrounded():
     pos = Position(10, 10)
     robot = make_robot(pos, Position(15, 10))
     blockade = [Position(10, 9), Position(11, 10), Position(10, 11), Position(9, 10)]
-    assert plan_step(robot, room, PARAMS, SENSOR, blockade) == pos
+    assert plan_step(robot, room, PARAMS, blockade) == pos
 
 
 def test_own_cell_is_never_skipped_as_occupied():
@@ -109,9 +107,9 @@ def test_own_cell_is_never_skipped_as_occupied():
     pos = Position(10, 10)
     robot = make_robot(pos, Position(14, 10))
     blockers = [Position(10, 9), Position(11, 10), Position(10, 11), pos]
-    assert plan_step(robot, room, params, SENSOR, blockers) == pos
+    assert plan_step(robot, room, params, blockers) == pos
     robot = make_robot(pos, Position(14, 10))
-    assert plan_step(robot, room, params, SENSOR, blockers[:3]) == pos
+    assert plan_step(robot, room, params, blockers[:3]) == pos
 
 
 def test_plan_step_tie_break_prefers_up_then_right():
@@ -119,7 +117,7 @@ def test_plan_step_tie_break_prefers_up_then_right():
     # Chebyshev distance, away from any wall the repulsion could split on.
     room = open_room(40, 40)
     robot = make_robot(Position(20, 20), Position(22, 18))
-    assert plan_step(robot, room, PARAMS, SENSOR, []) == Position(20, 19)
+    assert plan_step(robot, room, PARAMS, []) == Position(20, 19)
 
 
 @pytest.mark.parametrize("case", TERM_CASES)
@@ -127,7 +125,7 @@ def test_descent_step_matches_reference_operations(case):
     # The table-driven descent step must leave the recursion state exactly
     # as the reference operations do, with the obstacle repulsion summed
     # straight from the formula, and pick the same argmin.
-    params, sensor = case_params(case)
+    params = case_params(case)
     room = world_from([
         "###########",
         "#.........#",
@@ -143,17 +141,17 @@ def test_descent_step_matches_reference_operations(case):
     rng = random.Random(0)
     for _ in range(25):
         reference = copy.deepcopy(slow.potential)
-        update_neighborhood(reference, room, params, sensor, slow.pos, goal)
+        update_neighborhood(reference, room, params, slow.pos, goal)
         candidates = [*room.adjacency[slow.pos], slow.pos]
         occupied = set(others)
         best, best_value = None, None
         for cell in candidates:
             if cell != slow.pos and cell in occupied:
                 continue
-            value = reference[cell] + dynamic_potential(params, sensor, cell, others)
+            value = reference[cell] + dynamic_potential(params, cell, others)
             if best is None or value < best_value:
                 best, best_value = cell, value
-        chosen = plan_step(fast, room, params, sensor, others)
+        chosen = plan_step(fast, room, params, others)
         assert chosen == best
         assert fast.potential == reference
         slow.potential = reference
@@ -185,7 +183,7 @@ def test_plan_step_escapes_pocket_by_excitation():
     ])
     start, goal = Position(2, 3), Position(8, 5)
     robot = make_robot(start, goal)
-    trace = run_until_done([robot], room, PARAMS, SENSOR, 300)
+    trace = run_until_done([robot], room, PARAMS, 300)
     assert trace.outcome == COMPLETED
     path = [snapshot[0] for snapshot in trace.positions]
     stays = [k for k in range(1, len(path)) if path[k] == path[k - 1] and path[k] != goal]
@@ -201,7 +199,7 @@ def test_corridor_swap_is_impossible():
     robots = [a, b]
     for _ in range(60):
         before = tuple(r.pos for r in robots)
-        run_until_done(robots, room, PARAMS, SENSOR, 1)
+        run_until_done(robots, room, PARAMS, 1)
         after = tuple(r.pos for r in robots)
         assert after[0] != after[1], "same-cell collision"
         assert not (after[0] == before[1] and after[1] == before[0]), "swap"
@@ -213,7 +211,7 @@ def test_idle_robot_blocks_and_repels():
     room = open_room(10, 6)
     worker = RobotState(pos=Position(1, 2), tasks=[Position(8, 2)])
     idler = RobotState(pos=Position(4, 2), tasks=[])
-    trace = run_until_done([worker, idler], room, PARAMS, SENSOR, 200)
+    trace = run_until_done([worker, idler], room, PARAMS, 200)
     assert trace.outcome == COMPLETED
     assert idler.pos == Position(4, 2)  # never moved
     for snapshot in trace.positions:
@@ -223,7 +221,7 @@ def test_idle_robot_blocks_and_repels():
 def test_goal_adjacent_arrival_then_pop():
     room = open_room(8, 8)
     robot = make_robot(Position(3, 3), Position(4, 3))
-    trace = run_until_done([robot], room, PARAMS, SENSOR, 50)
+    trace = run_until_done([robot], room, PARAMS, 50)
     assert trace.outcome == COMPLETED
     assert trace.k_total == 2  # move on tick 1, pop on tick 2
     assert robot.segment_log == [Segment(Position(3, 3), Position(4, 3), 1)]
@@ -234,7 +232,7 @@ def test_tasks_at_start_pop_one_per_tick():
     room = open_room(8, 8)
     start = Position(4, 4)
     robot = RobotState(pos=start, tasks=[start, start, start])
-    trace = run_until_done([robot], room, PARAMS, SENSOR, 50)
+    trace = run_until_done([robot], room, PARAMS, 50)
     assert trace.outcome == COMPLETED
     assert trace.k_total == 3
     assert sum(seg.length for seg in robot.segment_log) == 0
@@ -249,7 +247,7 @@ def test_sealed_goal_hits_cap_never_completes():
         "#########",
     ])
     robot = make_robot(Position(1, 1), Position(6, 2))
-    trace = run_until_done([robot], room, PARAMS, SENSOR, 400)
+    trace = run_until_done([robot], room, PARAMS, 400)
     assert trace.outcome == CAP_REACHED
     assert trace.k_total == 400
     assert robot.tasks  # still outstanding
@@ -284,7 +282,7 @@ def test_single_robot_reaches_every_reachable_goal(layout):
     world, start, goal = layout
     optimum = shortest_path(world, start, goal).length
     assume(optimum is not None)  # the claim says nothing about an unreachable goal
-    trace = run_until_done([make_robot(start, goal)], world, PARAMS, SENSOR, 100 * world.width * world.height)
+    trace = run_until_done([make_robot(start, goal)], world, PARAMS, 100 * world.width * world.height)
     assert trace.outcome == COMPLETED
     report = compute_metrics(trace, [optimum], n_tasks=1, seed=0)
     assert not report.cap_reached and report.j1 >= 1.0
@@ -296,11 +294,26 @@ def test_head_on_movers_in_dead_end_corridor_stay_capped():
     corridor = world_from(["#########", "#.......#", "#########"])
     a = make_robot(Position(1, 1), Position(7, 1))
     b = RobotState(pos=Position(7, 1), tasks=[Position(1, 1)])
-    trace = run_until_done([a, b], corridor, PARAMS, SENSOR, 2000)
+    trace = run_until_done([a, b], corridor, PARAMS, 2000)
     assert trace.outcome == CAP_REACHED and trace.k_total == 2000
     assert trace.outstanding[-1] == 2
     report = compute_metrics(trace, [0, 0], n_tasks=2, seed=0)
     assert report.cap_reached and report.completed_tasks == 0
+
+
+def test_head_on_movers_in_dead_end_corridor_keep_finite_potentials():
+    # Without a ceiling on excitation, 2,000 ticks and 500 more of the
+    # corridor above leave inf in both robots' maps, and an inf value never
+    # relaxes back.
+    corridor = world_from(["#########", "#.......#", "#########"])
+    a = make_robot(Position(1, 1), Position(7, 1))
+    b = RobotState(pos=Position(7, 1), tasks=[Position(1, 1)])
+    run_until_done([a, b], corridor, PARAMS, 2000)
+    trace = run_until_done([a, b], corridor, PARAMS, 500)
+    assert trace.outcome == CAP_REACHED
+    values = [*a.potential.values(), *b.potential.values()]
+    assert all(map(math.isfinite, values))
+    assert max(values) == planner.POTENTIAL_CAP
 
 
 def _stepped_alongside(robots, world, cap):
@@ -310,11 +323,11 @@ def _stepped_alongside(robots, world, cap):
     before and after its tick. Returns the trace and, per tick, each
     robot's number of completed legs."""
     twin = copy.deepcopy(robots)
-    trace = run_until_done(robots, world, PARAMS, SENSOR, cap)
+    trace = run_until_done(robots, world, PARAMS, cap)
     sums = [sum(len(r.tasks) for r in twin)]
     ticks, positions, legs = [], [trace.positions[0]], []
     while len(sums) < len(trace.outstanding):
-        ticks.append(run_until_done(twin, world, PARAMS, SENSOR, 1).outstanding)
+        ticks.append(run_until_done(twin, world, PARAMS, 1).outstanding)
         sums.append(sum(len(r.tasks) for r in twin))
         positions.append(tuple(r.pos for r in twin))
         legs.append([len(r.segment_log) for r in twin])
@@ -360,8 +373,8 @@ def test_oversized_sensor_radius_is_clipped_to_the_lattice():
     assert fields[0] == fields[1] == fields[2]
     traces = [
         run_scenario(
-            Scenario(world=world, n_robots=4, n_tasks=4, sensor=SensorModel(radius),
-                     ga=GOLDEN_LIGHT_GA, seed=2)
+            Scenario(world=world, n_robots=4, n_tasks=4,
+                     potential=PotentialParams(sensor_radius=radius), ga=GOLDEN_LIGHT_GA, seed=2)
         )[0]
         for radius in (extent, 3 * extent, 10**6)
     ]
@@ -370,7 +383,7 @@ def test_oversized_sensor_radius_is_clipped_to_the_lattice():
 def test_single_robot_on_small_warehouse_beats_nothing(fig_layout):
     start, goal = Position(1, 1), Position(18, 20)
     robot = make_robot(start, goal)
-    trace = run_until_done([robot], fig_layout, PARAMS, SENSOR, 5000)
+    trace = run_until_done([robot], fig_layout, PARAMS, 5000)
     assert trace.outcome == COMPLETED
     optimum = shortest_path(fig_layout, start, goal).length
     assert sum(seg.length for seg in robot.segment_log) >= optimum
@@ -400,7 +413,7 @@ def test_run_until_done_deterministic(fig_layout):
             RobotState(pos=Position(1, 1), tasks=[Position(18, 20)]),
             RobotState(pos=Position(18, 1), tasks=[Position(1, 20)]),
         ]
-        trace = run_until_done(robots, fig_layout, PARAMS, SENSOR, 5000)
+        trace = run_until_done(robots, fig_layout, PARAMS, 5000)
         return trace.positions
 
     assert run() == run()
@@ -410,7 +423,7 @@ def test_step_cap_validation():
     room = open_room(6, 6)
     robots = [make_robot(Position(1, 1), Position(4, 4))]
     with pytest.raises(ConfigurationError):
-        run_until_done(robots, room, PARAMS, SENSOR, 0)
+        run_until_done(robots, room, PARAMS, 0)
 
 
 def test_format_trace_lines():
@@ -491,10 +504,9 @@ def _golden_scenario(case):
             world=generate_layout_sized(81, 80), n_robots=100, n_tasks=100,
             ga=GOLDEN_LIGHT_GA, seed=int(case.partition("-seed")[2] or 1),
         )
-    params, sensor = case_params(case)
     return Scenario(
         world=generate_layout_sized(41, 40), n_robots=20, n_tasks=20,
-        potential=params, sensor=sensor, ga=GOLDEN_LIGHT_GA, seed=3,
+        potential=case_params(case), ga=GOLDEN_LIGHT_GA, seed=3,
     )
 
 
@@ -516,8 +528,9 @@ def test_crowded_trace_passes_the_safety_audit(case):
 
 @st.composite
 def crowds(draw):
-    """A conftest.random_world layout, a sensor radius and a crowd on its
-    floor. Part of the crowd stands on the borders of the sensor's buckets,
+    """A conftest.random_world layout, default parameters at a drawn sensor
+    radius and a crowd on its floor. Part of the crowd stands on the borders
+    of the sensor's buckets,
     and each robot is idle, on its goal, or bound for another cell. A box
     within radius of the lattice's left or top edge starts in bucket -1,
     and at radius 10**6 every box does."""
@@ -536,15 +549,15 @@ def crowds(draw):
         RobotState(pos=cell, tasks=[[], [cell], [rng.choice(floor)]][rng.randrange(3)])
         for cell in cells
     ]
-    return world, SensorModel(radius), robots
+    return world, PotentialParams(sensor_radius=radius), robots
 
 
-def _reference_tick(robots, world, params, sensor):
+def _reference_tick(robots, world, params):
     """One tick of run_until_done, with every sensor reading taken by
     scanning the whole fleet at its current cells."""
-    repulsion = _obstacle_field(world, sensor.radius, params.obstacle_terms)
+    repulsion = _obstacle_field(world, params.sensor_radius, params.obstacle_terms)
     goal_table = term_table(params.goal_terms, world.width, world.height)
-    size = min(sensor.radius, max(world.width, world.height))
+    size = min(params.sensor_radius, max(world.width, world.height))
     robot_table = term_table(params.robot_terms, size, size)
     for me, robot in enumerate(robots):
         if not robot.tasks:
@@ -553,7 +566,7 @@ def _reference_tick(robots, world, params, sensor):
             robot.tasks.pop(0)
             robot.potential = {}
             continue
-        near = sensor_reading(sensor, me, [r.pos for r in robots])
+        near = sensor_reading(params.sensor_radius, me, [r.pos for r in robots])
         robot.pos = _choose(
             robot.potential, repulsion, goal_table, robot_table,
             world.adjacency[robot.pos], robot.pos, robot.tasks[0], near, params.alpha, params.gamma,
@@ -571,32 +584,33 @@ def test_bucketed_sensor_reading_matches_a_scan_of_the_fleet(crowd):
     # element by element, in ascending id: for every robot at the start of a
     # run, and for every mover in each of its ticks, after the movers before
     # it were refiled. So must the ticks it drives.
-    world, sensor, bucketed = crowd
+    world, params, bucketed = crowd
+    radius = params.sensor_radius
     reference = copy.deepcopy(bucketed)
     positions = [r.pos for r in bucketed]
-    buckets = _bucket_index(bucketed, 2 * sensor.radius + 1)
+    buckets = _bucket_index(bucketed, 2 * radius + 1)
     for me, pos in enumerate(positions):
-        assert sense_nearby(sensor, pos, me, bucketed, buckets) == sensor_reading(
-            sensor, me, positions
+        assert sense_nearby(radius, pos, me, bucketed, buckets) == sensor_reading(
+            radius, me, positions
         )
     with mock.patch.object(planner, "sense_nearby", _checked_sense_nearby):
-        run_until_done(bucketed, world, PARAMS, sensor, 3)
+        run_until_done(bucketed, world, params, 3)
     for _ in range(3):
-        _reference_tick(reference, world, PARAMS, sensor)
+        _reference_tick(reference, world, params)
     assert _fleet_state(bucketed) == _fleet_state(reference)
 
 
-def _checked_sense_nearby(sensor, pos, me, robots, buckets):
-    near = sense_nearby(sensor, pos, me, robots, buckets)
-    assert near == sensor_reading(sensor, me, [r.pos for r in robots])
+def _checked_sense_nearby(radius, pos, me, robots, buckets):
+    near = sense_nearby(radius, pos, me, robots, buckets)
+    assert near == sensor_reading(radius, me, [r.pos for r in robots])
     return near
 
 
 def _recording_sense_nearby(readings):
     """A sense_nearby that appends each (robot id, reading) to readings."""
 
-    def record(sensor, pos, me, robots, buckets):
-        near = sense_nearby(sensor, pos, me, robots, buckets)
+    def record(radius, pos, me, robots, buckets):
+        near = sense_nearby(radius, pos, me, robots, buckets)
         readings.append((me, near))
         return near
 
@@ -607,16 +621,16 @@ def test_a_mover_that_crosses_a_bucket_border_is_sensed_in_the_same_tick():
     # Robot 0 steps right from the last column of one bucket into the next.
     # Robot 1, radius cells further right, reads only the buckets from the
     # new one on, so it senses robot 0 only if the move refiled it.
-    sensor = SensorModel()
-    side = 2 * sensor.radius + 1
+    radius = PARAMS.sensor_radius
+    side = 2 * radius + 1
     crossing = Position(side, 2)
     robots = [
         make_robot(Position(side - 1, 2), Position(side + 4, 2)),
-        make_robot(Position(side + sensor.radius, 2), Position(side + sensor.radius, 8)),
+        make_robot(Position(side + radius, 2), Position(side + radius, 8)),
     ]
     readings = []
     with mock.patch.object(planner, "sense_nearby", _recording_sense_nearby(readings)):
-        run_until_done(robots, open_room(2 * side + 2, 12), PARAMS, sensor, 1)
+        run_until_done(robots, open_room(2 * side + 2, 12), PARAMS, 1)
     assert robots[0].pos == crossing
     assert readings == [(0, []), (1, [crossing])]
 
@@ -625,7 +639,7 @@ def test_a_robot_moved_between_calls_is_sensed_where_it_stands():
     # No index survives a call: an idle robot moved by hand between two
     # one-tick calls, from a far bucket into the mover's sensing box, is in
     # the next call's first reading at its new cell.
-    side = 2 * SENSOR.radius + 1
+    side = 2 * PARAMS.sensor_radius + 1
     mover = make_robot(Position(8, 5), Position(8, 15))
     idler = RobotState(pos=Position(25, 15), tasks=[])
     moved = Position(10, 8)
@@ -633,10 +647,10 @@ def test_a_robot_moved_between_calls_is_sensed_where_it_stands():
     robots, room = [mover, idler], open_room(30, 20)
     readings = []
     with mock.patch.object(planner, "sense_nearby", _recording_sense_nearby(readings)):
-        run_until_done(robots, room, PARAMS, SENSOR, 1)
+        run_until_done(robots, room, PARAMS, 1)
         assert mover.pos == Position(8, 6) and readings == [(0, [])]
         idler.pos = moved
-        run_until_done(robots, room, PARAMS, SENSOR, 1)
+        run_until_done(robots, room, PARAMS, 1)
     assert readings[1] == (0, [moved])
 
 
@@ -646,7 +660,7 @@ def test_no_sensor_state_survives_from_one_run_to_the_next():
     crowded, _ = run_scenario(_golden_scenario("fleet-100-seed2"))
     run_scenario(
         Scenario(world=generate_layout_sized(21, 20), n_robots=20, n_tasks=20,
-                 sensor=SensorModel(2), ga=GOLDEN_LIGHT_GA, seed=1)
+                 potential=PotentialParams(sensor_radius=2), ga=GOLDEN_LIGHT_GA, seed=1)
     )
     again, _ = run_scenario(_golden_scenario("fleet-100-seed2"))
     assert again.positions == crowded.positions
@@ -663,15 +677,15 @@ def test_interleaved_fleets_step_as_they_run_alone():
     # Two fleets on different worlds and radii, stepped tick by tick in
     # turn, each follow the trace of their own run.
     cases = [
-        (generate_layout_sized(21, 20), SensorModel(2), _crowd_on(generate_layout_sized(21, 20), 20, 1)),
-        (generate_layout_sized(41, 40), SensorModel(), _crowd_on(generate_layout_sized(41, 40), 30, 2)),
+        (generate_layout_sized(21, 20), PotentialParams(sensor_radius=2), _crowd_on(generate_layout_sized(21, 20), 20, 1)),
+        (generate_layout_sized(41, 40), PARAMS, _crowd_on(generate_layout_sized(41, 40), 30, 2)),
     ]
-    alone = [run_until_done(copy.deepcopy(robots), world, PARAMS, sensor, 2000) for world, sensor, robots in cases]
+    alone = [run_until_done(copy.deepcopy(robots), world, params, 2000) for world, params, robots in cases]
     stepped = [[tuple(r.pos for r in robots)] for _, _, robots in cases]
     while any(len(steps) < len(trace.positions) for steps, trace in zip(stepped, alone)):
-        for (world, sensor, robots), steps, trace in zip(cases, stepped, alone):
+        for (world, params, robots), steps, trace in zip(cases, stepped, alone):
             if len(steps) < len(trace.positions):
-                run_until_done(robots, world, PARAMS, sensor, 1)
+                run_until_done(robots, world, params, 1)
                 steps.append(tuple(r.pos for r in robots))
     assert [trace.outcome for trace in alone] == [COMPLETED, COMPLETED]
     assert stepped == [trace.positions for trace in alone]

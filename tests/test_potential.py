@@ -11,7 +11,6 @@ from warefleet.gridworld import Position, generate_layout_sized
 from warefleet.potential import (
     PotentialParams,
     PotentialTerm,
-    SensorModel,
     _obstacle_field,
     term_sum,
     term_table,
@@ -35,7 +34,6 @@ from potential_oracle import (
 )
 
 DEFAULTS = PotentialParams()
-SENSOR = SensorModel()
 
 
 def test_params_validation():
@@ -80,8 +78,8 @@ def test_params_validation():
                     PotentialParams(**{kind: (term,)})
         with pytest.raises(ConfigurationError, match="invalid goal term"):
             PotentialParams(goal_terms=(PotentialTerm(bad, math.inf, 1.0),))
-    with pytest.raises(ConfigurationError):
-        SensorModel(radius=1)
+    with pytest.raises(ConfigurationError, match="^sensor radius must be at least 2$"):
+        PotentialParams(sensor_radius=1)
 
 
 def test_phi_goal_is_chebyshev_distance():
@@ -121,14 +119,15 @@ def test_sensed_inside_and_outside():
     s = Position(10, 10)
     inside = Position(12, 10)  # Chebyshev 2 from s, within radius-1
     outside = Position(14, 10)  # Chebyshev 4 > radius
-    assert phi_sensed(DEFAULTS, GOAL, s, inside, SENSOR) == phi(DEFAULTS, GOAL, s, inside)
-    assert phi_sensed(DEFAULTS, GOAL, s, outside, SENSOR) == 0.0
+    assert phi_sensed(DEFAULTS, GOAL, s, inside) == phi(DEFAULTS, GOAL, s, inside)
+    assert phi_sensed(DEFAULTS, GOAL, s, outside) == 0.0
 
 
 def test_sensed_membership_matches_window_intersection():
     # Oracle: build each cross cell's sensing window as an explicit set and
     # intersect, then compare membership for every source in a large box.
-    sensor = SensorModel(radius=3)
+    params = PotentialParams(sensor_radius=3)
+    radius = params.sensor_radius
     s = Position(20, 20)
     cross = [s, Position(20, 19), Position(21, 20), Position(20, 21), Position(19, 20)]
     windows = []
@@ -136,25 +135,25 @@ def test_sensed_membership_matches_window_intersection():
         windows.append(
             {
                 Position(x, y)
-                for x in range(c.x - sensor.radius, c.x + sensor.radius + 1)
-                for y in range(c.y - sensor.radius, c.y + sensor.radius + 1)
+                for x in range(c.x - radius, c.x + radius + 1)
+                for y in range(c.y - radius, c.y + radius + 1)
             }
         )
     region = set.intersection(*windows)
     for dx in range(-6, 7):
         for dy in range(-6, 7):
             source = Position(s.x + dx, s.y + dy)
-            assert in_consistent_range(sensor, s, source) == (source in region)
+            assert in_consistent_range(params, s, source) == (source in region)
 
 
 def test_sensed_boundary_distance():
-    sensor = SensorModel(radius=3)
+    params = PotentialParams(sensor_radius=3)
     s = Position(10, 10)
     boundary = Position(12, 12)  # Chebyshev 2 = radius - 1: farthest cross cell is at 3
     just_out = Position(13, 12)
-    assert in_consistent_range(sensor, s, boundary)
-    assert not in_consistent_range(sensor, s, just_out)
-    assert phi_sensed(DEFAULTS, OBSTACLE, s, boundary, sensor) == phi(
+    assert in_consistent_range(params, s, boundary)
+    assert not in_consistent_range(params, s, just_out)
+    assert phi_sensed(params, OBSTACLE, s, boundary) == phi(
         DEFAULTS, OBSTACLE, s, boundary
     )
 
@@ -202,12 +201,11 @@ def test_obstacle_field_matches_reference(obstacle_terms, radius):
         "#......#.#",
         "##########",
     ])
-    params = PotentialParams(obstacle_terms=obstacle_terms)
-    sensor = SensorModel(radius)
+    params = PotentialParams(obstacle_terms=obstacle_terms, sensor_radius=radius)
     field = _obstacle_field(world, radius, obstacle_terms)
     assert set(field) == world.reachable
     for cell, value in field.items():
-        assert value == obstacle_repulsion(world, params, sensor, cell)
+        assert value == obstacle_repulsion(world, params, cell)
     # Built once: later calls hand back the same dict.
     assert _obstacle_field(world, radius, obstacle_terms) is field
     # Keyed on the world's value: an equal copy, as a sweep worker unpickles
@@ -234,26 +232,25 @@ def test_obstacle_field_matches_the_oracle_cell_by_cell(rng, tiled, radius, obst
         world = random_world(rng)
     extent = max(world.width, world.height)
     radius = {"extent": extent, "beyond": extent + rng.randint(1, 20)}.get(radius, radius)
-    params = PotentialParams(obstacle_terms=obstacle_terms)
-    sensor = SensorModel(radius)
+    params = PotentialParams(obstacle_terms=obstacle_terms, sensor_radius=radius)
     field = _obstacle_field.__wrapped__(world, radius, obstacle_terms)
     assert list(field.items()) == [
-        (cell, obstacle_repulsion(world, params, sensor, cell)) for cell in world.floor
+        (cell, obstacle_repulsion(world, params, cell)) for cell in world.floor
     ]
 
 
 def test_static_initial_at_goal_no_obstacles():
     room = open_room(20, 20)
     center = Position(10, 10)
-    assert static_potential_initial(room, DEFAULTS, SENSOR, center, center) == 0.0
+    assert static_potential_initial(room, DEFAULTS, center, center) == 0.0
 
 
 def test_static_initial_goal_plus_one_obstacle():
     room = open_room(20, 20)
     cell = Position(1, 10)  # wall to the west at unit distance, rest far
     goal = Position(6, 10)
-    value = static_potential_initial(room, DEFAULTS, SENSOR, cell, goal)
-    reach = SENSOR.radius - 1
+    value = static_potential_initial(room, DEFAULTS, cell, goal)
+    reach = DEFAULTS.sensor_radius - 1
     sensed = sorted(
         (o for o in room.obstacles if max(abs(o.x - cell.x), abs(o.y - cell.y)) <= reach),
         key=lambda o: (o.y, o.x),
@@ -268,7 +265,7 @@ def test_static_field_unique_minimum_at_goal():
     room = open_room(9, 9)  # 7x7 interior
     goal = Position(4, 4)
     field = {
-        cell: static_potential_initial(room, DEFAULTS, SENSOR, cell, goal)
+        cell: static_potential_initial(room, DEFAULTS, cell, goal)
         for cell in room.reachable
     }
     best = min(field, key=field.get)
@@ -300,7 +297,7 @@ def test_update_neighborhood_first_visit_initializes():
     room = open_room(9, 9)
     values = {}
     pos, goal = Position(4, 4), Position(7, 4)
-    update_neighborhood(values, room, DEFAULTS, SENSOR, pos, goal)
+    update_neighborhood(values, room, DEFAULTS, pos, goal)
     assert set(values) == {
         pos,
         Position(4, 3),
@@ -309,7 +306,7 @@ def test_update_neighborhood_first_visit_initializes():
         Position(3, 4),
     }
     for cell in values:
-        expected = static_potential_initial(room, DEFAULTS, SENSOR, cell, goal)
+        expected = static_potential_initial(room, DEFAULTS, cell, goal)
         assert values[cell] == expected
 
 
@@ -317,13 +314,13 @@ def test_update_neighborhood_excites_own_and_relaxes_rest():
     room = open_room(9, 9)
     values = {}
     pos, goal = Position(4, 4), Position(7, 4)
-    update_neighborhood(values, room, DEFAULTS, SENSOR, pos, goal)
+    update_neighborhood(values, room, DEFAULTS, pos, goal)
     east = Position(5, 4)
     values[east] = 10.0  # pretend it was excited earlier
     own_before = values[pos]
-    update_neighborhood(values, room, DEFAULTS, SENSOR, pos, goal)
+    update_neighborhood(values, room, DEFAULTS, pos, goal)
     assert values[pos] == 15.0 * own_before
-    east_initial = static_potential_initial(room, DEFAULTS, SENSOR, east, goal)
+    east_initial = static_potential_initial(room, DEFAULTS, east, goal)
     assert values[east] == pytest.approx(0.95 * 10.0 + 0.05 * east_initial)
 
 
@@ -332,11 +329,11 @@ def test_update_neighborhood_repeated_stays_grow_geometrically():
     values = {}
     pos = Position(4, 4)
     goal = Position(6, 4)
-    update_neighborhood(values, room, DEFAULTS, SENSOR, pos, goal)
+    update_neighborhood(values, room, DEFAULTS, pos, goal)
     values[pos] = 2.0
     seen = []
     for _ in range(3):
-        update_neighborhood(values, room, DEFAULTS, SENSOR, pos, goal)
+        update_neighborhood(values, room, DEFAULTS, pos, goal)
         seen.append(values[pos])
     assert seen == [30.0, 450.0, 6750.0]
 
@@ -345,9 +342,9 @@ def test_update_neighborhood_touches_only_neighborhood():
     room = open_room(12, 12)
     values = {}
     goal = Position(10, 10)
-    update_neighborhood(values, room, DEFAULTS, SENSOR, Position(3, 3), goal)
+    update_neighborhood(values, room, DEFAULTS, Position(3, 3), goal)
     snapshot = dict(values)
-    update_neighborhood(values, room, DEFAULTS, SENSOR, Position(4, 3), goal)
+    update_neighborhood(values, room, DEFAULTS, Position(4, 3), goal)
     touched = {
         Position(4, 3),
         Position(4, 2),
@@ -362,13 +359,13 @@ def test_update_neighborhood_touches_only_neighborhood():
 
 def test_dynamic_potential_cases():
     s = Position(10, 10)
-    assert dynamic_potential(DEFAULTS, SENSOR, s, []) == 0.0
+    assert dynamic_potential(DEFAULTS, s, []) == 0.0
     far = [Position(30, 30)]
-    assert dynamic_potential(DEFAULTS, SENSOR, s, far) == 0.0
+    assert dynamic_potential(DEFAULTS, s, far) == 0.0
     one_away = [Position(10, 11)]
-    assert dynamic_potential(DEFAULTS, SENSOR, s, one_away) == pytest.approx(1e-3, rel=1e-6)
+    assert dynamic_potential(DEFAULTS, s, one_away) == pytest.approx(1e-3, rel=1e-6)
     colocated = [Position(10, 10)]
-    assert dynamic_potential(DEFAULTS, SENSOR, s, colocated) == pytest.approx(1e15, rel=1e-9)
+    assert dynamic_potential(DEFAULTS, s, colocated) == pytest.approx(1e15, rel=1e-9)
 
 
 def test_divergence_condition_examples():
