@@ -23,13 +23,7 @@ from .engine import (
     run_scenario,
     run_sweep,
 )
-from .errors import (
-    ConfigurationError,
-    DomainError,
-    LoadError,
-    SimulatorError,
-    ValidationError,
-)
+from .errors import ConfigurationError, LoadError, SimulatorError
 from .gridworld import (
     GridWorld,
     Position,

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 from operator import itemgetter
 
-from .errors import ConfigurationError, DomainError, ValidationError
+from .errors import ConfigurationError
 from .gridworld import Position
 
 Chromosome = list[int]
@@ -81,7 +81,7 @@ class HeuristicStore:
     def learn(self, a: Position, b: Position, realized: float) -> None:
         """Gradient step toward a realized distance."""
         if realized < 0:
-            raise DomainError("realized distance cannot be negative")
+            raise ConfigurationError("realized distance cannot be negative")
         if a == b:
             return
         current = self.estimate(a, b)
@@ -96,15 +96,13 @@ def gene_pool(n_robots: int, n_tasks: int) -> list[int]:
 def validate_chromosome(genes: Chromosome, n_robots: int, n_tasks: int) -> None:
     expected_len = n_robots + n_tasks - 1
     if len(genes) != expected_len:
-        raise ValidationError(f"chromosome length {len(genes)}, expected {expected_len}")
+        raise ConfigurationError(f"chromosome length {len(genes)}, expected {expected_len}")
     positives = sorted(g for g in genes if g > 0)
     if positives != list(range(1, n_tasks + 1)):
-        raise ValidationError(f"task genes are not a permutation of 1..{n_tasks}")
+        raise ConfigurationError(f"task genes are not a permutation of 1..{n_tasks}")
     delimiters = [g for g in genes if g < 0]
     if len(delimiters) != n_robots - 1 or len(set(delimiters)) != len(delimiters):
-        raise ValidationError(f"expected {n_robots - 1} distinct delimiter genes")
-    if any(g == 0 for g in genes):
-        raise ValidationError("zero is not a valid gene")
+        raise ConfigurationError(f"expected {n_robots - 1} distinct delimiter genes")
 
 
 def decode(genes: Chromosome, n_robots: int) -> list[list[int]]:
@@ -196,7 +194,7 @@ def crossover(parent1: Chromosome, parent2: Chromosome, i: int, j: int) -> Chrom
     """
     length = len(parent1)
     if not 1 <= i <= j <= length:
-        raise DomainError(f"cut points ({i}, {j}) invalid for length {length}")
+        raise ConfigurationError(f"cut points ({i}, {j}) invalid for length {length}")
     kept = parent1[i - 1 : j]
     used = set(kept)
     child = [g for g in parent2 if g not in used]

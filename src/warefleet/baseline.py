@@ -12,7 +12,7 @@ import time
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 
-from .errors import DomainError
+from .errors import ConfigurationError
 from .gridworld import GridWorld, Position
 
 
@@ -33,9 +33,9 @@ class PathResult:
 def shortest_path(world: GridWorld, start: Position, goal: Position) -> PathResult:
     """Minimum-length 4-connected path from start to goal."""
     if start not in world.reachable:
-        raise DomainError(f"start {start} is not a reachable cell")
+        raise ConfigurationError(f"start {start} is not a reachable cell")
     if goal not in world.reachable:
-        raise DomainError(f"goal {goal} is not a reachable cell")
+        raise ConfigurationError(f"goal {goal} is not a reachable cell")
 
     t0 = time.perf_counter()
     # Heap entries: (f, insertion order, cell); equal-f ties expand in

@@ -6,15 +6,7 @@ class SimulatorError(Exception):
 
 
 class ConfigurationError(SimulatorError, ValueError):
-    """A parameter set or layout request is structurally invalid."""
-
-
-class DomainError(SimulatorError, ValueError):
-    """An argument lies outside the domain an operation is defined on."""
-
-
-class ValidationError(SimulatorError, ValueError):
-    """A data structure violates its encoding invariant."""
+    """An argument, parameter set or layout request is invalid."""
 
 
 class LoadError(SimulatorError, ValueError):

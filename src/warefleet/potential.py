@@ -22,7 +22,7 @@ evaluated it from.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
 
@@ -40,12 +40,8 @@ class PotentialTerm:
     offset: float = 0.0
 
 
-def _default_goal_terms() -> tuple[PotentialTerm, ...]:
-    return (PotentialTerm(coefficient=1.0, norm_order=math.inf, exponent=1.0),)
-
-
-def _default_repulsive_terms() -> tuple[PotentialTerm, ...]:
-    return (PotentialTerm(coefficient=0.1, norm_order=2, exponent=-2.0, offset=1e-9),)
+_GOAL_TERMS = (PotentialTerm(coefficient=1.0, norm_order=math.inf, exponent=1.0),)
+_REPULSIVE_TERMS = (PotentialTerm(coefficient=0.1, norm_order=2, exponent=-2.0, offset=1e-9),)
 
 
 # Other robots repel with the robot terms scaled by this factor.
@@ -64,9 +60,9 @@ class PotentialParams:
     whole step-neighborhood.
     """
 
-    goal_terms: tuple[PotentialTerm, ...] = field(default_factory=_default_goal_terms)
-    obstacle_terms: tuple[PotentialTerm, ...] = field(default_factory=_default_repulsive_terms)
-    robot_terms: tuple[PotentialTerm, ...] = field(default_factory=_default_repulsive_terms)
+    goal_terms: tuple[PotentialTerm, ...] = _GOAL_TERMS
+    obstacle_terms: tuple[PotentialTerm, ...] = _REPULSIVE_TERMS
+    robot_terms: tuple[PotentialTerm, ...] = _REPULSIVE_TERMS
     gamma: float = 15.0
     alpha: float = 0.05
     sensor_radius: int = 3
@@ -78,6 +74,8 @@ class PotentialParams:
             )
         if not 0.0 <= self.alpha < 1.0:
             raise ConfigurationError(f"relaxation factor must lie in [0, 1), got {self.alpha}")
+        if not isinstance(self.sensor_radius, int):
+            raise ConfigurationError(f"sensor radius must be an integer, got {self.sensor_radius!r}")
         if self.sensor_radius < 2:
             raise ConfigurationError("sensor radius must be at least 2")
         for name, terms in (

@@ -28,7 +28,7 @@ from warefleet.allocator import (
     gene_pool,
     validate_chromosome,
 )
-from warefleet.errors import DomainError
+from warefleet.errors import ConfigurationError
 
 
 def scorer(starts, tasks, store: HeuristicStore):
@@ -53,7 +53,7 @@ def random_chromosome(n_robots: int, n_tasks: int, rng: random.Random):
 def mutate(genes, m: int, n: int, rng: random.Random):
     """Scramble mutation: randomly permute the 1-based gene range m..n."""
     if not 1 <= m <= n <= len(genes):
-        raise DomainError(f"scramble range ({m}, {n}) invalid for length {len(genes)}")
+        raise ConfigurationError(f"scramble range ({m}, {n}) invalid for length {len(genes)}")
     child = list(genes)
     segment = child[m - 1 : n]
     rng.shuffle(segment)

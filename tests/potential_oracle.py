@@ -10,7 +10,7 @@ the proximity-sensor reading, found by scanning the whole fleet.
 
 import math
 
-from warefleet.errors import ConfigurationError, DomainError
+from warefleet.errors import ConfigurationError
 from warefleet.gridworld import GridWorld, Position
 from warefleet.potential import DYNAMIC_SCALE, PotentialParams
 
@@ -48,7 +48,7 @@ def phi(params: PotentialParams, source_class: str, at: Position, source: Positi
     for term in terms_for(params, source_class):
         base = distance(at, source, term.norm_order) + term.offset
         if base == 0.0 and term.exponent < 0:
-            raise DomainError(f"{source_class} potential undefined at distance 0 with zero offset")
+            raise ConfigurationError(f"{source_class} potential undefined at distance 0 with zero offset")
         total += term.coefficient * base**term.exponent
     return total
 
@@ -150,7 +150,7 @@ def check_divergence_condition(p: float, gamma: float, alpha: float) -> bool:
     equivalently gamma > 1 - alpha + alpha/p. Returns True for divergent.
     """
     if not 0.0 < p < 1.0:
-        raise DomainError(f"occupancy frequency must lie in (0, 1), got {p}")
+        raise ConfigurationError(f"occupancy frequency must lie in (0, 1), got {p}")
     beta = p * gamma + (1.0 - p) * (1.0 - alpha)
     return beta > 1.0
 

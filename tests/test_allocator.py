@@ -20,7 +20,7 @@ from warefleet.allocator import (
     gene_pool,
 )
 from warefleet.engine import Scenario, run_scenario
-from warefleet.errors import ConfigurationError, DomainError, ValidationError
+from warefleet.errors import ConfigurationError
 from warefleet.gridworld import Position
 
 # The worked crossover example: parents, cut points 3..6, expected child.
@@ -44,14 +44,16 @@ def test_decode_single_robot():
 
 
 def test_decode_rejects_malformed():
-    with pytest.raises(ValidationError):
+    with pytest.raises(ConfigurationError):
         decode([1, 2, 2, -1], 2)  # duplicate task
-    with pytest.raises(ValidationError):
+    with pytest.raises(ConfigurationError):
         decode([1, 2, 3], 2)  # missing delimiter
-    with pytest.raises(ValidationError):
+    with pytest.raises(ConfigurationError):
         decode([1, 0, 2, -1], 2)  # zero gene
-    with pytest.raises(ValidationError):
+    with pytest.raises(ConfigurationError):
         decode([1, 3, -1], 2)  # tasks are not 1..K
+    with pytest.raises(ConfigurationError, match="expected 2 distinct delimiter genes"):
+        decode([1, -1, -1], 3)  # repeated delimiter
 
 
 def test_fitness_single_leg():
@@ -189,11 +191,11 @@ def test_crossover_mirrored_roles():
 
 
 def test_crossover_rejects_bad_cuts():
-    with pytest.raises(DomainError):
+    with pytest.raises(ConfigurationError):
         crossover(PARENT_1, PARENT_2, 0, 4)
-    with pytest.raises(DomainError):
+    with pytest.raises(ConfigurationError):
         crossover(PARENT_1, PARENT_2, 7, 6)
-    with pytest.raises(DomainError):
+    with pytest.raises(ConfigurationError):
         crossover(PARENT_1, PARENT_2, 1, 11)
 
 
@@ -221,9 +223,9 @@ def test_mutate_keeps_multiset():
 
 
 def test_mutate_rejects_bad_range():
-    with pytest.raises(DomainError):
+    with pytest.raises(ConfigurationError):
         mutate(PARENT_1, 0, 3, random.Random(0))
-    with pytest.raises(DomainError):
+    with pytest.raises(ConfigurationError):
         mutate(PARENT_1, 3, 2, random.Random(0))
 
 
@@ -314,7 +316,7 @@ def test_learn_examples():
 
 def test_learn_rejects_negative_distance():
     store = HeuristicStore()
-    with pytest.raises(DomainError):
+    with pytest.raises(ConfigurationError):
         store.learn(Position(0, 0), Position(1, 0), -1.0)
 
 
@@ -335,6 +337,16 @@ def test_ga_config_validation():
         GAConfig(population_size=1)
     with pytest.raises(ConfigurationError):
         GAConfig(mutation_probability=1.5)
+    with pytest.raises(ConfigurationError, match="need at least one generation"):
+        GAConfig(max_generations=0)
+
+
+def test_evolve_rejects_an_empty_fleet_or_task_list():
+    cfg = GAConfig(population_size=4, max_generations=1)
+    cell = [Position(1, 1)]
+    for starts, tasks in (([], cell), (cell, [])):
+        with pytest.raises(ConfigurationError, match="need at least one robot and one task"):
+            evolve(cfg, starts, tasks, HeuristicStore(), 0)
 
 
 def test_evolve_single_task_picks_nearest_robot():
@@ -357,7 +369,7 @@ def test_evolve_rejects_bad_task_indices():
     starts = [Position(0, 0)]
     tasks = [Position(1, 1), Position(2, 2)]
     for genes in ([1, 3], [0, 1]):
-        with pytest.raises(ValidationError, match=r"not a permutation of 1\.\.2"):
+        with pytest.raises(ConfigurationError, match=r"not a permutation of 1\.\.2"):
             allocator_oracle.fitness(genes, starts, tasks, HeuristicStore())
 
 

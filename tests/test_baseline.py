@@ -3,7 +3,7 @@ import random
 import pytest
 
 from warefleet.baseline import shortest_path
-from warefleet.errors import DomainError
+from warefleet.errors import ConfigurationError
 from warefleet.gridworld import Position
 
 from conftest import bfs_length, open_room, random_world, world_from
@@ -54,9 +54,9 @@ def test_unreachable_goal_reported():
 
 def test_rejects_obstacle_endpoints():
     w = open_room(5, 5)
-    with pytest.raises(DomainError):
+    with pytest.raises(ConfigurationError):
         shortest_path(w, Position(0, 0), Position(2, 2))
-    with pytest.raises(DomainError):
+    with pytest.raises(ConfigurationError):
         shortest_path(w, Position(2, 2), Position(4, 4))
 
 

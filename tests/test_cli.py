@@ -404,6 +404,7 @@ def test_sweep_rejects_jobs_below_one(scenario_file, tmp_path, capsys, jobs):
         ("1", "2,3, 2", "error: --k-values: value 2 given more than once\n"),
         ("1,0", "2", "error: --n-values: value 0 is below 1\n"),
         ("1", "2,-1", "error: --k-values: value -1 is below 1\n"),
+        ("1,x", "2", "error: --n-values: expected comma-separated integers, got '1,x'\n"),
     ],
 )
 def test_sweep_rejects_empty_or_repeated_grid_value(
@@ -467,6 +468,7 @@ def test_malformed_scenario_is_validation_error(tmp_path):
         ("n_robots", "0", 3),
         ("mutation_prob", "2", 10),
         ("population", "1", 8),
+        ("generations", "0", 9),
         ("eta", "0", 11),
         ("layout", "generate:3x3", 2),
         ("step_cap", "-1", 13),
@@ -484,6 +486,49 @@ def test_bad_number_is_load_error_with_line(tmp_path, capsys, key, bad, line):
     with pytest.raises(LoadError) as raised:
         build_scenario(cfg)
     assert raised.value.line == line
+
+
+@pytest.mark.parametrize(
+    "bad_line, message",
+    [
+        ("seed 4", "expected 'key = value'"),
+        ("robot_starts = 1,x", "robot_starts: positions must be integers, got '1,x'"),
+        ("robot_starts = 1,2,3", "robot_starts: odd number of coordinates in '1,2,3'"),
+    ],
+)
+def test_malformed_line_is_one_error_line(tmp_path, capsys, bad_line, message):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(MINI_SCENARIO + bad_line + "\n", encoding="utf-8")
+    out = tmp_path / "x.csv"
+    assert main(["run", "--scenario", str(cfg), "--out", str(out)]) == 1
+    line = MINI_SCENARIO.count("\n") + 1
+    assert capsys.readouterr().err == f"error: {message} (line {line})\n"
+    assert not out.exists()
+
+
+def test_scenario_without_layout_is_one_error_line(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("n_robots = 2\n", encoding="utf-8")
+    out = tmp_path / "x.csv"
+    assert main(["run", "--scenario", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: scenario is missing the 'layout' key\n"
+    assert not out.exists()
+
+
+def test_failed_rename_leaves_the_old_output_and_no_temp_file(
+    monkeypatch, scenario_file, tmp_path, capsys
+):
+    out = tmp_path / "x.csv"
+    out.write_text("old\n", encoding="utf-8")
+
+    def refuse(src, dst):
+        raise PermissionError(f"cannot replace {dst}")
+
+    monkeypatch.setattr(cli.os, "replace", refuse)
+    assert main(["run", "--scenario", str(scenario_file), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("i/o error: cannot replace ")
+    assert sorted(tmp_path.iterdir()) == sorted([scenario_file, out])
+    assert out.read_text(encoding="utf-8") == "old\n"
 
 
 @pytest.mark.parametrize("bad_file", ["scenario", "layout"])

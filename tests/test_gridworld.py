@@ -252,6 +252,10 @@ def test_parse_rejects_empty():
         parse_layout("")
 
 
+def test_parse_ignores_trailing_blank_lines():
+    assert parse_layout("###\n#.#\n###\n\n\n") == parse_layout("###\n#.#\n###\n")
+
+
 @pytest.mark.parametrize("rows,cols", [(1, 1), (2, 3), (3, 4)])
 def test_serialize_parse_round_trip(rows, cols):
     # rows x cols blocks of the default 2x4 shelves with 2-cell aisles
@@ -311,6 +315,9 @@ def test_world_is_a_value():
     assert moved != world
     # Same cell count and walls, other shape.
     assert open_room(4, 6) != open_room(6, 4)
+    # A world equals no other kind of value.
+    assert world != world._value and world != "GridWorld"
+    assert repr(world) == f"GridWorld(21x20, {len(world.obstacles)} obstacles)"
 
 
 def _built(make):

@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from warefleet.errors import ConfigurationError, DomainError
+from warefleet.errors import ConfigurationError
 from warefleet.gridworld import Position, generate_layout_sized
 from warefleet.potential import (
     PotentialParams,
@@ -80,6 +80,10 @@ def test_params_validation():
             PotentialParams(goal_terms=(PotentialTerm(bad, math.inf, 1.0),))
     with pytest.raises(ConfigurationError, match="^sensor radius must be at least 2$"):
         PotentialParams(sensor_radius=1)
+    # The radius sizes the field's tables, so a fraction or NaN cannot build one.
+    for radius in (2.5, math.nan):
+        with pytest.raises(ConfigurationError, match="^sensor radius must be an integer"):
+            PotentialParams(sensor_radius=radius)
 
 
 def test_phi_goal_is_chebyshev_distance():
@@ -102,7 +106,7 @@ def test_phi_obstacle_at_zero_distance():
 
 def test_phi_zero_base_negative_exponent_raises():
     params = PotentialParams(obstacle_terms=(PotentialTerm(0.1, 2, -2.0, offset=0.0),))
-    with pytest.raises(DomainError):
+    with pytest.raises(ConfigurationError):
         phi(params, OBSTACLE, Position(1, 1), Position(1, 1))
     # The table stores the undefined entry as inf and the others as phi does.
     table = term_table(params.obstacle_terms, 3, 3)
@@ -373,9 +377,9 @@ def test_divergence_condition_examples():
     # Exactly on the threshold: the expected-growth ratio is 1, not above it.
     assert check_divergence_condition(0.05, 1.95, 0.05) is False
     assert check_divergence_condition(0.01, 15.0, 0.05) is True
-    with pytest.raises(DomainError):
+    with pytest.raises(ConfigurationError):
         check_divergence_condition(0.0, 15.0, 0.05)
-    with pytest.raises(DomainError):
+    with pytest.raises(ConfigurationError):
         check_divergence_condition(1.0, 15.0, 0.05)
 
 
