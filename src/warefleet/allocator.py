@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 from operator import itemgetter
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, require_integers
 from .gridworld import Position
 
 Chromosome = list[int]
@@ -39,6 +39,7 @@ class GAConfig:
     mutation_probability: float = 0.2
 
     def __post_init__(self):
+        require_integers(population_size=self.population_size, max_generations=self.max_generations)
         if self.population_size < 2:
             raise ConfigurationError("population size must be at least 2")
         if self.max_generations < 1:
@@ -243,12 +244,8 @@ def evolve(
     last = pool_size - 1
     mutation_probability = cfg.mutation_probability
 
+    add = population.append  # children go after the parents, whose ranks stay put
     for _ in range(cfg.max_generations):
-        # Elitism and crossover of near-identical parents repeat chromosomes,
-        # so scores are reused within a generation.
-        scores = {tuple(genes): value for value, genes in population}
-        children: list[tuple[float, Chromosome]] = []
-        add = children.append
         for _ in range((size + 1) // 2):  # each pair of parents gives two children
             # Rank-weighted draw over the pool; the two parents are distinct.
             a = bisect(cum_weights, uniform() * total, 0, last)
@@ -256,16 +253,21 @@ def evolve(
             while b == a:
                 b = bisect(cum_weights, uniform() * total, 0, last)
             v1, p1 = population[a]
-            p2 = population[b][1]
+            v2, p2 = population[b]
             # Cut points i..j, 1-based: randint(1, length), then randint(i, length).
             i = 1 + below(length)
             j = i + below(length - i + 1)
-            if p1 == p2:
-                # Order crossover of equal parents returns the parent; no
-                # operator changes a chromosome in place, so it is shared.
+            # A child equal to a parent keeps the parent's score. No operator
+            # changes a chromosome in place, so a child may share its list.
+            if p1 == p2:  # order crossover of equal parents returns the parent
                 offspring = ((v1, p1), (v1, p1))
             else:
-                offspring = ((None, crossover(p1, p2, i, j)), (None, crossover(p2, p1, i, j)))
+                c1 = crossover(p1, p2, i, j)
+                c2 = crossover(p2, p1, i, j)
+                offspring = (
+                    (v1 if c1 == p1 else v2 if c1 == p2 else None, c1),
+                    (v2 if c2 == p2 else v1 if c2 == p1 else None, c2),
+                )
             for value, child in offspring:
                 if uniform() < mutation_probability:
                     # Scramble mutation of the 1-based range m..n, drawn as the cuts are.
@@ -273,16 +275,11 @@ def evolve(
                     n = m + below(length - m + 1)
                     segment = child[m - 1 : n]
                     shuffle(segment)
-                    child = child[: m - 1] + segment + child[n:]
-                    value = None
-                if value is None:
-                    key = tuple(child)
-                    value = scores.get(key)
-                    if value is None:
-                        value = scores[key] = score(child)
-                add((value, child))
+                    if segment != child[m - 1 : n]:  # else the child stays as it was
+                        child = child[: m - 1] + segment + child[n:]
+                        value = None
+                add((score(child) if value is None else value, child))
         # Elitist truncation over survivors plus offspring; the sort is stable.
-        population += children
         population.sort(key=by_fitness, reverse=True)
         del population[size:]
         history.append(population[0][0])

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, fields, replace
 
 from .allocator import GAConfig, HeuristicStore, decode, evolve
 from .baseline import shortest_path
-from .errors import ConfigurationError
+from .errors import ConfigurationError, require_integers
 from .gridworld import GridWorld, Position
 from .planner import (
     CAP_REACHED,
@@ -49,6 +49,7 @@ class Scenario:
     seed: int = 0
 
     def __post_init__(self):
+        require_integers(n_robots=self.n_robots, n_tasks=self.n_tasks, step_cap=self.step_cap)
         if self.n_robots < 1 or self.n_tasks < 1:
             raise ConfigurationError("need at least one robot and one task")
         if self.step_cap < 0:

@@ -1,4 +1,4 @@
-"""Exception types shared across the simulator."""
+"""Exception types shared across the simulator, and the integer check of a count."""
 
 
 class SimulatorError(Exception):
@@ -7,6 +7,13 @@ class SimulatorError(Exception):
 
 class ConfigurationError(SimulatorError, ValueError):
     """An argument, parameter set or layout request is invalid."""
+
+
+def require_integers(**counts: object) -> None:
+    """Reject a value that is not an int, such as 10.5 or NaN, naming its field."""
+    for name, value in counts.items():
+        if not isinstance(value, int):
+            raise ConfigurationError(f"{name.replace('_', ' ')} must be an integer, got {value!r}")
 
 
 class LoadError(SimulatorError, ValueError):

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, require_integers
 from .gridworld import GridWorld, Position
 
 
@@ -74,8 +74,7 @@ class PotentialParams:
             )
         if not 0.0 <= self.alpha < 1.0:
             raise ConfigurationError(f"relaxation factor must lie in [0, 1), got {self.alpha}")
-        if not isinstance(self.sensor_radius, int):
-            raise ConfigurationError(f"sensor radius must be an integer, got {self.sensor_radius!r}")
+        require_integers(sensor_radius=self.sensor_radius)
         if self.sensor_radius < 2:
             raise ConfigurationError("sensor radius must be at least 2")
         for name, terms in (

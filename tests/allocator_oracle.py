@@ -10,9 +10,12 @@ of parents is crossed, even when their genes are equal, and every number
 is drawn through `random.Random`'s own methods: parents through `choices`,
 cut points through `randint`, and the initial chromosomes
 (`random_chromosome`) and the scramble mutation (`mutate`) through
-`shuffle`. `allocator.evolve` skips the crossover of equal parents and
-writes out CPython's arithmetic for each draw; tests check that it
-returns exactly what this loop returns.
+`shuffle`, and every child is scored. `allocator.evolve` skips the
+crossover of equal parents, skips the scoring of a child equal to one of
+its parents (it takes that parent's score) and of a child whose scramble
+left its segment as it was (it keeps its score), and writes out CPython's
+arithmetic for each draw; tests check that it returns exactly what this
+loop returns.
 """
 
 import random

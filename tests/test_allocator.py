@@ -339,6 +339,12 @@ def test_ga_config_validation():
         GAConfig(mutation_probability=1.5)
     with pytest.raises(ConfigurationError, match="need at least one generation"):
         GAConfig(max_generations=0)
+    # A float count would otherwise end in a TypeError inside evolve.
+    for bad in (10.5, math.nan, 10.0):
+        with pytest.raises(ConfigurationError, match=r"population size must be an integer, got "):
+            GAConfig(population_size=bad)
+        with pytest.raises(ConfigurationError, match=r"max generations must be an integer, got "):
+            GAConfig(max_generations=bad)
 
 
 def test_evolve_rejects_an_empty_fleet_or_task_list():
@@ -483,6 +489,35 @@ def test_evolve_matches_oracle_on_random_configs():
         assert evolve(cfg, starts, tasks, store, seed) == allocator_oracle.evolve(
             cfg, starts, tasks, store, seed
         ), (case, cfg, seed)
+
+
+def test_evolve_matches_oracle_at_benchmark_size(monkeypatch):
+    # The full-strength GA at N=20, K=40 on a warm store whose learned
+    # distances are not integers. Late generations cross equal parents and
+    # make crossover children equal to a parent, which keep its score. The
+    # count also shows that evolve calls crossover through the module global,
+    # the name perfbench's tracer wraps.
+    rng = random.Random(1809)
+    cells = rng.sample([Position(x, y) for x in range(81) for y in range(80)], 60)
+    starts, tasks = cells[:20], cells[20:]
+    store = HeuristicStore(eta=0.5)
+    for _ in range(300):
+        a, b = rng.sample(cells, 2)
+        store.learn(a, b, rng.uniform(0.0, 120.0))
+    cfg = GAConfig(population_size=100, max_generations=200)
+
+    crossings = Counter()
+
+    def counted_crossover(parent1, parent2, i, j):
+        child = crossover(parent1, parent2, i, j)
+        crossings[child == parent1 or child == parent2] += 1
+        return child
+
+    monkeypatch.setattr("warefleet.allocator.crossover", counted_crossover)
+    assert evolve(cfg, starts, tasks, store, 11) == allocator_oracle.evolve(
+        cfg, starts, tasks, store, 11
+    )
+    assert crossings[True] > 100 and crossings[False] > 100, crossings
 
 
 def test_evolve_golden(fig_layout):

@@ -114,6 +114,14 @@ def test_scenario_validation():
         Scenario(world=room, n_robots=1, n_tasks=1, eta=0.0)
     with pytest.raises(ConfigurationError, match="step cap"):  # 0 is the default cap
         Scenario(world=room, n_robots=1, n_tasks=1, step_cap=-1)
+    # A float count from the Python API used to end in a TypeError inside the
+    # run, and a float step cap to run one tick more than it says.
+    for bad in (10.5, math.nan, 3.0):
+        for name in ("n_robots", "n_tasks", "step_cap"):
+            counts = {"n_robots": 1, "n_tasks": 1, name: bad}
+            label = name.replace("_", " ")
+            with pytest.raises(ConfigurationError, match=f"{label} must be an integer, got "):
+                Scenario(world=room, **counts)
 
 
 def test_run_scenario_single_robot_open_room_is_optimal():
