@@ -1,15 +1,16 @@
-"""Optimal shortest paths on the grid via A* search.
+"""Optimal shortest-path lengths on the grid via A* search.
 
 Serves as the distance oracle the simulator's realized paths are measured
 against, and as the computation-time comparison target for the local
-planner. Heuristic is the 1-norm, which is admissible and consistent on a
-4-connected grid, so returned lengths are exact optima.
+planner. Only the length is kept, not the path. Heuristic is the 1-norm,
+which is admissible and consistent on a 4-connected grid, so returned
+lengths are exact optima.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from heapq import heappop, heappush
 
 from .errors import ConfigurationError
@@ -20,18 +21,17 @@ from .gridworld import GridWorld, Position
 class PathResult:
     """Outcome of one shortest-path query.
 
-    length is None when the goal is unreachable; otherwise it equals
-    len(path) - 1 and every consecutive pair of path cells is 4-adjacent.
+    length is the number of moves on a shortest path, or None when the goal
+    is unreachable; expanded_nodes counts the cells the search closed.
     """
 
     length: int | None
-    path: list[Position] = field(default_factory=list)
-    expanded_nodes: int = 0
-    elapsed: float = 0.0
+    expanded_nodes: int
+    elapsed: float
 
 
 def shortest_path(world: GridWorld, start: Position, goal: Position) -> PathResult:
-    """Minimum-length 4-connected path from start to goal."""
+    """Length of a minimum-length 4-connected path from start to goal."""
     if start not in world.reachable:
         raise ConfigurationError(f"start {start} is not a reachable cell")
     if goal not in world.reachable:
@@ -43,7 +43,6 @@ def shortest_path(world: GridWorld, start: Position, goal: Position) -> PathResu
     counter = 0
     open_heap = [(abs(start.x - goal.x) + abs(start.y - goal.y), counter, start)]
     g_score = {start: 0}
-    came_from: dict[Position, Position] = {}
     closed: set[Position] = set()
     expanded = 0
     adjacency = world.adjacency
@@ -54,29 +53,17 @@ def shortest_path(world: GridWorld, start: Position, goal: Position) -> PathResu
         if cell in closed:
             continue
         if cell == goal:
-            length = g_score[cell]
-            path = [cell]
-            while cell in came_from:
-                cell = came_from[cell]
-                path.append(cell)
-            path.reverse()
-            return PathResult(
-                length=length,
-                path=path,
-                expanded_nodes=expanded,
-                elapsed=time.perf_counter() - t0,
-            )
+            return PathResult(g_score[cell], expanded, time.perf_counter() - t0)
         closed.add(cell)
         expanded += 1
         g_next = g_score[cell] + 1
         for nxt in adjacency[cell]:
             if g_next < g_score.get(nxt, 1 << 60):
                 g_score[nxt] = g_next
-                came_from[nxt] = cell
                 counter += 1
                 nx, ny = nxt
                 f = g_next + (nx - gx if nx >= gx else gx - nx) + (ny - gy if ny >= gy else gy - ny)
                 heappush(open_heap, (f, counter, nxt))
 
-    return PathResult(length=None, path=[], expanded_nodes=expanded, elapsed=time.perf_counter() - t0)
+    return PathResult(None, expanded, time.perf_counter() - t0)
 

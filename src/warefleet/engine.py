@@ -348,6 +348,7 @@ def run_sweep(
     per run. Warm mode threads one store through the runs in order and is
     therefore always serial.
     """
+    require_integers(seeds_per_cell=seeds_per_cell, jobs=jobs)
     if seeds_per_cell < 1:
         raise ConfigurationError("need at least one seed per cell")
     if jobs < 1:

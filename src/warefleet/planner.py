@@ -39,7 +39,7 @@ import time
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, require_integers
 from .gridworld import GridWorld, Position
 from .potential import DYNAMIC_SCALE, PotentialParams, _obstacle_field, term_table
 
@@ -219,6 +219,7 @@ def run_until_done(
     the only defense against impossible tasks; a capped run is reported as
     such and never as completed.
     """
+    require_integers(step_cap=step_cap)
     if step_cap < 1:
         raise ConfigurationError("step cap must be at least 1")
     radius = params.sensor_radius

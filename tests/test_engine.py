@@ -424,6 +424,28 @@ def test_run_sweep_rejects_empty_or_repeated_axis(monkeypatch, n_values, k_value
     assert str(raised.value) == message
 
 
+@pytest.mark.parametrize(
+    "counts, message",
+    [
+        ({"seeds_per_cell": 0}, "need at least one seed per cell"),
+        ({"seeds_per_cell": 2.5}, "seeds per cell must be an integer, got 2.5"),
+        ({"seeds_per_cell": math.nan}, "seeds per cell must be an integer, got nan"),
+        ({"seeds_per_cell": 1, "jobs": 0}, "jobs must be at least 1"),
+        ({"seeds_per_cell": 1, "jobs": 1.5}, "jobs must be an integer, got 1.5"),
+        ({"seeds_per_cell": 1, "jobs": math.nan}, "jobs must be an integer, got nan"),
+    ],
+)
+def test_run_sweep_rejects_bad_seed_or_job_count(monkeypatch, counts, message):
+    def no_run(*args, **kwargs):
+        raise AssertionError("a rejected count must not run")
+
+    monkeypatch.setattr(engine, "run_scenario", no_run)
+    base = Scenario(world=open_room(6, 6), n_robots=1, n_tasks=1, ga=LIGHT_GA)
+    with pytest.raises(ConfigurationError) as raised:
+        run_sweep(base, [1], [1], **counts)
+    assert str(raised.value) == message
+
+
 def test_run_scenario_k_total_counts_trace_ticks():
     # The trace is the ground truth the metrics use: one snapshot per tick
     # plus the initial one.

@@ -424,6 +424,10 @@ def test_step_cap_validation():
     robots = [make_robot(Position(1, 1), Position(4, 4))]
     with pytest.raises(ConfigurationError):
         run_until_done(robots, room, PARAMS, 0)
+    for cap in (2.5, math.nan):
+        with pytest.raises(ConfigurationError, match=r"^step cap must be an integer, got "):
+            run_until_done(robots, room, PARAMS, cap)
+    assert robots[0].pos == Position(1, 1)
 
 
 def test_format_trace_lines():
