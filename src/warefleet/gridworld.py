@@ -13,7 +13,7 @@ from __future__ import annotations
 from itertools import chain, compress, repeat
 from typing import Iterable, NamedTuple
 
-from .errors import ConfigurationError, LoadError
+from .errors import ConfigurationError, LoadError, require_integers
 
 
 class Position(NamedTuple):
@@ -42,6 +42,7 @@ class GridWorld:
     __slots__ = ("width", "height", "obstacles", "adjacency", "floor", "_value")
 
     def __init__(self, width: int, height: int, obstacles: Iterable[Position]):
+        require_integers(width=width, height=height)
         if width < 3 or height < 3:
             raise ConfigurationError(f"grid {width}x{height} too small to hold walls and floor")
         self.width = width
@@ -164,6 +165,9 @@ def generate_layout_sized(
     corridors absorb the remainder. Every block has an aisle on all four
     sides, so the floor is always one connected component.
     """
+    require_integers(
+        width=width, height=height, shelf_width=shelf_width, shelf_height=shelf_height, aisle=aisle
+    )
     if shelf_width < 1 or shelf_height < 1 or aisle < 1:
         raise ConfigurationError("shelf and aisle dimensions must be positive")
     if width < 2 + aisle or height < 2 + aisle:

@@ -1,9 +1,14 @@
-"""Shared helpers: hand-built worlds and independent path oracles."""
+"""Shared helpers: hand-built worlds, independent path oracles and a
+fresh-process runner."""
 
+import os
+import subprocess
+import sys
 from collections import deque
 
 import pytest
 
+import warefleet
 from warefleet.gridworld import GridWorld, Position, parse_layout
 
 
@@ -101,3 +106,20 @@ def fig_layout() -> GridWorld:
     from warefleet.gridworld import generate_layout_sized
 
     return generate_layout_sized(20, 22)
+
+
+def run_python(*args: str, **env: str) -> subprocess.CompletedProcess:
+    """Run `python *args` in a fresh process that imports the same warefleet
+    as this one, with `env` added to the environment; fails the calling test
+    unless the process exits 0. Returns the process with its text output."""
+    src = os.path.dirname(os.path.dirname(warefleet.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, *args],
+        capture_output=True,
+        text=True,
+        env={**os.environ, **env, "PYTHONPATH": path},
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    return result

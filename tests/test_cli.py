@@ -4,13 +4,15 @@ import re
 
 import pytest
 
-from warefleet import cli, engine
+from warefleet import cli, engine, potential
 from warefleet.allocator import GAConfig
 from warefleet.cli import build_scenario, main, read_scenario_file
 from warefleet.engine import Scenario, default_step_cap, run_scenario
 from warefleet.errors import LoadError
 from warefleet.gridworld import Position, parse_layout
 from warefleet.planner import CAP_REACHED, format_trace
+
+from conftest import run_python
 
 MINI_SCENARIO = """\
 # tiny benchmark
@@ -371,18 +373,101 @@ N,K,runs,completed_runs,mean_J1,std_J1,mean_J2,std_J2,mean_J3,std_J3,mean_J4,std
 
 
 def test_warm_sweep_outputs_golden(scenario_file, tmp_path):
+    # A warm sweep runs in order in this process whatever --jobs says.
+    modes = {"cold": [], "warm": ["--warm"], "warm-jobs2": ["--warm", "--jobs", "2"]}
     outputs = {}
-    for mode in ("cold", "warm"):
+    for mode, extra in modes.items():
         sweep_csv, summary_csv = tmp_path / f"{mode}.csv", tmp_path / f"{mode}-cells.csv"
         argv = ["sweep", "--scenario", str(scenario_file), "--n-values", "2,3",
                 "--k-values", "4,6", "--seeds", "3", "--out", str(sweep_csv),
                 "--summary", str(summary_csv)]
-        assert main(argv + ["--warm"] * (mode == "warm")) == 0
+        assert main(argv + extra) == 0
         outputs[mode] = _masked_csv(sweep_csv), _masked_csv(summary_csv)
-    assert outputs["warm"] == (GOLDEN_WARM_SWEEP_CSV, GOLDEN_WARM_SUMMARY_CSV)
+    golden = (GOLDEN_WARM_SWEEP_CSV, GOLDEN_WARM_SUMMARY_CSV)
+    assert outputs["warm"] == golden and outputs["warm-jobs2"] == golden
     cold_rows, warm_rows = (outputs[mode][0].splitlines() for mode in ("cold", "warm"))
     assert cold_rows[:2] == warm_rows[:2]  # the first run starts from the 1-norm
     assert any(cold != warm for cold, warm in zip(cold_rows, warm_rows))
+
+
+def _sweep_outputs(cfg, tmp_path, grid, jobs):
+    """The masked sweep and summary CSVs of one `sweep` of `cfg` at `--jobs jobs`."""
+    out, summary = tmp_path / f"sweep{jobs}.csv", tmp_path / f"cells{jobs}.csv"
+    argv = ["sweep", "--scenario", str(cfg), "--out", str(out), "--summary", str(summary),
+            *grid, "--jobs", str(jobs)]
+    assert main(argv) == 0
+    return _masked_csv(out), _masked_csv(summary)
+
+
+TWO_ROBOTS_SCENARIO = """\
+layout = w.layout
+n_robots = 2
+n_tasks = 3
+population = 10
+generations = 5
+seed = 1
+"""
+
+
+def test_sweep_outputs_do_not_depend_on_jobs(tmp_path):
+    # Every column but the timings, of every run row and summary cell.
+    layout = tmp_path / "w.layout"
+    assert main(["gen-layout", "--width", "21", "--height", "20", "--out", str(layout)]) == 0
+    cfg = tmp_path / "two.cfg"
+    cfg.write_text(TWO_ROBOTS_SCENARIO, encoding="utf-8")
+    assert main(["run", "--scenario", str(cfg), "--out", str(tmp_path / "two.csv")]) == 0
+    grid = ["--n-values", "1,2", "--k-values", "2", "--seeds", "2"]
+    serial = _sweep_outputs(cfg, tmp_path, grid, 1)
+    assert _sweep_outputs(cfg, tmp_path, grid, 2) == serial
+    assert _sweep_outputs(cfg, tmp_path, grid, 8) == serial
+
+
+WIDE_SCENARIO = """\
+layout = generate:41x40
+sensor_radius = 12
+n_robots = 3
+n_tasks = 4
+population = 10
+generations = 5
+seed = 3
+"""
+
+
+def test_large_radius_sweep_is_the_same_in_worker_processes(tmp_path):
+    # At radius 12 on 41x40 most obstacle-field boxes are clipped at a wall.
+    # The pooled sweep runs first on an empty field cache, so each worker
+    # builds its own field, as the workers of a fresh `warefleet sweep` do.
+    cfg = tmp_path / "wide.cfg"
+    cfg.write_text(WIDE_SCENARIO, encoding="utf-8")
+    grid = ["--n-values", "2,3", "--k-values", "4", "--seeds", "2"]
+    potential._obstacle_field.cache_clear()
+    pooled = _sweep_outputs(cfg, tmp_path, grid, 2)
+    assert potential._obstacle_field.cache_info().currsize == 0
+    assert pooled == _sweep_outputs(cfg, tmp_path, grid, 1)
+
+
+CROWD_SCENARIO = """\
+layout = generate:41x40
+n_robots = 60
+n_tasks = 60
+population = 10
+generations = 5
+seed = 2
+"""
+
+
+def test_crowded_run_is_the_same_under_two_hash_seeds(tmp_path):
+    # Two processes that hash strings differently: no set or dict order that
+    # hashing decides may reach the trace or a deterministic column.
+    cfg = tmp_path / "crowd.cfg"
+    cfg.write_text(CROWD_SCENARIO, encoding="utf-8")
+    outputs = []
+    for hashseed in ("0", "1"):
+        out, trace = tmp_path / f"crowd{hashseed}.csv", tmp_path / f"crowd{hashseed}.trace"
+        run_python("-m", "warefleet.cli", "run", "--scenario", str(cfg), "--out", str(out),
+                   "--trace", str(trace), PYTHONHASHSEED=hashseed)
+        outputs.append((trace.read_bytes(), _masked_csv(out)))
+    assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])
@@ -480,9 +565,11 @@ def test_bad_number_is_load_error_with_line(tmp_path, capsys, key, bad, line):
     lines[line - 1] = f"{key} = {bad}"
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    assert main(["run", "--scenario", str(cfg), "--out", str(tmp_path / "x.csv")]) == 1
+    out = tmp_path / "x.csv"
+    assert main(["run", "--scenario", str(cfg), "--out", str(out)]) == 1
     message = capsys.readouterr().err
     assert message.startswith(f"error: {key}: ") and message.rstrip().endswith(f"(line {line})")
+    assert not out.exists()
     with pytest.raises(LoadError) as raised:
         build_scenario(cfg)
     assert raised.value.line == line

@@ -1,10 +1,9 @@
 import concurrent.futures
 import dataclasses
 import math
-import os
+import re
 import statistics
-import subprocess
-import sys
+from pathlib import Path
 
 import pytest
 
@@ -23,7 +22,7 @@ from warefleet.errors import ConfigurationError
 from warefleet.gridworld import Position, generate_layout_sized
 from warefleet.planner import CAP_REACHED, COMPLETED, Segment, SimTrace
 
-from conftest import open_room, world_from
+from conftest import open_room, run_python, world_from
 
 LIGHT_GA = GAConfig(population_size=12, max_generations=10)
 
@@ -393,13 +392,13 @@ def test_importing_the_cli_loads_no_process_pool():
         "print(sorted(m for m in sys.modules "
         "if m.split('.')[0] in ('multiprocessing', 'concurrent')))"
     )
-    src = os.path.dirname(os.path.dirname(engine.__file__))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
-    result = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
-    )
-    assert result.stdout == "[]\n"
+    assert run_python("-c", code).stdout == "[]\n"
+
+
+def test_readme_python_example_runs():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    (example,) = re.findall(r"^```python\n(.*?)^```$", readme, re.M | re.S)
+    assert run_python("-c", example).stdout.split()[-1] == "completed"
 
 
 @pytest.mark.parametrize(

@@ -151,6 +151,12 @@ def test_generate_layout_rejects_degenerate():
         generate_layout_sized(20, 22, shelf_width=0)
     with pytest.raises(ConfigurationError):
         generate_layout_sized(3, 3)
+    # A size that is not an int is an error, even one equal to an int.
+    sizes = {"width": 21, "height": 20, "shelf_width": 2, "shelf_height": 4, "aisle": 2}
+    for bad in (10.5, math.nan, 3.0):
+        for size in sizes:
+            with pytest.raises(ConfigurationError, match=f"^{size.replace('_', ' ')} must be an"):
+                generate_layout_sized(**{**sizes, size: bad})
 
 
 def test_generate_layout_sized_tiles_whole_blocks():
@@ -286,6 +292,11 @@ def test_gridworld_rejects_bad_partition():
         GridWorld(4, 4, [Position(0, 0)])  # unwalled boundary
     with pytest.raises(ConfigurationError):
         GridWorld(4, 4, [Position(9, 9)])  # obstacle off the lattice
+    for bad in (10.5, math.nan, 3.0):
+        with pytest.raises(ConfigurationError, match="^width must be an integer"):
+            GridWorld(bad, 5, [])
+        with pytest.raises(ConfigurationError, match="^height must be an integer"):
+            GridWorld(5, bad, [])
 
 
 def test_gridworld_errors_name_the_fault():
