@@ -12,6 +12,7 @@ completed legs.
 
 from __future__ import annotations
 
+import math
 import random
 from bisect import bisect
 from collections.abc import Callable
@@ -81,8 +82,8 @@ class HeuristicStore:
 
     def learn(self, a: Position, b: Position, realized: float) -> None:
         """Gradient step toward a realized distance."""
-        if realized < 0:
-            raise ConfigurationError("realized distance cannot be negative")
+        if not 0 <= realized < math.inf:
+            raise ConfigurationError(f"realized distance must be finite and >= 0, got {realized!r}")
         if a == b:
             return
         current = self.estimate(a, b)
@@ -196,7 +197,10 @@ def crossover(parent1: Chromosome, parent2: Chromosome, i: int, j: int) -> Chrom
     length = len(parent1)
     if not 1 <= i <= j <= length:
         raise ConfigurationError(f"cut points ({i}, {j}) invalid for length {length}")
-    kept = parent1[i - 1 : j]
+    try:
+        kept = parent1[i - 1 : j]
+    except TypeError:
+        raise ConfigurationError(f"cut points ({i}, {j}) must be integers") from None
     used = set(kept)
     child = [g for g in parent2 if g not in used]
     child[i - 1 : i - 1] = kept

@@ -26,8 +26,9 @@ _FLOOR_BYTES = bytes.maketrans(b"\x00\x01", b"\x01\x00")
 
 OBSTACLE_GLYPH = "#"
 FLOOR_GLYPH = "."
-# Maps a grid byte to its glyph.
+# Maps a grid byte to its glyph, and a glyph to its grid byte.
 _GLYPH_BYTES = bytes.maketrans(b"\x00\x01", (FLOOR_GLYPH + OBSTACLE_GLYPH).encode())
+_GRID_BYTES = bytes.maketrans((FLOOR_GLYPH + OBSTACLE_GLYPH).encode(), b"\x00\x01")
 
 
 class GridWorld:
@@ -37,25 +38,22 @@ class GridWorld:
     and hash alike, so one instance, or any copy of it, can back any
     number of simulation runs. Construction enforces that obstacles and
     floor exactly cover the lattice and that every boundary cell is a wall.
+    A world pickles as its size and grid bytes.
     """
 
-    __slots__ = ("width", "height", "obstacles", "adjacency", "floor", "_value")
+    __slots__ = ("width", "height", "adjacency", "floor", "_value")
 
-    def __init__(self, width: int, height: int, obstacles: Iterable[Position]):
+    def __new__(cls, width: int, height: int, obstacles: Iterable[Position]):
         require_integers(width=width, height=height)
-        if width < 3 or height < 3:
-            raise ConfigurationError(f"grid {width}x{height} too small to hold walls and floor")
-        self.width = width
-        self.height = height
-        self.obstacles = frozenset(Position(x, y) for x, y in obstacles)
-        # The lattice as one byte per cell in reading order, 1 on an obstacle.
+        _require_room(width, height)
+        obstacles = frozenset(Position(x, y) for x, y in obstacles)
         # range.index finds the lattice point an obstacle equals, so
         # Position(2.0, 1) marks the cell (2, 1); an obstacle equal to no
         # lattice point marks nothing and is named below.
         size = width * height
         grid = bytearray(size)
         xs, ys = range(width), range(height)
-        for x, y in self.obstacles:
+        for x, y in obstacles:
             if x in xs and y in ys:
                 grid[ys.index(y) * width + xs.index(x)] = 1
         # The border in reading order, so an error names the first fault.
@@ -65,43 +63,25 @@ class GridWorld:
         if fault is not None:
             y, x = divmod(fault, width)
             raise ConfigurationError(f"boundary cell ({x},{y}) is not a wall")
-        if grid.count(1) != len(self.obstacles):
-            off = next(p for p in self.obstacles if p.x not in xs or p.y not in ys)
+        if grid.count(1) != len(obstacles):
+            off = next(p for p in obstacles if p.x not in xs or p.y not in ys)
             raise ConfigurationError(f"obstacle {off} outside the {width}x{height} lattice")
-        # One Position object per floor cell at its index, None on an
-        # obstacle. tuple.__new__ makes each one as Position(x, y) would,
-        # without a Python call per cell. The walls hold every border cell, so
-        # a floor cell's four neighbours lie one row and one column away.
-        open_bytes = grid.translate(_FLOOR_BYTES)
-        pairs = chain.from_iterable(
-            zip(compress(xs, open_bytes[row : row + width]), repeat(y))
-            for y, row in enumerate(range(0, size, width))
-        )
-        positions = map(tuple.__new__, repeat(Position), pairs)
-        cells: list[Position | None] = [None] * size
-        for i, cell in zip(compress(range(size), open_bytes), positions):
-            cells[i] = cell
-        # The floor cells in (x, y) order, which is sorted order: random
-        # placement draws from this sequence and the obstacle field walks it.
-        self.floor: tuple[Position, ...] = tuple(
-            filter(None, chain.from_iterable(cells[x::width] for x in xs))
-        )
-        # Reachable 4-neighbors per cell in up/right/down/left order, as the
-        # floor's own objects, keyed in reading order; the planner and the
-        # search baseline read this dict directly in their inner loops.
-        self.adjacency: dict[Position, tuple[Position, ...]] = {
-            cell: tuple(filter(None, (cells[i - width], cells[i + 1], cells[i + width], cells[i - 1])))
-            for i, cell in enumerate(cells)
-            if cell is not None
-        }
-        # Equal worlds, such as a copy unpickled in a sweep worker, compare
-        # with one bytes comparison instead of a walk of the obstacle set.
-        self._value = (width, height, bytes(grid))
+        return _grid_world(width, height, bytes(grid))
+
+    def __reduce__(self):
+        return _grid_world, self._value
 
     @property
     def grid(self) -> bytes:
         """The lattice in reading order, one byte per cell: 1 on an obstacle."""
         return self._value[2]
+
+    @property
+    def obstacles(self) -> frozenset[Position]:
+        """The obstacle cells, read from the grid."""
+        width, grid = self.width, self.grid
+        walls = compress(range(len(grid)), grid)
+        return frozenset(Position(i % width, i // width) for i in walls)
 
     @property
     def reachable(self):
@@ -117,37 +97,50 @@ class GridWorld:
         return hash(self._value)
 
     def __repr__(self):
-        return f"GridWorld({self.width}x{self.height}, {len(self.obstacles)} obstacles)"
+        return f"GridWorld({self.width}x{self.height}, {self.grid.count(1)} obstacles)"
 
 
-def _tile_obstacles(
-    width: int,
-    height: int,
-    shelf_width: int,
-    shelf_height: int,
-    aisle: int,
-) -> set[Position]:
-    """Walls plus shelf blocks tiled from the top-left with aisle-wide gaps.
+def _require_room(width: int, height: int) -> None:
+    if width < 3 or height < 3:
+        raise ConfigurationError(f"grid {width}x{height} too small to hold walls and floor")
 
-    Blocks are placed at fixed offsets while a full block still leaves at
-    least one aisle before the far wall; any remainder widens the trailing
-    corridors instead of truncating a block.
-    """
-    obstacles = {Position(x, 0) for x in range(width)}
-    obstacles |= {Position(x, height - 1) for x in range(width)}
-    obstacles |= {Position(0, y) for y in range(height)}
-    obstacles |= {Position(width - 1, y) for y in range(height)}
 
-    x0 = 1 + aisle
-    while x0 + shelf_width + aisle <= width - 1:
-        y0 = 1 + aisle
-        while y0 + shelf_height + aisle <= height - 1:
-            for x in range(x0, x0 + shelf_width):
-                for y in range(y0, y0 + shelf_height):
-                    obstacles.add(Position(x, y))
-            y0 += shelf_height + aisle
-        x0 += shelf_width + aisle
-    return obstacles
+def _grid_world(width: int, height: int, grid: bytes) -> GridWorld:
+    """The world of a grid whose border cells are all walls: the one
+    constructor behind GridWorld(), the layout builders and unpickling."""
+    _require_room(width, height)
+    world = object.__new__(GridWorld)
+    world.width, world.height = width, height
+    # One Position object per floor cell at its index, None on an
+    # obstacle. tuple.__new__ makes each one as Position(x, y) would,
+    # without a Python call per cell. The walls hold every border cell, so
+    # a floor cell's four neighbours lie one row and one column away.
+    size = width * height
+    xs = range(width)
+    open_bytes = grid.translate(_FLOOR_BYTES)
+    pairs = chain.from_iterable(
+        zip(compress(xs, open_bytes[row : row + width]), repeat(y))
+        for y, row in enumerate(range(0, size, width))
+    )
+    positions = map(tuple.__new__, repeat(Position), pairs)
+    cells: list[Position | None] = [None] * size
+    for i, cell in zip(compress(range(size), open_bytes), positions):
+        cells[i] = cell
+    # The floor cells in (x, y) order, which is sorted order: random
+    # placement draws from this sequence and the obstacle field walks it.
+    world.floor = tuple(filter(None, chain.from_iterable(cells[x::width] for x in xs)))
+    # Reachable 4-neighbors per cell in up/right/down/left order, as the
+    # floor's own objects, keyed in reading order; the planner and the
+    # search baseline read this dict directly in their inner loops.
+    world.adjacency = {
+        cell: tuple(filter(None, (cells[i - width], cells[i + 1], cells[i + width], cells[i - 1])))
+        for i, cell in enumerate(cells)
+        if cell is not None
+    }
+    # Equal worlds, such as a copy unpickled in a sweep worker, compare
+    # with one bytes comparison.
+    world._value = (width, height, grid)
+    return world
 
 
 def generate_layout_sized(
@@ -158,12 +151,13 @@ def generate_layout_sized(
     shelf_height: int = 4,
     aisle: int = 2,
 ) -> GridWorld:
-    """Tiled warehouse of an exact overall size.
+    """Tiled warehouse of an exact overall size, written row by row.
 
-    Fits as many whole shelf blocks as the requested dimensions allow; when
-    the size is not an exact multiple of the tile pitch the right/bottom
-    corridors absorb the remainder. Every block has an aisle on all four
-    sides, so the floor is always one connected component.
+    Shelf blocks are tiled from the top-left with aisle-wide gaps while a
+    full block still leaves an aisle before the far wall; the right and
+    bottom corridors absorb any remainder instead of a truncated block.
+    Every block has an aisle on all four sides, so the floor is always one
+    connected component.
     """
     require_integers(
         width=width, height=height, shelf_width=shelf_width, shelf_height=shelf_height, aisle=aisle
@@ -172,7 +166,16 @@ def generate_layout_sized(
         raise ConfigurationError("shelf and aisle dimensions must be positive")
     if width < 2 + aisle or height < 2 + aisle:
         raise ConfigurationError(f"{width}x{height} leaves no room for an aisle")
-    return GridWorld(width, height, _tile_obstacles(width, height, shelf_width, shelf_height, aisle))
+    wall = b"\x01" * width
+    corridor = bytearray(wall)
+    corridor[1:-1] = bytes(width - 2)
+    shelves = bytearray(corridor)
+    for x0 in range(1 + aisle, width - shelf_width - aisle, shelf_width + aisle):
+        shelves[x0 : x0 + shelf_width] = wall[:shelf_width]
+    grid = bytearray(wall + corridor * (height - 2) + wall)
+    for y0 in range(1 + aisle, height - shelf_height - aisle, shelf_height + aisle):
+        grid[y0 * width : (y0 + shelf_height) * width] = shelves * shelf_height
+    return _grid_world(width, height, bytes(grid))
 
 
 def parse_layout(text: str) -> GridWorld:
@@ -182,26 +185,23 @@ def parse_layout(text: str) -> GridWorld:
         lines.pop()
     if not lines:
         raise LoadError("layout document is empty")
-    width = len(lines[0])
-    height = len(lines)
-    obstacles: set[Position] = set()
-    for row, line in enumerate(lines):
+    width, height = len(lines[0]), len(lines)
+    for row, line in enumerate(lines, 1):
         if len(line) != width:
-            raise LoadError(
-                f"ragged row: expected {width} characters, got {len(line)}", line=row + 1
-            )
-        for col, glyph in enumerate(line):
-            if glyph == OBSTACLE_GLYPH:
-                obstacles.add(Position(col, row))
-            elif glyph != FLOOR_GLYPH:
-                raise LoadError(f"unknown glyph {glyph!r}", line=row + 1, column=col + 1)
-            elif not (0 < col < width - 1 and 0 < row < height - 1):
-                raise LoadError("boundary is not enclosed by walls", line=row + 1, column=col + 1)
-    return GridWorld(width, height, obstacles)
+            raise LoadError(f"ragged row: expected {width} characters, got {len(line)}", line=row)
+        # The first column that holds neither glyph, or width if none does,
+        # and the first floor glyph on the boundary, or -1 if none is.
+        unknown = width - len(line.lstrip(OBSTACLE_GLYPH + FLOOR_GLYPH))
+        edge = line if row in (1, height) else line[:1] + " " * (width - 2) + line[-1:]
+        opening = edge.find(FLOOR_GLYPH)
+        if 0 <= opening < unknown:
+            raise LoadError("boundary is not enclosed by walls", line=row, column=opening + 1)
+        if unknown < width:
+            raise LoadError(f"unknown glyph {line[unknown]!r}", line=row, column=unknown + 1)
+    return _grid_world(width, height, "".join(lines).encode("ascii").translate(_GRID_BYTES))
 
 
 def serialize_layout(world: GridWorld) -> str:
     """The ASCII layout document of a world, read from its grid bytes."""
-    text = world.grid.translate(_GLYPH_BYTES).decode("ascii")
-    width = world.width
+    text, width = world.grid.translate(_GLYPH_BYTES).decode("ascii"), world.width
     return "".join(text[i : i + width] + "\n" for i in range(0, len(text), width))

@@ -207,7 +207,9 @@ def run_until_done(
 ) -> SimTrace:
     """The one entry point that moves robots: tick after tick, robots in
     ascending id, until every task list is empty or step_cap ticks have
-    run; k_total counts the ticks of this call.
+    run; k_total counts the ticks of this call. Every start and task cell
+    must be a floor cell, checked before any robot moves; robots may share
+    a cell.
 
     A robot standing on its goal pops the task and starts a fresh potential
     recursion for the next one (no move that tick). Idle robots never move
@@ -222,6 +224,13 @@ def run_until_done(
     require_integers(step_cap=step_cap)
     if step_cap < 1:
         raise ConfigurationError("step cap must be at least 1")
+    reachable = world.reachable
+    for me, robot in enumerate(robots):
+        if robot.pos not in reachable:
+            raise ConfigurationError(f"robot {me} starts off the floor, at {tuple(robot.pos)}")
+        for cell in robot.tasks:
+            if cell not in reachable:
+                raise ConfigurationError(f"robot {me} has a task off the floor, at {tuple(cell)}")
     radius = params.sensor_radius
     repulsion = _obstacle_field(world, radius, params.obstacle_terms)
     goal_table = term_table(params.goal_terms, world.width, world.height)

@@ -197,6 +197,10 @@ def test_crossover_rejects_bad_cuts():
         crossover(PARENT_1, PARENT_2, 7, 6)
     with pytest.raises(ConfigurationError):
         crossover(PARENT_1, PARENT_2, 1, 11)
+    # Cut points equal to integers, or between them, are not integers.
+    for i, j in ((2.0, 3), (2, 3.5)):
+        with pytest.raises(ConfigurationError, match=r"must be integers$"):
+            crossover(PARENT_1, PARENT_2, i, j)
 
 
 def test_mutate_single_point_is_identity():
@@ -316,8 +320,10 @@ def test_learn_examples():
 
 def test_learn_rejects_negative_distance():
     store = HeuristicStore()
-    with pytest.raises(ConfigurationError):
-        store.learn(Position(0, 0), Position(1, 0), -1.0)
+    for realized in (-1.0, math.nan, math.inf):
+        with pytest.raises(ConfigurationError, match="^realized distance must be finite and >= 0"):
+            store.learn(Position(0, 0), Position(1, 0), realized)
+    assert store.estimate(Position(0, 0), Position(1, 0)) == 1.0
 
 
 def test_learn_geometric_convergence():

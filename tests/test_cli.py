@@ -422,6 +422,27 @@ def test_sweep_outputs_do_not_depend_on_jobs(tmp_path):
     assert _sweep_outputs(cfg, tmp_path, grid, 8) == serial
 
 
+def test_sweep_is_the_same_under_spawn(tmp_path):
+    # Spawn and forkserver workers get the sweep's world by pickle, not by
+    # fork; a fresh process runs the --jobs 2 sweep under spawn.
+    cfg = tmp_path / "two.cfg"
+    cfg.write_text(TWO_ROBOTS_SCENARIO.replace("w.layout", "generate:21x20"), encoding="utf-8")
+    grid = ["--n-values", "1,2", "--k-values", "2", "--seeds", "2"]
+    out, summary = tmp_path / "spawn.csv", tmp_path / "spawn_cells.csv"
+    code = (
+        "import multiprocessing, sys\n"
+        "from warefleet.cli import main\n"
+        "multiprocessing.set_start_method('spawn')\n"
+        "code = main(sys.argv[1:])\n"
+        "print(multiprocessing.get_start_method())\n"
+        "sys.exit(code)\n"
+    )
+    spawned = run_python("-c", code, "sweep", "--scenario", str(cfg), "--out", str(out),
+                         "--summary", str(summary), *grid, "--jobs", "2")
+    assert spawned.stdout == "spawn\n"
+    assert (_masked_csv(out), _masked_csv(summary)) == _sweep_outputs(cfg, tmp_path, grid, 1)
+
+
 WIDE_SCENARIO = """\
 layout = generate:41x40
 sensor_radius = 12

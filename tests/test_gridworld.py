@@ -316,8 +316,11 @@ def test_gridworld_errors_name_the_fault():
 
 def test_world_is_a_value():
     world = generate_layout_sized(21, 20)
-    copy = pickle.loads(pickle.dumps(world))
+    data = pickle.dumps(world)
+    copy = pickle.loads(data)
     assert copy is not world and copy == world and hash(copy) == hash(world)
+    # A world pickles as its value: the grid bytes, not its derived parts.
+    assert len(data) < 2 * world.width * world.height
     # Each floor cell is one object: every neighbour is the floor's own key.
     for w in (world, copy):
         floor = {c: c for c in w.adjacency}

@@ -430,6 +430,27 @@ def test_step_cap_validation():
     assert robots[0].pos == Position(1, 1)
 
 
+def test_run_until_done_rejects_cells_off_the_floor():
+    # Checked before any robot moves: a cell off the lattice, a start on the
+    # outer wall and a task on a shelf.
+    world = generate_layout_sized(12, 12)
+    floor, shelf = Position(2, 2), Position(3, 3)
+    assert floor in world.reachable and shelf not in world.reachable
+    cases = [
+        (floor, Position(40, 40), r"^robot 1 has a task off the floor, at \(40, 40\)$"),
+        (Position(0, 0), floor, r"^robot 1 starts off the floor, at \(0, 0\)$"),
+        (floor, shelf, r"^robot 1 has a task off the floor, at \(3, 3\)$"),
+    ]
+    for start, task, message in cases:
+        robots = [make_robot(Position(1, 1), Position(2, 1)), make_robot(start, task)]
+        with pytest.raises(ConfigurationError, match=message):
+            run_until_done(robots, world, PARAMS, 10)
+        assert [(r.pos, r.tasks, r.segment_log) for r in robots] == [
+            (Position(1, 1), [Position(2, 1)], []),
+            (start, [task], []),
+        ]
+
+
 def test_format_trace_lines():
     trace = SimTrace(
         positions=[(Position(1, 2), Position(3, 4)), (Position(1, 3), Position(3, 4))],
