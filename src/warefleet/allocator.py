@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 from operator import itemgetter
 
-from .errors import ConfigurationError, require_integers
+from .errors import ConfigurationError, require_integers, require_numbers
 from .gridworld import Position
 
 Chromosome = list[int]
@@ -41,6 +41,7 @@ class GAConfig:
 
     def __post_init__(self):
         require_integers(population_size=self.population_size, max_generations=self.max_generations)
+        require_numbers(mutation_probability=self.mutation_probability)
         if self.population_size < 2:
             raise ConfigurationError("population size must be at least 2")
         if self.max_generations < 1:
@@ -59,6 +60,7 @@ class HeuristicStore:
     """
 
     def __init__(self, eta: float = 0.5):
+        require_numbers(eta=eta)
         if not 0.0 < eta <= 1.0:
             raise ConfigurationError("learning rate must lie in (0, 1]")
         self.eta = eta
@@ -82,6 +84,7 @@ class HeuristicStore:
 
     def learn(self, a: Position, b: Position, realized: float) -> None:
         """Gradient step toward a realized distance."""
+        require_numbers(realized_distance=realized)
         if not 0 <= realized < math.inf:
             raise ConfigurationError(f"realized distance must be finite and >= 0, got {realized!r}")
         if a == b:
@@ -195,12 +198,12 @@ def crossover(parent1: Chromosome, parent2: Chromosome, i: int, j: int) -> Chrom
     L. Davis, "Applying adaptive algorithms to epistatic domains", IJCAI 1985.
     """
     length = len(parent1)
-    if not 1 <= i <= j <= length:
-        raise ConfigurationError(f"cut points ({i}, {j}) invalid for length {length}")
     try:
+        if not 1 <= i <= j <= length:
+            raise ConfigurationError(f"cut points ({i}, {j}) invalid for length {length}")
         kept = parent1[i - 1 : j]
     except TypeError:
-        raise ConfigurationError(f"cut points ({i}, {j}) must be integers") from None
+        raise ConfigurationError(f"cut points ({i!r}, {j!r}) must be integers") from None
     used = set(kept)
     child = [g for g in parent2 if g not in used]
     child[i - 1 : i - 1] = kept

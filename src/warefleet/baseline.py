@@ -31,7 +31,8 @@ class PathResult:
 
 
 def shortest_path(world: GridWorld, start: Position, goal: Position) -> PathResult:
-    """Length of a minimum-length 4-connected path from start to goal."""
+    """Length of a minimum-length 4-connected path from start to goal, each
+    a floor cell given as a Position or a plain (x, y) pair."""
     if start not in world.reachable:
         raise ConfigurationError(f"start {start} is not a reachable cell")
     if goal not in world.reachable:
@@ -41,12 +42,13 @@ def shortest_path(world: GridWorld, start: Position, goal: Position) -> PathResu
     # Heap entries: (f, insertion order, cell); equal-f ties expand in
     # insertion order, which keeps the search deterministic.
     counter = 0
-    open_heap = [(abs(start.x - goal.x) + abs(start.y - goal.y), counter, start)]
+    sx, sy = start
+    gx, gy = goal
+    open_heap = [(abs(sx - gx) + abs(sy - gy), counter, start)]
     g_score = {start: 0}
     closed: set[Position] = set()
     expanded = 0
     adjacency = world.adjacency
-    gx, gy = goal
 
     while open_heap:
         _, _, cell = heappop(open_heap)

@@ -79,8 +79,9 @@ def _parse_positions(raw: str) -> tuple[Position, ...]:
 
 
 # Scenario keys other than `layout`, grouped by the object they configure:
-# key -> (the field it sets, the parser of its value). Within a group the
-# keys are applied in this order, so a count comes before its positions.
+# key -> (the field it sets, the parser of its value). A fault is named at
+# the first key, in this order, that brings it about, so a count comes
+# before its positions.
 _POTENTIAL_KEYS = {
     "gamma": ("gamma", float),
     "alpha": ("alpha", float),
@@ -137,18 +138,33 @@ def build_scenario(path: str | Path, seed_override: int | None = None) -> Scenar
     path = Path(path)
     values = read_scenario_file(path)
 
-    def configured(owner, keys):
-        """`owner` with each of its keys found in the file set in turn. A value
-        that does not parse, or that the owner's own checks reject, ends as a
-        LoadError naming the key and its line."""
+    def configured(make, keys, **defaults):
+        """make(**defaults) with the field of each of keys that the file sets.
+        A value that does not parse ends as a LoadError at its key's line, and
+        so does a fault that make's checks find: at the first key from which
+        on the file's values give that fault, such as the count that
+        overflows the floor. Only the whole set must pass, so two counts may
+        add up to more than the floor holds when the file gives their cells."""
+        fields, found = {}, []
         for key, (name, parse) in keys.items():
             if key in values:
                 text, line = values[key]
                 try:
-                    owner = replace(owner, **{name: parse(text)})
+                    fields[name] = parse(text)
                 except ValueError as exc:
                     raise LoadError(f"{key}: {exc}", line=line) from None
-        return owner
+                found.append((key, line))
+        try:
+            return make(**{**defaults, **fields})
+        except ValueError as exc:
+            fault = str(exc)
+            for count, (key, line) in enumerate(found, 1):
+                try:
+                    make(**{**defaults, **dict(list(fields.items())[:count])})
+                except ValueError as again:
+                    if str(again) == fault:
+                        raise LoadError(f"{key}: {fault}", line=line) from None
+            raise
 
     if "layout" not in values:
         raise LoadError("scenario is missing the 'layout' key")
@@ -175,14 +191,15 @@ def build_scenario(path: str | Path, seed_override: int | None = None) -> Scenar
     except ConfigurationError as exc:
         raise LoadError(f"layout: {exc}", line=layout_line) from None
 
-    scenario = Scenario(
+    scenario = configured(
+        Scenario,
+        _RUN_KEYS,
         world=world,
         n_robots=1,
         n_tasks=1,
-        potential=configured(PotentialParams(), _POTENTIAL_KEYS),
-        ga=configured(GAConfig(), _GA_KEYS),
+        potential=configured(PotentialParams, _POTENTIAL_KEYS),
+        ga=configured(GAConfig, _GA_KEYS),
     )
-    scenario = configured(scenario, _RUN_KEYS)
     if seed_override is not None:
         scenario = replace(scenario, seed=seed_override)
     return scenario

@@ -55,11 +55,15 @@ class Scenario:
         if self.step_cap < 0:
             raise ConfigurationError("step cap must be positive, or 0 for the default")
         HeuristicStore(self.eta)  # the store owns the learning-rate check
+        # Random starts and tasks are drawn without replacement from the
+        # floor cells that no given cell takes.
+        needed, given = 0, set()
         for label, cells, expected in (
             ("robot start", self.robot_starts, self.n_robots),
             ("task position", self.task_positions, self.n_tasks),
         ):
             if cells is None:
+                needed += expected
                 continue
             if len(cells) != expected:
                 raise ConfigurationError(f"expected {expected} {label}s, got {len(cells)}")
@@ -68,6 +72,10 @@ class Scenario:
             for cell in cells:
                 if cell not in self.world.reachable:
                     raise ConfigurationError(f"{label} {cell} is not a reachable cell")
+            given.update(cells)
+        free = len(self.world.floor) - len(given)
+        if needed > free:
+            raise ConfigurationError(f"layout has only {free} free cells for {needed} random placements")
 
 
 @dataclass
@@ -172,7 +180,8 @@ def _resolve_placements(
     """Explicit cells when given, otherwise uniform draws without replacement.
 
     Random starts and tasks are drawn from one no-replacement sample, so all
-    placed cells are distinct from each other.
+    placed cells are distinct from each other; the scenario has checked that
+    the floor holds them.
     """
     starts = list(sc.robot_starts) if sc.robot_starts is not None else None
     tasks = list(sc.task_positions) if sc.task_positions is not None else None
@@ -183,10 +192,6 @@ def _resolve_placements(
     if taken:
         pool = [cell for cell in pool if cell not in taken]
     needed = (sc.n_robots if starts is None else 0) + (sc.n_tasks if tasks is None else 0)
-    if needed > len(pool):
-        raise ConfigurationError(
-            f"layout has only {len(pool)} free cells for {needed} random placements"
-        )
     drawn = rng.sample(pool, needed)
     if starts is None:
         starts = drawn[: sc.n_robots]

@@ -1,4 +1,7 @@
-"""Exception types shared across the simulator, and the integer check of a count."""
+"""Exception types shared across the simulator, and the type checks of a
+count and of a number."""
+
+from numbers import Real
 
 
 class SimulatorError(Exception):
@@ -11,9 +14,18 @@ class ConfigurationError(SimulatorError, ValueError):
 
 def require_integers(**counts: object) -> None:
     """Reject a value that is not an int, such as 10.5 or NaN, naming its field."""
-    for name, value in counts.items():
-        if not isinstance(value, int):
-            raise ConfigurationError(f"{name.replace('_', ' ')} must be an integer, got {value!r}")
+    _require(int, "an integer", counts)
+
+
+def require_numbers(**values: object) -> None:
+    """Reject a value that is not a real number, such as the text "0.5", naming its field."""
+    _require(Real, "a number", values)
+
+
+def _require(kind, noun: str, values: dict[str, object]) -> None:
+    for name, value in values.items():
+        if not isinstance(value, kind):
+            raise ConfigurationError(f"{name.replace('_', ' ')} must be {noun}, got {value!r}")
 
 
 class LoadError(SimulatorError, ValueError):

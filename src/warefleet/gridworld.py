@@ -4,14 +4,16 @@ Cells live on an integer lattice with the origin at the top-left of the
 serialized document (x grows rightward, y downward). Every cell is either
 an obstacle (walls, shelving) or reachable floor. Motion is 4-connected:
 the neighborhood of a cell is the closed unit ball of the 1-norm, so a
-robot may step up/right/down/left or stay. Layouts can be generated in a
-tiled shelf-block pattern or parsed from a plain ASCII document.
+robot may step up/right/down/left or stay. A world is built from its
+grid, one byte per cell in reading order (1 on an obstacle); the grid is
+generated in a tiled shelf-block pattern or parsed from a plain ASCII
+document.
 """
 
 from __future__ import annotations
 
 from itertools import chain, compress, repeat
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 from .errors import ConfigurationError, LoadError, require_integers
 
@@ -34,54 +36,78 @@ _GRID_BYTES = bytes.maketrans((FLOOR_GLYPH + OBSTACLE_GLYPH).encode(), b"\x00\x0
 class GridWorld:
     """Rectangular lattice partitioned into reachable floor and obstacles.
 
-    An immutable value: worlds with the same size and obstacles are equal
-    and hash alike, so one instance, or any copy of it, can back any
-    number of simulation runs. Construction enforces that obstacles and
-    floor exactly cover the lattice and that every boundary cell is a wall.
-    A world pickles as its size and grid bytes.
+    GridWorld(width, height, grid) is the one constructor: grid holds one
+    byte per cell in reading order, 1 on an obstacle and 0 on floor, and
+    every boundary cell must be a wall. An immutable value: worlds with
+    the same size and grid are equal and hash alike, so one instance, or
+    any copy of it, can back any number of simulation runs. A world
+    pickles as its size and grid bytes.
     """
 
     __slots__ = ("width", "height", "adjacency", "floor", "_value")
 
-    def __new__(cls, width: int, height: int, obstacles: Iterable[Position]):
+    def __init__(self, width: int, height: int, grid: bytes):
         require_integers(width=width, height=height)
-        _require_room(width, height)
-        obstacles = frozenset(Position(x, y) for x, y in obstacles)
-        # range.index finds the lattice point an obstacle equals, so
-        # Position(2.0, 1) marks the cell (2, 1); an obstacle equal to no
-        # lattice point marks nothing and is named below.
+        if width < 3 or height < 3:
+            raise ConfigurationError(f"grid {width}x{height} too small to hold walls and floor")
+        try:
+            grid = bytes(memoryview(grid))
+        except TypeError:
+            raise ConfigurationError(f"grid must be bytes-like, got {type(grid).__name__}") from None
         size = width * height
-        grid = bytearray(size)
-        xs, ys = range(width), range(height)
-        for x, y in obstacles:
-            if x in xs and y in ys:
-                grid[ys.index(y) * width + xs.index(x)] = 1
-        # The border in reading order, so an error names the first fault.
-        sides = ((row, row + width - 1) for row in range(width, size - width, width))
-        border = chain(xs, chain.from_iterable(sides), range(size - width, size))
-        fault = next((i for i in border if not grid[i]), None)
-        if fault is not None:
-            y, x = divmod(fault, width)
+        if len(grid) != size:
+            raise ConfigurationError(
+                f"grid of {len(grid)} bytes for a {width}x{height} lattice of {size} cells"
+            )
+        # Each check is a bytes operation on the whole grid; an open border
+        # cell is then located cell by cell.
+        other = grid.translate(None, b"\x00\x01")
+        if other:
+            y, x = divmod(grid.index(other[:1]), width)
+            raise ConfigurationError(f"grid byte {other[0]} at ({x},{y}) is neither 0 nor 1")
+        if 0 in b"".join((grid[:width], grid[-width:], grid[::width], grid[width - 1 :: width])):
+            # The border in reading order, so the error names the first fault.
+            sides = ((row, row + width - 1) for row in range(width, size - width, width))
+            border = chain(range(width), chain.from_iterable(sides), range(size - width, size))
+            y, x = divmod(next(i for i in border if not grid[i]), width)
             raise ConfigurationError(f"boundary cell ({x},{y}) is not a wall")
-        if grid.count(1) != len(obstacles):
-            off = next(p for p in obstacles if p.x not in xs or p.y not in ys)
-            raise ConfigurationError(f"obstacle {off} outside the {width}x{height} lattice")
-        return _grid_world(width, height, bytes(grid))
+        self.width, self.height = width, height
+        # One Position object per floor cell at its index, None on an
+        # obstacle. tuple.__new__ makes each one as Position(x, y) would,
+        # without a Python call per cell. The walls hold every border cell,
+        # so a floor cell's four neighbours lie one row and one column away.
+        xs = range(width)
+        open_bytes = grid.translate(_FLOOR_BYTES)
+        pairs = chain.from_iterable(
+            zip(compress(xs, open_bytes[row : row + width]), repeat(y))
+            for y, row in enumerate(range(0, size, width))
+        )
+        positions = map(tuple.__new__, repeat(Position), pairs)
+        cells: list[Position | None] = [None] * size
+        for i, cell in zip(compress(range(size), open_bytes), positions):
+            cells[i] = cell
+        # The floor cells in (x, y) order, which is sorted order: random
+        # placement draws from this sequence and the obstacle field walks it.
+        self.floor = tuple(filter(None, chain.from_iterable(cells[x::width] for x in xs)))
+        # Reachable 4-neighbors per cell in up/right/down/left order, as the
+        # floor's own objects, keyed in reading order; the planner and the
+        # search baseline read this dict directly in their inner loops.
+        self.adjacency = {
+            cell: tuple(filter(None, (cells[i - width], cells[i + 1], cells[i + width], cells[i - 1])))
+            for i, cell in enumerate(cells)
+            if cell is not None
+        }
+        # Equal worlds, such as a copy unpickled in a sweep worker, compare
+        # with one bytes comparison.
+        self._value = (width, height, grid)
 
     def __reduce__(self):
-        return _grid_world, self._value
+        return GridWorld, self._value
 
     @property
     def grid(self) -> bytes:
         """The lattice in reading order, one byte per cell: 1 on an obstacle."""
         return self._value[2]
-
-    @property
-    def obstacles(self) -> frozenset[Position]:
-        """The obstacle cells, read from the grid."""
-        width, grid = self.width, self.grid
-        walls = compress(range(len(grid)), grid)
-        return frozenset(Position(i % width, i // width) for i in walls)
 
     @property
     def reachable(self):
@@ -98,49 +124,6 @@ class GridWorld:
 
     def __repr__(self):
         return f"GridWorld({self.width}x{self.height}, {self.grid.count(1)} obstacles)"
-
-
-def _require_room(width: int, height: int) -> None:
-    if width < 3 or height < 3:
-        raise ConfigurationError(f"grid {width}x{height} too small to hold walls and floor")
-
-
-def _grid_world(width: int, height: int, grid: bytes) -> GridWorld:
-    """The world of a grid whose border cells are all walls: the one
-    constructor behind GridWorld(), the layout builders and unpickling."""
-    _require_room(width, height)
-    world = object.__new__(GridWorld)
-    world.width, world.height = width, height
-    # One Position object per floor cell at its index, None on an
-    # obstacle. tuple.__new__ makes each one as Position(x, y) would,
-    # without a Python call per cell. The walls hold every border cell, so
-    # a floor cell's four neighbours lie one row and one column away.
-    size = width * height
-    xs = range(width)
-    open_bytes = grid.translate(_FLOOR_BYTES)
-    pairs = chain.from_iterable(
-        zip(compress(xs, open_bytes[row : row + width]), repeat(y))
-        for y, row in enumerate(range(0, size, width))
-    )
-    positions = map(tuple.__new__, repeat(Position), pairs)
-    cells: list[Position | None] = [None] * size
-    for i, cell in zip(compress(range(size), open_bytes), positions):
-        cells[i] = cell
-    # The floor cells in (x, y) order, which is sorted order: random
-    # placement draws from this sequence and the obstacle field walks it.
-    world.floor = tuple(filter(None, chain.from_iterable(cells[x::width] for x in xs)))
-    # Reachable 4-neighbors per cell in up/right/down/left order, as the
-    # floor's own objects, keyed in reading order; the planner and the
-    # search baseline read this dict directly in their inner loops.
-    world.adjacency = {
-        cell: tuple(filter(None, (cells[i - width], cells[i + 1], cells[i + width], cells[i - 1])))
-        for i, cell in enumerate(cells)
-        if cell is not None
-    }
-    # Equal worlds, such as a copy unpickled in a sweep worker, compare
-    # with one bytes comparison.
-    world._value = (width, height, grid)
-    return world
 
 
 def generate_layout_sized(
@@ -175,7 +158,7 @@ def generate_layout_sized(
     grid = bytearray(wall + corridor * (height - 2) + wall)
     for y0 in range(1 + aisle, height - shelf_height - aisle, shelf_height + aisle):
         grid[y0 * width : (y0 + shelf_height) * width] = shelves * shelf_height
-    return _grid_world(width, height, bytes(grid))
+    return GridWorld(width, height, grid)
 
 
 def parse_layout(text: str) -> GridWorld:
@@ -198,7 +181,7 @@ def parse_layout(text: str) -> GridWorld:
             raise LoadError("boundary is not enclosed by walls", line=row, column=opening + 1)
         if unknown < width:
             raise LoadError(f"unknown glyph {line[unknown]!r}", line=row, column=unknown + 1)
-    return _grid_world(width, height, "".join(lines).encode("ascii").translate(_GRID_BYTES))
+    return GridWorld(width, height, "".join(lines).encode("ascii").translate(_GRID_BYTES))
 
 
 def serialize_layout(world: GridWorld) -> str:

@@ -208,8 +208,8 @@ def run_until_done(
     """The one entry point that moves robots: tick after tick, robots in
     ascending id, until every task list is empty or step_cap ticks have
     run; k_total counts the ticks of this call. Every start and task cell
-    must be a floor cell, checked before any robot moves; robots may share
-    a cell.
+    must be a floor cell, as a Position or a plain (x, y) pair, checked
+    before any robot moves; robots may share a cell.
 
     A robot standing on its goal pops the task and starts a fresh potential
     recursion for the next one (no move that tick). Idle robots never move
@@ -231,6 +231,10 @@ def run_until_done(
         for cell in robot.tasks:
             if cell not in reachable:
                 raise ConfigurationError(f"robot {me} has a task off the floor, at {tuple(cell)}")
+        # A floor cell may come as a plain (x, y) pair; the trace and the
+        # legs hold Positions.
+        robot.pos, robot.leg_start = Position(*robot.pos), Position(*robot.leg_start)
+        robot.tasks[:] = [Position(*cell) for cell in robot.tasks]
     radius = params.sensor_radius
     repulsion = _obstacle_field(world, radius, params.obstacle_terms)
     goal_table = term_table(params.goal_terms, world.width, world.height)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
 
-from .errors import ConfigurationError, require_integers
+from .errors import ConfigurationError, require_integers, require_numbers
 from .gridworld import GridWorld, Position
 
 
@@ -68,6 +68,7 @@ class PotentialParams:
     sensor_radius: int = 3
 
     def __post_init__(self):
+        require_numbers(gamma=self.gamma, alpha=self.alpha)
         if not 1.0 < self.gamma < math.inf:
             raise ConfigurationError(
                 f"excitation factor must be finite and exceed 1, got {self.gamma}"

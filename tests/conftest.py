@@ -29,19 +29,12 @@ def random_world(rng) -> GridWorld:
     random density; its floor may be split into several components."""
     width = rng.randint(8, 18)
     height = rng.randint(8, 14)
-    obstacles = set()
-    for x in range(width):
-        obstacles.add(Position(x, 0))
-        obstacles.add(Position(x, height - 1))
-    for y in range(height):
-        obstacles.add(Position(0, y))
-        obstacles.add(Position(width - 1, y))
+    grid = bytearray(b"\x01" * (width * height))
     density = rng.uniform(0.05, 0.35)
     for x in range(1, width - 1):
         for y in range(1, height - 1):
-            if rng.random() < density:
-                obstacles.add(Position(x, y))
-    return GridWorld(width, height, obstacles)
+            grid[y * width + x] = rng.random() < density
+    return GridWorld(width, height, grid)
 
 
 def bfs_length(world: GridWorld, start: Position, goal: Position) -> int | None:

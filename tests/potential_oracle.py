@@ -14,6 +14,8 @@ from warefleet.errors import ConfigurationError
 from warefleet.gridworld import GridWorld, Position
 from warefleet.potential import DYNAMIC_SCALE, PotentialParams
 
+from gridworld_oracle import obstacle_cells
+
 GOAL = "goal"
 OBSTACLE = "obstacle"
 ROBOT = "robot"
@@ -74,7 +76,7 @@ def obstacle_repulsion(world: GridWorld, params: PotentialParams, cell: Position
     """Summed repulsion of the obstacles within Chebyshev distance radius - 1
     of a cell, taken row by row: by y, then by x."""
     reach = params.sensor_radius - 1
-    sensed = [o for o in world.obstacles if max(abs(o.x - cell.x), abs(o.y - cell.y)) <= reach]
+    sensed = [o for o in obstacle_cells(world) if max(abs(o.x - cell.x), abs(o.y - cell.y)) <= reach]
     sensed.sort(key=lambda o: (o.y, o.x))
     return sum(phi(params, OBSTACLE, cell, obstacle) for obstacle in sensed)
 

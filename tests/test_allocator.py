@@ -203,6 +203,12 @@ def test_crossover_rejects_bad_cuts():
             crossover(PARENT_1, PARENT_2, i, j)
 
 
+def test_crossover_rejects_a_cut_point_of_the_wrong_type():
+    for i, j in (("2", 3), (2, None)):
+        with pytest.raises(ConfigurationError, match=rf"^cut points \({i!r}, {j!r}\) must be integers$"):
+            crossover(PARENT_1, PARENT_2, i, j)
+
+
 def test_mutate_single_point_is_identity():
     rng = random.Random(0)
     assert mutate(PARENT_1, 4, 4, rng) == PARENT_1
@@ -326,6 +332,18 @@ def test_learn_rejects_negative_distance():
     assert store.estimate(Position(0, 0), Position(1, 0)) == 1.0
 
 
+def test_learn_rejects_a_distance_that_is_not_a_number():
+    store = HeuristicStore()
+    with pytest.raises(ConfigurationError, match="^realized distance must be a number, got '3'$"):
+        store.learn(Position(0, 0), Position(1, 0), "3")
+    assert store.estimate(Position(0, 0), Position(1, 0)) == 1.0
+
+
+def test_heuristic_store_rejects_a_learning_rate_that_is_not_a_number():
+    with pytest.raises(ConfigurationError, match="^eta must be a number, got '0.5'$"):
+        HeuristicStore("0.5")
+
+
 def test_learn_geometric_convergence():
     for eta in (0.1, 0.5, 1.0):
         store = HeuristicStore(eta=eta)
@@ -336,6 +354,11 @@ def test_learn_geometric_convergence():
             store.learn(a, b, target)
             gap = abs(store.estimate(a, b) - target)
             assert gap == pytest.approx((1 - eta) ** m * initial_gap, rel=1e-9, abs=1e-12)
+
+
+def test_ga_config_rejects_a_mutation_probability_that_is_not_a_number():
+    with pytest.raises(ConfigurationError, match="^mutation probability must be a number, got '0.2'$"):
+        GAConfig(mutation_probability="0.2")
 
 
 def test_ga_config_validation():

@@ -93,3 +93,15 @@ def test_astar_deterministic(fig_layout):
 def test_astar_length_and_expansions_are_pinned(width, height, start, goal, expected):
     result = shortest_path(generate_layout_sized(width, height), start, goal)
     assert (result.length, result.expanded_nodes) == expected
+
+
+def test_astar_takes_plain_pairs():
+    # An endpoint may be an (x, y) pair; the search is the same.
+    world = generate_layout_sized(20, 22)
+    for start, goal in ((Position(1, 1), Position(18, 20)), (Position(5, 10), Position(14, 3))):
+        by_position = shortest_path(world, start, goal)
+        by_pair = shortest_path(world, tuple(start), tuple(goal))
+        assert (by_pair.length, by_pair.expanded_nodes) == (
+            by_position.length, by_position.expanded_nodes
+        )
+    assert shortest_path(open_room(5, 5), (1, 1), (2, 2)).length == 2

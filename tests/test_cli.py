@@ -671,6 +671,32 @@ def test_layout_file_too_small_is_load_error_with_line(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_random_placements_beyond_the_floor_name_the_count_line(tmp_path, capsys):
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text("layout = generate:21x20\nn_tasks = 5000\n", encoding="utf-8")
+    out = tmp_path / "x.csv"
+    assert main(["run", "--scenario", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: n_tasks: layout has only 278 free cells for 5001 random placements (line 2)\n"
+    )
+    assert not out.exists()
+
+
+def test_given_cells_may_outnumber_the_free_floor(tmp_path):
+    # Three robots and three tasks on a four-cell floor: every cell is
+    # given, so none is drawn, whatever the counts add up to.
+    (tmp_path / "room.layout").write_text("####\n#..#\n#..#\n####\n", encoding="utf-8")
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text(
+        "layout = room.layout\nn_robots = 3\nn_tasks = 3\nrobot_starts = 1,1, 2,1, 1,2\n"
+        "task_positions = 1,1, 2,1, 1,2\npopulation = 4\ngenerations = 2\n",
+        encoding="utf-8",
+    )
+    sc = build_scenario(cfg)
+    assert (sc.n_robots, sc.n_tasks) == (3, 3)
+    assert main(["run", "--scenario", str(cfg), "--out", str(tmp_path / "x.csv")]) == 0
+
+
 def test_removed_commands_are_invalid_choices(scenario_file, tmp_path, capsys):
     # A run's trace is `run --trace`; planner and A* compute per seed is a sweep.
     for command in ("dump-trace", "compare-astar"):

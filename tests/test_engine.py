@@ -11,16 +11,18 @@ from warefleet import engine
 from warefleet.allocator import GAConfig, HeuristicStore
 from warefleet.engine import (
     RUN_COLUMNS,
+    TIME_COLUMNS,
     Scenario,
     compute_metrics,
     default_step_cap,
+    report_json,
     run_scenario,
     run_sweep,
     written,
 )
 from warefleet.errors import ConfigurationError
 from warefleet.gridworld import Position, generate_layout_sized
-from warefleet.planner import CAP_REACHED, COMPLETED, Segment, SimTrace
+from warefleet.planner import CAP_REACHED, COMPLETED, Segment, SimTrace, format_trace
 
 from conftest import open_room, run_python, world_from
 
@@ -164,6 +166,23 @@ def test_run_scenario_deterministic_apart_from_timing():
         assert getattr(rep_a, field.name) == getattr(rep_b, field.name), field.name
 
 
+def test_tuple_placed_run_matches_position_placed_run():
+    # Starts and tasks given as plain (x, y) pairs run as their Positions do.
+    world = generate_layout_sized(16, 16)
+    starts = (Position(1, 1), Position(14, 1), Position(1, 14))
+    tasks = (Position(7, 7), Position(14, 14), Position(2, 9), Position(13, 3))
+    runs = []
+    for cells in (starts, tasks), (tuple(map(tuple, starts)), tuple(map(tuple, tasks))):
+        sc = Scenario(
+            world=world, n_robots=3, n_tasks=4, robot_starts=cells[0], task_positions=cells[1],
+            ga=LIGHT_GA, seed=5,
+        )
+        trace, report = run_scenario(sc)
+        runs.append((format_trace(trace), {**report_json(report), **dict.fromkeys(TIME_COLUMNS)}))
+    assert runs[0] == runs[1]
+    assert runs[0][1]["completed_tasks"] == 4
+
+
 def test_run_scenario_seed_changes_placements():
     world = generate_layout_sized(16, 16)
     a = run_scenario(Scenario(world=world, n_robots=2, n_tasks=2, ga=LIGHT_GA, seed=1))[0]
@@ -259,10 +278,9 @@ def test_random_tasks_avoid_explicit_starts():
         assert got_starts == list(starts)
         assert not set(got_tasks) & set(starts)
         assert len(set(got_tasks)) == 8
-    # Asking for more cells than exist is rejected up front.
-    too_many = Scenario(world=room, n_robots=8, n_tasks=9, robot_starts=starts, ga=LIGHT_GA)
-    with pytest.raises(ConfigurationError):
-        _resolve_placements(too_many, random.Random(0))
+    # Asking for more cells than exist is rejected when the scenario is made.
+    with pytest.raises(ConfigurationError, match="^layout has only 8 free cells for 9 random"):
+        Scenario(world=room, n_robots=8, n_tasks=9, robot_starts=starts, ga=LIGHT_GA)
 
 
 def test_default_step_cap_formula():

@@ -14,7 +14,7 @@ from warefleet.gridworld import (
 )
 
 from conftest import flood_fill_components, open_room, random_world, world_from
-from gridworld_oracle import walk_lattice
+from gridworld_oracle import obstacle_cells, walk_lattice
 from potential_oracle import distance
 
 
@@ -87,7 +87,7 @@ def test_neighborhood_requires_reachable_cell():
     assert Position(0, 0) not in w.reachable
     with pytest.raises(KeyError):
         w.adjacency[Position(0, 0)]
-    assert not any(n in w.obstacles for steps in w.adjacency.values() for n in steps)
+    assert not any(n in obstacle_cells(w) for steps in w.adjacency.values() for n in steps)
 
 
 def test_adjacent_neighborhood():
@@ -104,7 +104,7 @@ def test_neighborhood_sizes_bounded(fig_layout):
         expected = tuple(
             Position(cell.x + dx, cell.y + dy)
             for dx, dy in steps
-            if Position(cell.x + dx, cell.y + dy) not in fig_layout.obstacles
+            if Position(cell.x + dx, cell.y + dy) not in obstacle_cells(fig_layout)
         )
         assert fig_layout.adjacency[cell] == expected
         assert len(expected) <= 4
@@ -114,8 +114,8 @@ def test_generate_layout_small_pattern(fig_layout):
     assert (fig_layout.width, fig_layout.height) == (20, 22)
     assert generate_layout_sized(20, 22) == fig_layout  # deterministic
     lattice = {Position(x, y) for x in range(20) for y in range(22)}
-    assert fig_layout.reachable | fig_layout.obstacles == lattice
-    assert not fig_layout.reachable & fig_layout.obstacles
+    assert fig_layout.reachable | obstacle_cells(fig_layout) == lattice
+    assert not fig_layout.reachable & obstacle_cells(fig_layout)
 
 
 def test_generate_layout_sized_benchmark_dimensions():
@@ -192,7 +192,7 @@ def test_generate_layout_sized_tiles_whole_blocks():
 def test_reachable_is_a_view_of_the_adjacency_keys(fig_layout):
     assert "reachable" not in GridWorld.__slots__
     assert fig_layout.reachable == fig_layout.adjacency.keys()
-    assert len(fig_layout.reachable) == 20 * 22 - len(fig_layout.obstacles)
+    assert len(fig_layout.reachable) == 20 * 22 - fig_layout.grid.count(1)
     assert Position(1, 1) in fig_layout.reachable
     assert sorted(fig_layout.reachable)[0] == Position(1, 1)
     with pytest.raises(AttributeError):
@@ -213,12 +213,13 @@ def test_floor_lists_the_reachable_cells_in_sorted_order(fig_layout):
 
 
 def test_boundary_cells_are_walls(fig_layout):
+    walls = obstacle_cells(fig_layout)
     for x in range(fig_layout.width):
-        assert Position(x, 0) in fig_layout.obstacles
-        assert Position(x, fig_layout.height - 1) in fig_layout.obstacles
+        assert Position(x, 0) in walls
+        assert Position(x, fig_layout.height - 1) in walls
     for y in range(fig_layout.height):
-        assert Position(0, y) in fig_layout.obstacles
-        assert Position(fig_layout.width - 1, y) in fig_layout.obstacles
+        assert Position(0, y) in walls
+        assert Position(fig_layout.width - 1, y) in walls
 
 
 def test_parse_minimal_document():
@@ -281,37 +282,88 @@ def test_serialize_random_layout_matches_cell_walk(rng):
     world = random_world(rng)
     text = serialize_layout(world)
     assert text == "".join(
-        "".join("#" if Position(x, y) in world.obstacles else "." for x in range(world.width)) + "\n"
+        "".join("#" if Position(x, y) in obstacle_cells(world) else "." for x in range(world.width))
+        + "\n"
         for y in range(world.height)
     )
     assert parse_layout(text) == world
 
 
+def _walls(width, height):
+    """The grid of a walled lattice with an empty interior."""
+    return bytes(
+        x in (0, width - 1) or y in (0, height - 1) for y in range(height) for x in range(width)
+    )
+
+
+def _with(grid, width, cells):
+    """grid with each (x, y): byte of cells written into it."""
+    grid = bytearray(grid)
+    for (x, y), byte in cells.items():
+        grid[y * width + x] = byte
+    return bytes(grid)
+
+
 def test_gridworld_rejects_bad_partition():
+    walls = _walls(4, 4)
     with pytest.raises(ConfigurationError):
-        GridWorld(4, 4, [Position(0, 0)])  # unwalled boundary
+        GridWorld(4, 4, _with(walls, 4, {(0, 0): 0}))  # unwalled boundary
     with pytest.raises(ConfigurationError):
-        GridWorld(4, 4, [Position(9, 9)])  # obstacle off the lattice
+        GridWorld(4, 4, walls + b"\x01")  # a byte off the lattice
     for bad in (10.5, math.nan, 3.0):
         with pytest.raises(ConfigurationError, match="^width must be an integer"):
-            GridWorld(bad, 5, [])
+            GridWorld(bad, 5, walls)
         with pytest.raises(ConfigurationError, match="^height must be an integer"):
-            GridWorld(5, bad, [])
+            GridWorld(5, bad, walls)
 
 
 def test_gridworld_errors_name_the_fault():
+    walls = _walls(4, 4)
     with pytest.raises(ConfigurationError, match=r"^boundary cell \(1,0\) is not a wall$"):
-        GridWorld(4, 4, [Position(0, 0)])
-    walls = [Position(x, y) for x in range(4) for y in range(4) if x in (0, 3) or y in (0, 3)]
-    with pytest.raises(
-        ConfigurationError, match=r"^obstacle Position\(x=9, y=9\) outside the 4x4 lattice$"
-    ):
-        GridWorld(4, 4, [*walls, Position(9, 9)])
-    # Inside the bounding box but not a lattice point.
-    with pytest.raises(
-        ConfigurationError, match=r"^obstacle Position\(x=1.5, y=2\) outside the 4x4 lattice$"
-    ):
-        GridWorld(4, 4, [*walls, Position(1.5, 2)])
+        GridWorld(4, 4, _with(walls, 4, {(3, 2): 0, (1, 0): 0}))
+    with pytest.raises(ConfigurationError, match=r"^grid of 17 bytes for a 4x4 lattice of 16 cells$"):
+        GridWorld(4, 4, walls + b"\x01")
+    # A layout document is not a grid: its glyphs are bytes other than 0 and 1.
+    with pytest.raises(ConfigurationError, match=r"^grid byte 35 at \(0,0\) is neither 0 nor 1$"):
+        GridWorld(3, 3, b"#########")
+    with pytest.raises(ConfigurationError, match=r"^grid 2x5 too small to hold walls and floor$"):
+        GridWorld(2, 5, bytes(10))
+
+
+class _Pickled:
+    """Pickles as a call GridWorld(*value), as a pickled world does."""
+
+    def __init__(self, *value):
+        self.value = value
+
+    def __reduce__(self):
+        return GridWorld, self.value
+
+
+@pytest.mark.parametrize(
+    "grid, message",
+    [
+        # A list of obstacle cells is not a grid.
+        ([(0, 0, 1)], "grid must be bytes-like, got list"),
+        ([1] * 16, "grid must be bytes-like, got list"),
+        ("################", "grid must be bytes-like, got str"),
+        (16, "grid must be bytes-like, got int"),
+        (None, "grid must be bytes-like, got NoneType"),
+        (b"\x01" * 15, "grid of 15 bytes for a 4x4 lattice of 16 cells"),
+        (b"\x01" * 9 + b"\x02" + b"\x00" + b"\x01" * 5, "grid byte 2 at (1,2) is neither 0 nor 1"),
+        (b"\x01" * 5 + b"\x00" * 3 + b"\x01" * 8, "boundary cell (3,1) is not a wall"),
+    ],
+    ids=["cell-list", "int-list", "str", "int", "none", "short", "byte-2", "open-border"],
+)
+def test_malformed_grid_names_the_fault(grid, message):
+    """From the constructor and from a pickle alike, a malformed grid ends in
+    a ConfigurationError that names its first fault."""
+    with pytest.raises(ConfigurationError) as built:
+        GridWorld(4, 4, grid)
+    data = pickle.dumps(_Pickled(4, 4, grid))
+    with pytest.raises(ConfigurationError) as unpickled:
+        pickle.loads(data)
+    assert str(built.value) == str(unpickled.value) == message
 
 
 def test_world_is_a_value():
@@ -325,13 +377,17 @@ def test_world_is_a_value():
     for w in (world, copy):
         floor = {c: c for c in w.adjacency}
         assert all(floor[n] is n for steps in w.adjacency.values() for n in steps)
-    moved = GridWorld(21, 20, world.obstacles - {Position(3, 3)} | {Position(1, 1)})
+    moved = GridWorld(21, 20, _with(world.grid, 21, {(3, 3): 0, (1, 1): 1}))
     assert moved != world
     # Same cell count and walls, other shape.
     assert open_room(4, 6) != open_room(6, 4)
     # A world equals no other kind of value.
     assert world != world._value and world != "GridWorld"
-    assert repr(world) == f"GridWorld(21x20, {len(world.obstacles)} obstacles)"
+    assert repr(world) == f"GridWorld(21x20, {len(obstacle_cells(world))} obstacles)"
+    big = generate_layout_sized(81, 80)
+    data = pickle.dumps(big)
+    assert len(data) <= 6544
+    assert pickle.loads(data) == big and hash(pickle.loads(data)) == hash(big)
 
 
 def _built(make):
@@ -342,11 +398,11 @@ def _built(make):
         return str(exc)
 
 
-def check_against_walk(width, height, obstacles):
-    """GridWorld(width, height, obstacles) has the walk's floor, adjacency
-    items in order, neighbour objects, value and hash, or its error."""
-    world = _built(lambda: GridWorld(width, height, obstacles))
-    walked = _built(lambda: walk_lattice(width, height, obstacles))
+def check_against_walk(width, height, grid):
+    """GridWorld(width, height, grid) has the walk's floor, adjacency items
+    in order, neighbour objects, value and hash, or its error."""
+    world = _built(lambda: GridWorld(width, height, grid))
+    walked = _built(lambda: walk_lattice(width, height, grid))
     if isinstance(walked, str):
         assert world == walked
         return world
@@ -363,24 +419,26 @@ def check_against_walk(width, height, obstacles):
 
 @st.composite
 def lattices(draw):
-    """A lattice size and an obstacle set that may leave a border cell open,
-    hold points off the lattice, or name a cell with a float coordinate."""
+    """A lattice size and a grid that may leave border cells open, hold a
+    byte other than 0 or 1, be one byte short or long, or not be bytes."""
     width, height = draw(st.integers(3, 12)), draw(st.integers(3, 12))
+    size = width * height
+    grid = bytearray(draw(st.lists(st.integers(0, 1), min_size=size, max_size=size)))
     border = [
-        (x, y) for y in range(height) for x in range(width)
+        y * width + x for y in range(height) for x in range(width)
         if x in (0, width - 1) or y in (0, height - 1)
     ]
-    interior = [(x, y) for y in range(1, height - 1) for x in range(1, width - 1)]
-    obstacles = set(border) - set(draw(st.lists(st.sampled_from(border), max_size=2)))
-    obstacles |= set(draw(st.lists(st.sampled_from(interior), max_size=len(interior))))
-    near = st.tuples(st.integers(-2, width + 1), st.integers(-2, height + 1))
-    obstacles |= set(draw(st.lists(near, max_size=2)))
-    if draw(st.booleans()):
-        obstacles.add((draw(st.sampled_from([0.5, 1.5, width - 0.5])), 1))
-    floats = set(draw(st.lists(st.sampled_from(sorted(obstacles)), max_size=3)))
-    return width, height, {
-        Position(float(x), y) if (x, y) in floats else Position(x, y) for x, y in obstacles
-    }
+    for i in border:
+        grid[i] = 1
+    for i in draw(st.lists(st.sampled_from(border), max_size=2)):
+        grid[i] = 0
+    byte = draw(st.sampled_from([None, None, None, 2, 255]))
+    if byte is not None:
+        grid[draw(st.integers(0, size - 1))] = byte
+    change = draw(st.sampled_from([0, 0, 0, 0, 1, -1]))
+    grid = grid + b"\x01" if change > 0 else grid[: size + change]
+    kind = draw(st.sampled_from([bytes, bytes, bytearray, memoryview, list]))
+    return width, height, kind(grid)
 
 
 @settings(deadline=None, max_examples=300)
@@ -393,41 +451,40 @@ def test_world_matches_the_row_walk(lattice):
 @given(st.randoms(use_true_random=False))
 def test_random_and_tiled_worlds_match_the_row_walk(rng):
     world = random_world(rng)
-    check_against_walk(world.width, world.height, world.obstacles)
+    check_against_walk(world.width, world.height, world.grid)
     width, height = rng.randint(4, 40), rng.randint(4, 40)
     try:
         tiled = generate_layout_sized(width, height)
     except ConfigurationError:
         return
-    check_against_walk(width, height, tiled.obstacles)
+    check_against_walk(width, height, tiled.grid)
 
 
 def test_benchmark_world_matches_the_row_walk():
     world = generate_layout_sized(81, 80)
-    assert check_against_walk(81, 80, world.obstacles) == world
+    assert check_against_walk(81, 80, world.grid) == world
 
 
 def test_world_errors_match_the_row_walk():
-    walls = {Position(x, y) for x in range(5) for y in range(4) if x in (0, 4) or y in (0, 3)}
+    walls = _walls(5, 4)
     # Two open border cells: the first in reading order is named, here the
     # one on the top row although the other has the smaller x.
-    opened = walls - {Position(3, 0), Position(0, 2)}
+    opened = _with(walls, 5, {(3, 0): 0, (0, 2): 0})
     assert check_against_walk(5, 4, opened) == "boundary cell (3,0) is not a wall"
-    opened = walls - {Position(4, 1), Position(0, 2)}
+    opened = _with(walls, 5, {(4, 1): 0, (0, 2): 0})
     assert check_against_walk(5, 4, opened) == "boundary cell (4,1) is not a wall"
-    # A border fault is named before an obstacle off the lattice.
-    assert check_against_walk(5, 4, opened | {Position(7, 1)}) == (
-        "boundary cell (4,1) is not a wall"
+    # A byte other than 0 or 1 is named before an open border cell, and the
+    # first such byte in reading order.
+    assert check_against_walk(5, 4, _with(opened, 5, {(2, 2): 7, (3, 1): 2})) == (
+        "grid byte 2 at (3,1) is neither 0 nor 1"
     )
-    assert check_against_walk(5, 4, walls | {Position(5, 1)}) == (
-        "obstacle Position(x=5, y=1) outside the 5x4 lattice"
+    # The length is checked before the bytes.
+    assert check_against_walk(5, 4, opened + b"\x02") == (
+        "grid of 21 bytes for a 5x4 lattice of 20 cells"
     )
-    assert check_against_walk(5, 4, walls | {Position(1.5, 2)}) == (
-        "obstacle Position(x=1.5, y=2) outside the 5x4 lattice"
-    )
-    # A float coordinate equal to a lattice point names that cell.
-    world = check_against_walk(5, 4, walls | {Position(2.0, 1)})
-    assert world == GridWorld(5, 4, walls | {Position(2, 1)})
+    assert check_against_walk(5, 4, list(walls)) == "grid must be bytes-like, got list"
+    # Any bytes-like grid builds the world of its bytes.
+    world = check_against_walk(5, 4, _with(walls, 5, {(2, 1): 1}))
     assert Position(2, 1) not in world.reachable
-    floated_wall = walls - {Position(2, 0)} | {Position(2.0, 0)}
-    assert check_against_walk(5, 4, floated_wall) == GridWorld(5, 4, walls)
+    assert check_against_walk(5, 4, bytearray(walls)) == GridWorld(5, 4, walls)
+    assert check_against_walk(5, 4, memoryview(walls)) == GridWorld(5, 4, walls)

@@ -261,13 +261,12 @@ def walled_layouts(draw):
     width, height = draw(st.integers(6, 16)), draw(st.integers(6, 16))
     density = draw(st.floats(0.1, 0.4))
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
-    walls = [
-        Position(x, y)
+    grid = bytes(
+        x in (0, width - 1) or y in (0, height - 1) or rng.random() < density
         for y in range(height)
         for x in range(width)
-        if x in (0, width - 1) or y in (0, height - 1) or rng.random() < density
-    ]
-    world = GridWorld(width, height, walls)
+    )
+    world = GridWorld(width, height, grid)
     floor = sorted(world.reachable)
     assume(floor)
     start, goal = draw(st.sampled_from(floor)), draw(st.sampled_from(floor))

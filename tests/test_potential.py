@@ -17,6 +17,7 @@ from warefleet.potential import (
 )
 
 from conftest import open_room, random_world, world_from
+from gridworld_oracle import obstacle_cells
 from potential_oracle import (
     GOAL,
     OBSTACLE,
@@ -34,6 +35,13 @@ from potential_oracle import (
 )
 
 DEFAULTS = PotentialParams()
+
+
+def test_params_reject_a_factor_that_is_not_a_number():
+    with pytest.raises(ConfigurationError, match="^gamma must be a number, got '15'$"):
+        PotentialParams(gamma="15")
+    with pytest.raises(ConfigurationError, match="^alpha must be a number, got None$"):
+        PotentialParams(alpha=None)
 
 
 def test_params_validation():
@@ -256,7 +264,7 @@ def test_static_initial_goal_plus_one_obstacle():
     value = static_potential_initial(room, DEFAULTS, cell, goal)
     reach = DEFAULTS.sensor_radius - 1
     sensed = sorted(
-        (o for o in room.obstacles if max(abs(o.x - cell.x), abs(o.y - cell.y)) <= reach),
+        (o for o in obstacle_cells(room) if max(abs(o.x - cell.x), abs(o.y - cell.y)) <= reach),
         key=lambda o: (o.y, o.x),
     )
     assert sensed == [Position(0, y) for y in range(8, 13)]
