@@ -30,6 +30,7 @@ from .engine import (
     SUMMARY_COLUMNS,
     Scenario,
     check_sweep_axis,
+    check_sweep_room,
     report_json,
     run_scenario,
     run_sweep,
@@ -233,6 +234,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     base = build_scenario(args.scenario, args.seed)
     n_values = _parse_grid_axis(args.n_values, "--n-values")
     k_values = _parse_grid_axis(args.k_values, "--k-values")
+    check_sweep_room(base, n_values, k_values, "--n-values", "--k-values")
     reports, cells = run_sweep(
         base, n_values, k_values, args.seeds, warm=args.warm, jobs=args.jobs
     )

@@ -338,6 +338,18 @@ def check_sweep_axis(values: list[int], name: str) -> None:
         seen.add(value)
 
 
+def check_sweep_room(
+    base: Scenario, n_values: list[int], k_values: list[int], n_name: str, k_name: str
+) -> None:
+    """The floor holds the random placements of the sweep's largest cell, and
+    so of every cell: its scenario is built once, before any run."""
+    n, k = max(n_values), max(k_values)
+    try:
+        _sweep_cell_scenario(base, n, k, base.seed)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{n_name} {n} with {k_name} {k}: {exc}") from None
+
+
 def run_sweep(
     base: Scenario,
     n_values: list[int],
@@ -360,6 +372,7 @@ def run_sweep(
         raise ConfigurationError("jobs must be at least 1")
     check_sweep_axis(n_values, "n_values")
     check_sweep_axis(k_values, "k_values")
+    check_sweep_room(base, n_values, k_values, "n_values", "k_values")
     seeds = [base.seed + i for i in range(seeds_per_cell)]
     combos = [(n, k, seed) for n in n_values for k in k_values for seed in seeds]
     # The pool may start all its workers at the first task, so never ask for

@@ -42,9 +42,13 @@ class GridWorld:
     the same size and grid are equal and hash alike, so one instance, or
     any copy of it, can back any number of simulation runs. A world
     pickles as its size and grid bytes.
+
+    cells[y * width + x] is the floor cell at (x, y), the same object the
+    adjacency table holds, or None on an obstacle: a lattice index
+    decodes to its Position through it.
     """
 
-    __slots__ = ("width", "height", "adjacency", "floor", "_value")
+    __slots__ = ("width", "height", "adjacency", "floor", "cells", "_value")
 
     def __init__(self, width: int, height: int, grid: bytes):
         require_integers(width=width, height=height)
@@ -86,6 +90,7 @@ class GridWorld:
         cells: list[Position | None] = [None] * size
         for i, cell in zip(compress(range(size), open_bytes), positions):
             cells[i] = cell
+        self.cells = tuple(cells)
         # The floor cells in (x, y) order, which is sorted order: random
         # placement draws from this sequence and the obstacle field walks it.
         self.floor = tuple(filter(None, chain.from_iterable(cells[x::width] for x in xs)))

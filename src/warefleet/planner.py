@@ -21,6 +21,11 @@ refiled with every move that crosses a bucket border. The reading lists
 the sensed cells in ascending robot id, the order in which the descent
 step adds their repulsion.
 
+A trace stores one lattice index (y * width + x) per robot and tick, two
+bytes each on a lattice of at most 65,536 cells and four on a larger one,
+in one array that the tick loop extends once per tick. SimTrace.positions
+reads it as the per-tick tuples of the world's own Position objects.
+
 Timing note: reported planning compute covers the recursion update and
 the candidate choice. A candidate's initial static value, first visit or
 revisit, is read from the goal table and the obstacle field inside the
@@ -36,7 +41,11 @@ from __future__ import annotations
 
 import math
 import time
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import islice
+from operator import eq, index
 from typing import NamedTuple
 
 from .errors import ConfigurationError, require_integers
@@ -76,15 +85,63 @@ class RobotState:
         self.leg_start = self.pos
 
 
+class TracePositions(Sequence):
+    """Every robot's cell at every tick, stored as lattice indices.
+
+    A read-only sequence of ticks: item k is the tuple of the robots' cells
+    at tick k, decoded through cells (GridWorld.cells), and the view equals
+    the list of those tuples. indices holds the robots' lattice indices
+    tick after tick, `robots` per tick; the tick count is kept on its own,
+    because an empty fleet stores no index at any tick.
+    """
+
+    __slots__ = ("_cells", "_robots", "_ticks", "_indices")
+
+    def __init__(self, cells: tuple, robots: int, ticks: int, indices: array):
+        self._cells = cells
+        self._robots = robots
+        self._ticks = ticks
+        self._indices = indices
+
+    def __len__(self) -> int:
+        return self._ticks
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self[i] for i in range(*k.indices(self._ticks))]
+        ticks = self._ticks
+        k = index(k)
+        if not -ticks <= k < ticks:
+            raise IndexError(f"tick {k} out of range for {ticks} ticks")
+        start = k % ticks * self._robots
+        return tuple(map(self._cells.__getitem__, self._indices[start : start + self._robots]))
+
+    def __iter__(self):
+        robots = self._robots
+        flat = map(self._cells.__getitem__, self._indices)
+        for _ in range(self._ticks):
+            yield tuple(islice(flat, robots))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (TracePositions, list)):
+            return NotImplemented
+        # Defining __eq__ leaves the view unhashable, as a list is.
+        return len(self) == len(other) and all(map(eq, self, other))
+
+    def __repr__(self):
+        return f"TracePositions({self._ticks} ticks of {self._robots} robots)"
+
+
 @dataclass
 class SimTrace:
     """Tick-by-tick record of one run.
 
     positions[k] holds every robot's cell at tick k (index 0 is the initial
-    state); outstanding[k] the number of unfinished tasks at that tick.
+    state), as run_until_done's TracePositions or any list of tuples;
+    outstanding[k] the number of unfinished tasks at that tick.
     """
 
-    positions: list[tuple[Position, ...]]
+    positions: Sequence[tuple[Position, ...]]
     outstanding: list[int]
     segments: list[list[Segment]]
     outcome: str
@@ -250,7 +307,11 @@ def run_until_done(
     plan_seconds = 0.0
     tick = 0
     left = sum(len(r.tasks) for r in robots)
-    positions = [tuple(r.pos for r in robots)]
+    width = world.width
+    # Each robot's lattice index, kept up to date by every move; the trace
+    # appends the list once per tick.
+    where = [y * width + x for x, y in (r.pos for r in robots)]
+    indices = array("H" if width * world.height <= 1 << 16 else "I", where)
     outstanding = [left]
 
     while left and tick < step_cap:
@@ -285,6 +346,7 @@ def run_until_done(
             if target != pos:
                 robot.pos = target
                 robot.leg_moves += 1
+                where[me] = target[1] * width + target[0]
                 old = (pos[0] // side, pos[1] // side)
                 new = (target[0] // side, target[1] // side)
                 if new != old:
@@ -292,9 +354,9 @@ def run_until_done(
                     buckets.setdefault(new, []).append(me)
         tick += 1
         outstanding.append(left)
-        positions.append(tuple(r.pos for r in robots))
+        indices.fromlist(where)
     return SimTrace(
-        positions=positions,
+        positions=TracePositions(world.cells, len(robots), tick + 1, indices),
         outstanding=outstanding,
         segments=[list(r.segment_log) for r in robots],
         outcome=CAP_REACHED if left else COMPLETED,

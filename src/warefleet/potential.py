@@ -84,6 +84,11 @@ class PotentialParams:
             ("robot", self.robot_terms),
         ):
             for term in terms:
+                require_numbers(**{
+                    f"{name}_term_coefficient": term.coefficient,
+                    f"{name}_term_exponent": term.exponent,
+                    f"{name}_term_offset": term.offset,
+                })
                 numbers = (term.coefficient, term.exponent, term.offset)
                 if not all(map(math.isfinite, numbers)) or term.coefficient < 0 or term.offset < 0:
                     raise ConfigurationError(f"invalid {name} term {term}")

@@ -727,3 +727,20 @@ def test_invalid_layout_value_is_validation_error(tmp_path):
     cfg.write_text("layout = generate:banana\n", encoding="utf-8")
     out = tmp_path / "x.csv"
     assert main(["run", "--scenario", str(cfg), "--out", str(out)]) == 1
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_sweep_names_the_grid_flags_when_its_largest_cell_overflows_the_floor(
+    tmp_path, capsys, jobs
+):
+    cfg = tmp_path / "small.cfg"
+    cfg.write_text("layout = generate:21x20\npopulation = 4\ngenerations = 2\n", encoding="utf-8")
+    out, summary = tmp_path / "sweep.csv", tmp_path / "cells.csv"
+    argv = ["sweep", "--scenario", str(cfg), "--out", str(out), "--summary", str(summary),
+            "--n-values", "5,300", "--k-values", "5", "--jobs", jobs]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        "error: --n-values 300 with --k-values 5: "
+        "layout has only 278 free cells for 305 random placements\n"
+    )
+    assert not out.exists() and not summary.exists()

@@ -470,3 +470,18 @@ def test_run_scenario_k_total_counts_trace_ticks():
     sc = Scenario(world=world, n_robots=2, n_tasks=2, ga=LIGHT_GA, seed=9)
     trace, report = run_scenario(sc)
     assert report.k_total == len(trace.positions) - 1
+
+
+def test_run_sweep_checks_the_floor_for_its_largest_cell_before_any_run(monkeypatch):
+    def no_run(*args, **kwargs):
+        raise AssertionError("an overflowing grid must not run")
+
+    monkeypatch.setattr(engine, "run_scenario", no_run)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_run)
+    base = Scenario(world=open_room(6, 6), n_robots=1, n_tasks=1, ga=LIGHT_GA)
+    for jobs in (1, 2):
+        with pytest.raises(ConfigurationError) as raised:
+            run_sweep(base, [1, 14], [3, 2], seeds_per_cell=2, jobs=jobs)
+        assert str(raised.value) == (
+            "n_values 14 with k_values 3: layout has only 16 free cells for 17 random placements"
+        )

@@ -488,3 +488,16 @@ def test_world_errors_match_the_row_walk():
     assert Position(2, 1) not in world.reachable
     assert check_against_walk(5, 4, bytearray(walls)) == GridWorld(5, 4, walls)
     assert check_against_walk(5, 4, memoryview(walls)) == GridWorld(5, 4, walls)
+
+
+def test_cells_decode_a_lattice_index_to_the_floor_object(fig_layout):
+    # A trace stores y * width + x and reads its cells back through this table.
+    for world in (fig_layout, pickle.loads(pickle.dumps(fig_layout))):
+        floor = {c: c for c in world.adjacency}
+        assert len(world.cells) == world.width * world.height
+        for i, cell in enumerate(world.cells):
+            y, x = divmod(i, world.width)
+            if world.grid[i]:
+                assert cell is None
+            else:
+                assert cell == (x, y) and floor[cell] is cell

@@ -1,7 +1,10 @@
 import copy
+import gc
 import hashlib
 import math
+import pickle
 import random
+import tracemalloc
 from unittest import mock
 
 import pytest
@@ -713,3 +716,116 @@ def test_interleaved_fleets_step_as_they_run_alone():
                 steps.append(tuple(r.pos for r in robots))
     assert [trace.outcome for trace in alone] == [COMPLETED, COMPLETED]
     assert stepped == [trace.positions for trace in alone]
+
+
+def _stepped_positions(robots, world, params):
+    """Every robot's cell at each tick, read from the robots between one-tick
+    runs: the trace that run_until_done must reproduce."""
+    ticks = [tuple(r.pos for r in robots)]
+    while any(r.tasks for r in robots):
+        run_until_done(robots, world, params, 1)
+        ticks.append(tuple(r.pos for r in robots))
+    return ticks
+
+
+def test_trace_of_an_empty_fleet_is_one_empty_tick():
+    trace = run_until_done([], generate_layout_sized(21, 20), PARAMS, 5)
+    assert (trace.outcome, trace.k_total, len(trace.positions)) == (COMPLETED, 0, 1)
+    assert trace.positions == [()] and [()] == trace.positions
+    assert list(trace.positions) == [()] and trace.positions[-1] == ()
+    assert format_trace(trace) == "0; \n"
+
+
+def test_trace_on_a_lattice_of_more_than_65536_cells():
+    world = generate_layout_sized(300, 250)
+    assert world.width * world.height > 1 << 16
+    last = max(world.floor, key=lambda c: c.y * world.width + c.x)
+    assert last.y * world.width + last.x > 65535
+    fleet = [make_robot(last, Position(last.x - 6, last.y)), make_robot(Position(1, 1), Position(5, 2))]
+    trace = run_until_done(copy.deepcopy(fleet), world, PARAMS, 100)
+    expected = _stepped_positions(fleet, world, PARAMS)
+    assert trace.outcome == COMPLETED
+    assert trace.positions[0] == (last, Position(1, 1))
+    assert trace.positions[-1] == (Position(last.x - 6, last.y), Position(5, 2))
+    assert trace.positions == expected and expected == trace.positions
+
+
+def test_trace_positions_index_like_the_list_of_ticks():
+    world = generate_layout_sized(21, 20)
+    fleet = _crowd_on(world, 6, 3)
+    trace = run_until_done(copy.deepcopy(fleet), world, PARAMS, 500)
+    expected = _stepped_positions(fleet, world, PARAMS)
+    positions = trace.positions
+    n = len(expected)
+    assert len(positions) == n > 5 and list(positions) == expected
+    for k in range(-n, n):
+        assert positions[k] == expected[k]
+    for cut in (slice(1, None), slice(None, -1), slice(None, None, 2), slice(None, None, -3),
+                slice(-3, None), slice(4, 2), slice(n + 5, None), slice(-n - 5, 3)):
+        assert positions[cut] == expected[cut]
+    for k in (n, -n - 1, 10**9):
+        with pytest.raises(IndexError):
+            positions[k]
+    for k in ("1", 1.0, None):
+        with pytest.raises(TypeError):
+            positions[k]
+    # The cells are the world's own Position objects.
+    assert all(
+        cell is world.cells[cell.y * world.width + cell.x] for tick in positions for cell in tick
+    )
+    with pytest.raises(TypeError):
+        positions[0] = expected[0]
+
+
+def test_trace_positions_compare_equal_to_lists_both_ways():
+    world = generate_layout_sized(21, 20)
+    fleet = _crowd_on(world, 6, 4)
+    trace = run_until_done(copy.deepcopy(fleet), world, PARAMS, 500)
+    again = run_until_done(copy.deepcopy(fleet), world, PARAMS, 500)
+    expected = _stepped_positions(fleet, world, PARAMS)
+    positions = trace.positions
+    assert positions == expected and expected == positions
+    assert not positions != expected and not expected != positions
+    assert positions == again.positions and positions is not again.positions
+    changed = [*expected[:-1], (*expected[-1][:-1], Position(1, 1))]
+    for other in (expected[:-1], expected + [expected[-1]], changed, [list(t) for t in expected]):
+        assert positions != other and other != positions
+    # Like a list, the view equals no tuple and does not hash.
+    assert positions != tuple(expected)
+    with pytest.raises(TypeError):
+        hash(positions)
+
+
+def test_trace_survives_pickle_and_deepcopy():
+    world = generate_layout_sized(21, 20)
+    fleet = _crowd_on(world, 6, 5)
+    trace = run_until_done(copy.deepcopy(fleet), world, PARAMS, 500)
+    expected = _stepped_positions(fleet, world, PARAMS)
+    for twin in (pickle.loads(pickle.dumps(trace)), copy.deepcopy(trace)):
+        assert twin.positions == expected and twin.positions[-1] == expected[-1]
+        assert format_trace(twin) == format_trace(trace)
+
+
+def test_crowded_trace_keeps_about_two_bytes_per_robot_and_tick():
+    # A trace keeps one lattice index per robot and tick; a tuple of cells
+    # per tick held 8 bytes per robot and tick in its slots alone.
+    world = generate_layout_sized(81, 80)
+
+    def fleet(seed):
+        return _crowd_on(world, 100, seed)
+
+    run_until_done(fleet(0), world, PARAMS, 5000)  # fills the field and term caches
+    robots = fleet(1)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        trace = run_until_done(robots, world, PARAMS, 5000)
+        del robots
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert trace.outcome == COMPLETED
+    robot_ticks = 100 * len(trace.positions)
+    assert retained < 3 * robot_ticks + 32 * 1024, (retained, robot_ticks)

@@ -431,3 +431,18 @@ def test_divergent_case_grows_in_simulation():
         total += u
     assert peak > 10 * u0
     assert total / steps > 2 * u0
+
+
+@pytest.mark.parametrize("kind", ["goal", "obstacle", "robot"])
+@pytest.mark.parametrize(
+    "part, term",
+    [
+        ("coefficient", PotentialTerm("1", 1, 1.0)),
+        ("exponent", PotentialTerm(1.0, 1, "-1")),
+        ("offset", PotentialTerm(1.0, 1, 1.0, None)),
+    ],
+)
+def test_params_reject_a_term_part_that_is_not_a_number(kind, part, term):
+    value = getattr(term, part)
+    with pytest.raises(ConfigurationError, match=f"^{kind} term {part} must be a number, got {value!r}$"):
+        PotentialParams(**{f"{kind}_terms": (term,)})
