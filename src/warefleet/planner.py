@@ -24,7 +24,8 @@ step adds their repulsion.
 A trace stores one lattice index (y * width + x) per robot and tick, two
 bytes each on a lattice of at most 65,536 cells and four on a larger one,
 in one array that the tick loop extends once per tick. SimTrace.positions
-reads it as the per-tick tuples of the world's own Position objects.
+reads it as the per-tick tuples of the world's own Position objects; it
+holds the world, and pickles it by value with the array.
 
 Timing note: reported planning compute covers the recursion update and
 the candidate choice. A candidate's initial static value, first visit or
@@ -44,7 +45,6 @@ import time
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import islice
 from operator import eq, index
 from typing import NamedTuple
 
@@ -89,16 +89,18 @@ class TracePositions(Sequence):
     """Every robot's cell at every tick, stored as lattice indices.
 
     A read-only sequence of ticks: item k is the tuple of the robots' cells
-    at tick k, decoded through cells (GridWorld.cells), and the view equals
-    the list of those tuples. indices holds the robots' lattice indices
-    tick after tick, `robots` per tick; the tick count is kept on its own,
-    because an empty fleet stores no index at any tick.
+    at tick k, the world's own Position objects (GridWorld.cells), and the
+    view equals the list of those tuples. indices holds the robots' lattice
+    indices tick after tick, `robots` per tick; the tick count is kept on
+    its own, because an empty fleet stores no index at any tick. The view
+    holds its world, so a pickle or deep copy carries the world by value
+    and the index array, not the decoded cells.
     """
 
-    __slots__ = ("_cells", "_robots", "_ticks", "_indices")
+    __slots__ = ("_world", "_robots", "_ticks", "_indices")
 
-    def __init__(self, cells: tuple, robots: int, ticks: int, indices: array):
-        self._cells = cells
+    def __init__(self, world: GridWorld, robots: int, ticks: int, indices: array):
+        self._world = world
         self._robots = robots
         self._ticks = ticks
         self._indices = indices
@@ -114,13 +116,7 @@ class TracePositions(Sequence):
         if not -ticks <= k < ticks:
             raise IndexError(f"tick {k} out of range for {ticks} ticks")
         start = k % ticks * self._robots
-        return tuple(map(self._cells.__getitem__, self._indices[start : start + self._robots]))
-
-    def __iter__(self):
-        robots = self._robots
-        flat = map(self._cells.__getitem__, self._indices)
-        for _ in range(self._ticks):
-            yield tuple(islice(flat, robots))
+        return tuple(map(self._world.cells.__getitem__, self._indices[start : start + self._robots]))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, (TracePositions, list)):
@@ -356,7 +352,7 @@ def run_until_done(
         outstanding.append(left)
         indices.fromlist(where)
     return SimTrace(
-        positions=TracePositions(world.cells, len(robots), tick + 1, indices),
+        positions=TracePositions(world, len(robots), tick + 1, indices),
         outstanding=outstanding,
         segments=[list(r.segment_log) for r in robots],
         outcome=CAP_REACHED if left else COMPLETED,

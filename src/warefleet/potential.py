@@ -23,8 +23,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import chain
+from operator import add
 
 from .errors import ConfigurationError, require_integers, require_numbers
 from .gridworld import GridWorld, Position
@@ -160,9 +161,9 @@ def _obstacle_field(
     it senses. So a build costs the floor cells plus the sensed obstacles
     of the distinct boxes: on the tiled 81x80 world at radius 3, 89 boxes
     for 4,338 floor cells; on a layout without repeats, about one box per
-    cell. Each sum is one sum() over the box's obstacles by y, then x, as
-    the definition takes them, so a value does not depend on which cell's
-    box was summed first, on any Python version.
+    cell. Each sum adds the box's obstacles left to right, by y, then x,
+    as the definition takes them, so its bits agree across Python
+    versions; sum() adds floats with compensation from Python 3.12 on.
     """
     reach = radius - 1
     width, height, grid = world.width, world.height, world.grid
@@ -198,6 +199,7 @@ def _obstacle_field(
         box = (y - y0, *ids)
         value = sums.get(box)
         if value is None:
-            value = sums[box] = sum(chain.from_iterable(map(map, readers[y], map(sensed.__getitem__, ids))))
+            terms = chain.from_iterable(map(map, readers[y], map(sensed.__getitem__, ids)))
+            value = sums[box] = reduce(add, terms, 0.0)
         field[cell] = value
     return field

@@ -9,6 +9,8 @@ the proximity-sensor reading, found by scanning the whole fleet.
 """
 
 import math
+from functools import reduce
+from operator import add
 
 from warefleet.errors import ConfigurationError
 from warefleet.gridworld import GridWorld, Position
@@ -74,11 +76,11 @@ def phi_sensed(params: PotentialParams, source_class: str, at: Position, source:
 
 def obstacle_repulsion(world: GridWorld, params: PotentialParams, cell: Position) -> float:
     """Summed repulsion of the obstacles within Chebyshev distance radius - 1
-    of a cell, taken row by row: by y, then by x."""
+    of a cell, taken row by row, by y, then by x, and added left to right."""
     reach = params.sensor_radius - 1
     sensed = [o for o in obstacle_cells(world) if max(abs(o.x - cell.x), abs(o.y - cell.y)) <= reach]
     sensed.sort(key=lambda o: (o.y, o.x))
-    return sum(phi(params, OBSTACLE, cell, obstacle) for obstacle in sensed)
+    return reduce(add, (phi(params, OBSTACLE, cell, obstacle) for obstacle in sensed), 0.0)
 
 
 def static_potential_initial(

@@ -424,23 +424,28 @@ def test_sweep_outputs_do_not_depend_on_jobs(tmp_path):
 
 def test_sweep_is_the_same_under_spawn(tmp_path):
     # Spawn and forkserver workers get the sweep's world by pickle, not by
-    # fork; a fresh process runs the --jobs 2 sweep under spawn.
+    # fork; a fresh process runs the --jobs 2 sweep under each start method.
+    # Forkserver is the Linux default from Python 3.14. The code goes in
+    # with -c: forkserver re-runs the top level of a script file that has
+    # no __main__ guard, and its pool then breaks.
     cfg = tmp_path / "two.cfg"
     cfg.write_text(TWO_ROBOTS_SCENARIO.replace("w.layout", "generate:21x20"), encoding="utf-8")
     grid = ["--n-values", "1,2", "--k-values", "2", "--seeds", "2"]
-    out, summary = tmp_path / "spawn.csv", tmp_path / "spawn_cells.csv"
-    code = (
-        "import multiprocessing, sys\n"
-        "from warefleet.cli import main\n"
-        "multiprocessing.set_start_method('spawn')\n"
-        "code = main(sys.argv[1:])\n"
-        "print(multiprocessing.get_start_method())\n"
-        "sys.exit(code)\n"
-    )
-    spawned = run_python("-c", code, "sweep", "--scenario", str(cfg), "--out", str(out),
-                         "--summary", str(summary), *grid, "--jobs", "2")
-    assert spawned.stdout == "spawn\n"
-    assert (_masked_csv(out), _masked_csv(summary)) == _sweep_outputs(cfg, tmp_path, grid, 1)
+    serial = _sweep_outputs(cfg, tmp_path, grid, 1)
+    for method in ("spawn", "forkserver"):
+        out, summary = tmp_path / f"{method}.csv", tmp_path / f"{method}_cells.csv"
+        code = (
+            "import multiprocessing, sys\n"
+            "from warefleet.cli import main\n"
+            f"multiprocessing.set_start_method({method!r})\n"
+            "code = main(sys.argv[1:])\n"
+            "print(multiprocessing.get_start_method())\n"
+            "sys.exit(code)\n"
+        )
+        started = run_python("-c", code, "sweep", "--scenario", str(cfg), "--out", str(out),
+                             "--summary", str(summary), *grid, "--jobs", "2")
+        assert started.stdout == f"{method}\n"
+        assert (_masked_csv(out), _masked_csv(summary)) == serial
 
 
 WIDE_SCENARIO = """\

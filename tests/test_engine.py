@@ -3,6 +3,8 @@ import dataclasses
 import math
 import re
 import statistics
+from functools import reduce
+from operator import add
 from pathlib import Path
 
 import pytest
@@ -219,6 +221,32 @@ def test_run_scenario_realized_never_beats_optimal():
         for realized, optimal in report.per_robot:
             assert realized >= optimal
         assert report.j1 >= 1.0
+
+
+def _allocation_cost(totals, n_tasks):
+    """The GA's cost of per-robot distance totals: their sum over N*K plus
+    the largest over K, added left to right as the fitness adds them."""
+    return reduce(add, totals, 0.0) / (len(totals) * n_tasks) + max(totals) / n_tasks
+
+
+@pytest.mark.parametrize("n_robots,n_tasks", [(5, 10), (20, 40), (100, 100), (1, 3), (8, 3)])
+def test_ga_fitness_is_the_estimated_cost_of_the_run_legs(n_robots, n_tasks):
+    # On a cold store every estimate is a 1-norm, so the best fitness is the
+    # reciprocal of the cost of the legs the robots completed; each 1-norm is
+    # a lower bound of its leg's A* length, so that cost never exceeds the
+    # cost of the optima. With three tasks for eight robots, some stay idle.
+    world = generate_layout_sized(41, 40)
+    for seed in (1, 2, 3):
+        sc = Scenario(world=world, n_robots=n_robots, n_tasks=n_tasks, ga=LIGHT_GA, seed=seed)
+        trace, report = run_scenario(sc)
+        assert trace.outcome == COMPLETED
+        estimated = [
+            reduce(add, (float(abs(a.x - b.x) + abs(a.y - b.y)) for a, b, _ in legs), 0.0)
+            for legs in trace.segments
+        ]
+        cost = _allocation_cost(estimated, n_tasks)
+        assert report.ga_history[-1] == 1.0 / cost
+        assert cost <= _allocation_cost([float(optimal) for _, optimal in report.per_robot], n_tasks)
 
 
 def test_run_scenario_cap_flag_on_sealed_task():

@@ -804,6 +804,11 @@ def test_trace_survives_pickle_and_deepcopy():
     for twin in (pickle.loads(pickle.dumps(trace)), copy.deepcopy(trace)):
         assert twin.positions == expected and twin.positions[-1] == expected[-1]
         assert format_trace(twin) == format_trace(trace)
+    # The view pickles its world by value and its index array, not the cells
+    # it decodes them to.
+    shipped = pickle.dumps(trace.positions)
+    assert len(shipped) <= 2 * len(fleet) * len(expected) + len(pickle.dumps(world)) + 256
+    assert pickle.loads(shipped) == expected
 
 
 def test_crowded_trace_keeps_about_two_bytes_per_robot_and_tick():

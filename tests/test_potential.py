@@ -1,7 +1,9 @@
 import gc
+import hashlib
 import math
 import pickle
 import random
+import struct
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -249,6 +251,19 @@ def test_obstacle_field_matches_the_oracle_cell_by_cell(rng, tiled, radius, obst
     assert list(field.items()) == [
         (cell, obstacle_repulsion(world, params, cell)) for cell in world.floor
     ]
+
+
+def test_obstacle_field_bits_are_the_same_on_every_python():
+    # Each box adds its obstacles left to right; sum() compensates float
+    # additions from Python 3.12 on, which changed these bits there.
+    world = generate_layout_sized(81, 80)
+    field = _obstacle_field(world, 3, DEFAULTS.obstacle_terms)
+    packed = struct.pack(f"{len(world.floor)}d", *map(field.__getitem__, world.floor))
+    assert hashlib.sha256(packed).hexdigest() == (
+        "b8dc70f04d0cd3dc664cae5e35b0b3169d3f6ad704305aec9f1ccaef90ba02f6"
+    )
+    # A box that senses no obstacle sums to the float 0.0.
+    assert repr(_obstacle_field(open_room(9, 9), 2, DEFAULTS.obstacle_terms)[Position(4, 4)]) == "0.0"
 
 
 def test_static_initial_at_goal_no_obstacles():
