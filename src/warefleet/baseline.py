@@ -13,7 +13,6 @@ import time
 from dataclasses import dataclass
 from heapq import heappop, heappush
 
-from .errors import ConfigurationError
 from .gridworld import GridWorld, Position
 
 
@@ -32,11 +31,8 @@ class PathResult:
 
 def shortest_path(world: GridWorld, start: Position, goal: Position) -> PathResult:
     """Length of a minimum-length 4-connected path from start to goal, each
-    a floor cell given as a Position or a plain (x, y) pair."""
-    if start not in world.reachable:
-        raise ConfigurationError(f"start {start} is not a reachable cell")
-    if goal not in world.reachable:
-        raise ConfigurationError(f"goal {goal} is not a reachable cell")
+    a floor cell given as any pair of integers (GridWorld.cell)."""
+    start, goal = world.cell(start, "start"), world.cell(goal, "goal")
 
     t0 = time.perf_counter()
     # Heap entries: (f, insertion order, cell); equal-f ties expand in

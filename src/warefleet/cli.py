@@ -37,7 +37,7 @@ from .engine import (
     written,
 )
 from .errors import ConfigurationError, LoadError, SimulatorError
-from .gridworld import Position, generate_layout_sized, parse_layout, serialize_layout
+from .gridworld import document_lines, generate_layout_sized, parse_layout, serialize_layout
 from .planner import format_trace
 from .potential import PotentialParams
 
@@ -68,15 +68,14 @@ def _records_csv(columns: dict[str, str], records) -> str:
     return _csv_text(columns, ([written(r, attr) for attr in columns.values()] for r in records))
 
 
-def _parse_positions(raw: str) -> tuple[Position, ...]:
-    parts = [piece.strip() for piece in raw.split(",") if piece.strip()]
+def _parse_positions(raw: str) -> tuple[tuple[int, int], ...]:
     try:
-        numbers = [int(piece) for piece in parts]
+        numbers = [int(piece) for piece in raw.split(",") if piece.strip()]
     except ValueError:
         raise ValueError(f"positions must be integers, got {raw!r}") from None
     if len(numbers) % 2 != 0:
         raise ValueError(f"odd number of coordinates in {raw!r}")
-    return tuple(Position(numbers[i], numbers[i + 1]) for i in range(0, len(numbers), 2))
+    return tuple(zip(numbers[::2], numbers[1::2]))
 
 
 # Scenario keys other than `layout`, grouped by the object they configure:
@@ -111,7 +110,7 @@ def _read_text(path: Path) -> str:
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
+        line = len(document_lines(data[: exc.start].decode("utf-8")))
         raise LoadError(f"{path}: byte 0x{data[exc.start]:02x} is not UTF-8", line=line) from None
 
 
@@ -119,7 +118,7 @@ def read_scenario_file(path: str | Path) -> dict[str, tuple[str, int]]:
     """Read the flat key=value scenario document into key -> (value, line number)."""
     path = Path(path)
     values: dict[str, tuple[str, int]] = {}
-    for lineno, raw_line in enumerate(_read_text(path).splitlines(), start=1):
+    for lineno, raw_line in enumerate(document_lines(_read_text(path)), start=1):
         line = raw_line.split("#", 1)[0].strip()
         if not line:
             continue

@@ -55,23 +55,22 @@ class Scenario:
         if self.step_cap < 0:
             raise ConfigurationError("step cap must be positive, or 0 for the default")
         HeuristicStore(self.eta)  # the store owns the learning-rate check
-        # Random starts and tasks are drawn without replacement from the
-        # floor cells that no given cell takes.
+        # Given cells are kept as the world's own Positions; random starts and
+        # tasks are drawn without replacement from the floor cells they leave.
         needed, given = 0, set()
-        for label, cells, expected in (
-            ("robot start", self.robot_starts, self.n_robots),
-            ("task position", self.task_positions, self.n_tasks),
+        for name, label, expected in (
+            ("robot_starts", "robot start", self.n_robots),
+            ("task_positions", "task position", self.n_tasks),
         ):
-            if cells is None:
+            if getattr(self, name) is None:
                 needed += expected
                 continue
+            cells = tuple(self.world.cell(xy, label) for xy in getattr(self, name))
+            setattr(self, name, cells)
             if len(cells) != expected:
                 raise ConfigurationError(f"expected {expected} {label}s, got {len(cells)}")
             if len(set(cells)) != len(cells):
                 raise ConfigurationError(f"{label}s must be pairwise distinct")
-            for cell in cells:
-                if cell not in self.world.reachable:
-                    raise ConfigurationError(f"{label} {cell} is not a reachable cell")
             given.update(cells)
         free = len(self.world.floor) - len(given)
         if needed > free:
@@ -146,16 +145,13 @@ SUMMARY_COLUMNS = {
 
 def written(record, attr: str, csv: bool = True):
     """The value of record.attr as written: seconds as rounded microseconds,
-    in CSV a float as its repr (full precision) and a flag as 0/1, in JSON
-    an undefined (NaN) value as null."""
+    in CSV a flag as 0/1 (csv writes a float as its repr), in JSON NaN as null."""
     value = getattr(record, attr)
     if attr.endswith("_seconds"):
         return round(value * 1e6)
     if not csv:
         return None if isinstance(value, float) and math.isnan(value) else value
-    if isinstance(value, bool):
-        return int(value)
-    return repr(value) if isinstance(value, float) else value
+    return int(value) if isinstance(value, bool) else value
 
 
 def report_json(report: MetricsReport) -> dict:

@@ -13,6 +13,7 @@ document.
 from __future__ import annotations
 
 from itertools import chain, compress, repeat
+from operator import index
 from typing import NamedTuple
 
 from .errors import ConfigurationError, LoadError, require_integers
@@ -114,6 +115,17 @@ class GridWorld:
         """The lattice in reading order, one byte per cell: 1 on an obstacle."""
         return self._value[2]
 
+    def cell(self, xy, what: str) -> Position:
+        """The world's own Position at xy, a pair of integers (as operator.index
+        reads them) on the floor; anything else is a ConfigurationError naming what."""
+        try:
+            x, y = map(index, xy)
+        except (TypeError, ValueError):
+            x = y = -1
+        if 0 <= x < self.width and 0 <= y < self.height and self.cells[y * self.width + x]:
+            return self.cells[y * self.width + x]
+        raise ConfigurationError(f"{what} {xy!r} is not a reachable cell")
+
     @property
     def reachable(self):
         """The floor cells: a read-only view of the adjacency keys."""
@@ -166,12 +178,15 @@ def generate_layout_sized(
     return GridWorld(width, height, grid)
 
 
+def document_lines(text: str) -> list[str]:
+    """A document's lines, split at CR LF, CR and LF only, unlike str.splitlines."""
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+
+
 def parse_layout(text: str) -> GridWorld:
     """Parse the ASCII layout document ('#' wall/shelf, '.' floor)."""
-    lines = text.splitlines()
-    while lines and lines[-1] == "":
-        lines.pop()
-    if not lines:
+    lines = document_lines(text.rstrip("\r\n"))  # trailing blank lines dropped
+    if lines == [""]:
         raise LoadError("layout document is empty")
     width, height = len(lines[0]), len(lines)
     for row, line in enumerate(lines, 1):

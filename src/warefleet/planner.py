@@ -260,8 +260,8 @@ def run_until_done(
 ) -> SimTrace:
     """The one entry point that moves robots: tick after tick, robots in
     ascending id, until every task list is empty or step_cap ticks have
-    run; k_total counts the ticks of this call. Every start and task cell
-    must be a floor cell, as a Position or a plain (x, y) pair, checked
+    run; k_total counts the ticks of this call. Every start, leg start and
+    task cell is resolved to the world's own Position (GridWorld.cell)
     before any robot moves; robots may share a cell.
 
     A robot standing on its goal pops the task and starts a fresh potential
@@ -277,17 +277,10 @@ def run_until_done(
     require_integers(step_cap=step_cap)
     if step_cap < 1:
         raise ConfigurationError("step cap must be at least 1")
-    reachable = world.reachable
     for me, robot in enumerate(robots):
-        if robot.pos not in reachable:
-            raise ConfigurationError(f"robot {me} starts off the floor, at {tuple(robot.pos)}")
-        for cell in robot.tasks:
-            if cell not in reachable:
-                raise ConfigurationError(f"robot {me} has a task off the floor, at {tuple(cell)}")
-        # A floor cell may come as a plain (x, y) pair; the trace and the
-        # legs hold Positions.
-        robot.pos, robot.leg_start = Position(*robot.pos), Position(*robot.leg_start)
-        robot.tasks[:] = [Position(*cell) for cell in robot.tasks]
+        robot.pos = world.cell(robot.pos, f"robot {me} start")
+        robot.leg_start = world.cell(robot.leg_start, f"robot {me} leg start")
+        robot.tasks[:] = [world.cell(xy, f"robot {me} task") for xy in robot.tasks]
     radius = params.sensor_radius
     repulsion = _obstacle_field(world, radius, params.obstacle_terms)
     goal_table = term_table(params.goal_terms, world.width, world.height)

@@ -12,6 +12,16 @@ import warefleet
 from warefleet.gridworld import GridWorld, Position, parse_layout
 
 
+class Integral:
+    """An integer that only __index__ reveals, as an array scalar's is."""
+
+    def __init__(self, value: int):
+        self.value = value
+
+    def __index__(self) -> int:
+        return self.value
+
+
 def world_from(rows: list[str]) -> GridWorld:
     return parse_layout("\n".join(rows) + "\n")
 

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -6,7 +7,7 @@ from warefleet.baseline import shortest_path
 from warefleet.errors import ConfigurationError
 from warefleet.gridworld import Position, generate_layout_sized
 
-from conftest import bfs_length, open_room, random_world, world_from
+from conftest import Integral, bfs_length, open_room, random_world, world_from
 
 
 def test_straight_corridor():
@@ -52,6 +53,16 @@ def test_rejects_obstacle_endpoints():
         shortest_path(w, Position(0, 0), Position(2, 2))
     with pytest.raises(ConfigurationError):
         shortest_path(w, Position(2, 2), Position(4, 4))
+    # Only a pair of integers on the floor is an endpoint; (24, 1) would wrap
+    # onto the floor cell (3, 2) of this 21-wide world under y * width + x.
+    world = generate_layout_sized(21, 12)
+    for cell in (1.0, 1), [1, 1.5], (1, 1, 1), (24, 1), None:
+        with pytest.raises(ConfigurationError, match=rf"^start {re.escape(repr(cell))} is not a"):
+            shortest_path(world, cell, (2, 2))
+        with pytest.raises(ConfigurationError, match=rf"^goal {re.escape(repr(cell))} is not a"):
+            shortest_path(world, (2, 2), cell)
+    for start in [1, 1], (True, 1), (Integral(1), Integral(1)):
+        assert shortest_path(world, start, (3, 2)).length == 3
 
 
 def test_astar_equals_bfs_on_randomized_instances():

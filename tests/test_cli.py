@@ -57,6 +57,24 @@ def test_read_scenario_file_rejects_duplicate_key(tmp_path):
         read_scenario_file(path)
 
 
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+def test_scenario_lines_end_only_at_universal_newlines(tmp_path, newline):
+    # str.splitlines would end a line at each of these separators, so that
+    # the seed in the comment would be set and later lines renumbered.
+    path = tmp_path / "s.cfg"
+    for separator in "\f\v\x1c\x1d\x1e\x85\u2028\u2029":
+        lines = ["layout = generate:14x12", f"n_tasks = 2 # two tasks{separator}seed = 7"]
+        path.write_text(newline.join(lines) + newline, encoding="utf-8", newline="")
+        assert read_scenario_file(path) == {"layout": ("generate:14x12", 1), "n_tasks": ("2", 2)}
+        path.write_text(newline.join([*lines, "bogus"]), encoding="utf-8", newline="")
+        with pytest.raises(LoadError, match=r"^expected 'key = value' \(line 3\)$"):
+            read_scenario_file(path)
+    # A byte that is not UTF-8 is named at its line under every newline.
+    path.write_bytes((newline.join(lines) + newline).encode("utf-8") + b"# caf\xe9")
+    with pytest.raises(LoadError, match=r"0xe9 is not UTF-8 \(line 3\)$"):
+        read_scenario_file(path)
+
+
 def test_build_scenario_defaults_and_overrides(scenario_file):
     sc = build_scenario(scenario_file)
     assert (sc.world.width, sc.world.height) == (14, 12)

@@ -1,10 +1,12 @@
 import concurrent.futures
+import csv
 import dataclasses
+import io
 import math
 import re
 import statistics
 from functools import reduce
-from operator import add
+from operator import add, is_
 from pathlib import Path
 
 import pytest
@@ -26,7 +28,7 @@ from warefleet.errors import ConfigurationError
 from warefleet.gridworld import Position, generate_layout_sized
 from warefleet.planner import CAP_REACHED, COMPLETED, Segment, SimTrace, format_trace
 
-from conftest import open_room, run_python, world_from
+from conftest import Integral, open_room, run_python, world_from
 
 LIGHT_GA = GAConfig(population_size=12, max_generations=10)
 
@@ -85,7 +87,9 @@ def test_compute_metrics_no_completed_leg_leaves_j1_undefined():
     report = compute_metrics(trace, [0, 0], n_tasks=2, seed=0)
     assert math.isnan(report.j1)
     assert report.completed_tasks == 0 and report.j2 == 0.0
-    assert written(report, RUN_COLUMNS["J1"]) == "nan"
+    text = io.StringIO()
+    csv.writer(text).writerow([written(report, RUN_COLUMNS["J1"])])
+    assert text.getvalue() == "nan\r\n"
     assert written(report, "j1", csv=False) is None
 
 
@@ -113,6 +117,23 @@ def test_scenario_validation():
         )
     with pytest.raises(ConfigurationError):
         Scenario(world=room, n_robots=1, n_tasks=2, task_positions=(Position(1, 1),))
+    # A given cell is any pair of integers on the floor, kept as the world's
+    # own Position; (24, 1) would wrap onto the floor cell (3, 2) of the
+    # 21-wide world if only y * width + x were checked.
+    world = generate_layout_sized(21, 12)
+    for cell in (1.0, 1), [1, 1.5], (1, 1, 1), (24, 1), "ab", 7:
+        for name, label in ("robot_starts", "robot start"), ("task_positions", "task position"):
+            message = f"^{re.escape(f'{label} {cell!r}')} is not a reachable cell$"
+            with pytest.raises(ConfigurationError, match=message):
+                Scenario(world=world, n_robots=1, n_tasks=1, **{name: (cell,)})
+    sc = Scenario(
+        world=world, n_robots=3, n_tasks=1,
+        robot_starts=([1, 1], (True, 2), (Integral(2), Integral(1))), task_positions=[(3, 2)],
+    )
+    given = sc.robot_starts + sc.task_positions  # both are tuples
+    assert len(given) == 4 and all(map(is_, given, (world.cells[i] for i in (22, 43, 23, 45))))
+    with pytest.raises(ConfigurationError, match="^robot starts must be pairwise distinct$"):
+        Scenario(world=world, n_robots=2, n_tasks=1, robot_starts=([1, 1], (True, 1)))
     with pytest.raises(ConfigurationError):  # before the run starts
         Scenario(world=room, n_robots=1, n_tasks=1, eta=0.0)
     with pytest.raises(ConfigurationError, match="step cap"):  # 0 is the default cap
@@ -169,19 +190,24 @@ def test_run_scenario_deterministic_apart_from_timing():
 
 
 def test_tuple_placed_run_matches_position_placed_run():
-    # Starts and tasks given as plain (x, y) pairs run as their Positions do.
+    # Starts and tasks given as plain (x, y) pairs, or as lists of [x, y]
+    # lists, run as their Positions do.
     world = generate_layout_sized(16, 16)
     starts = (Position(1, 1), Position(14, 1), Position(1, 14))
     tasks = (Position(7, 7), Position(14, 14), Position(2, 9), Position(13, 3))
     runs = []
-    for cells in (starts, tasks), (tuple(map(tuple, starts)), tuple(map(tuple, tasks))):
+    for cells in (
+        (starts, tasks),
+        (tuple(map(tuple, starts)), tuple(map(tuple, tasks))),
+        (list(map(list, starts)), list(map(list, tasks))),
+    ):
         sc = Scenario(
             world=world, n_robots=3, n_tasks=4, robot_starts=cells[0], task_positions=cells[1],
             ga=LIGHT_GA, seed=5,
         )
         trace, report = run_scenario(sc)
         runs.append((format_trace(trace), {**report_json(report), **dict.fromkeys(TIME_COLUMNS)}))
-    assert runs[0] == runs[1]
+    assert runs[0] == runs[1] == runs[2]
     assert runs[0][1]["completed_tasks"] == 4
 
 

@@ -263,6 +263,18 @@ def test_parse_ignores_trailing_blank_lines():
     assert parse_layout("###\n#.#\n###\n\n\n") == parse_layout("###\n#.#\n###\n")
 
 
+def test_parse_splits_lines_only_at_universal_newlines():
+    world = parse_layout("###\n#.#\n###\n")
+    for newline in "\r\n", "\r":
+        assert parse_layout(newline.join(["###", "#.#", "###", ""])) == world
+    # str.splitlines would end the third row at each of these and call the
+    # row ragged; it is one row holding an unknown glyph.
+    for separator in "\f\v\x1c\x1d\x1e\x85\u2028\u2029":
+        with pytest.raises(LoadError, match="^unknown glyph ") as err:
+            parse_layout(f"#####\n#...#\n#{separator}..#\n#####\n")
+        assert (err.value.line, err.value.column) == (3, 2)
+
+
 @pytest.mark.parametrize("rows,cols", [(1, 1), (2, 3), (3, 4)])
 def test_serialize_parse_round_trip(rows, cols):
     # rows x cols blocks of the default 2x4 shelves with 2-cell aisles

@@ -35,7 +35,7 @@ from warefleet.potential import (
     term_table,
 )
 
-from conftest import TRACE_FAULTS, open_room, random_world, trace_faults, world_from
+from conftest import TRACE_FAULTS, Integral, open_room, random_world, trace_faults, world_from
 from potential_oracle import dynamic_potential, sensor_reading, update_neighborhood
 
 PARAMS = PotentialParams()
@@ -434,14 +434,19 @@ def test_step_cap_validation():
 
 def test_run_until_done_rejects_cells_off_the_floor():
     # Checked before any robot moves: a cell off the lattice, a start on the
-    # outer wall and a task on a shelf.
-    world = generate_layout_sized(12, 12)
+    # outer wall, a task on a shelf, pairs that are not two integers, and
+    # (24, 1), which y * width + x alone would wrap onto the floor cell (3, 2).
+    world = generate_layout_sized(21, 12)
     floor, shelf = Position(2, 2), Position(3, 3)
     assert floor in world.reachable and shelf not in world.reachable
+    assert (3, 2) in world.reachable
     cases = [
-        (floor, Position(40, 40), r"^robot 1 has a task off the floor, at \(40, 40\)$"),
-        (Position(0, 0), floor, r"^robot 1 starts off the floor, at \(0, 0\)$"),
-        (floor, shelf, r"^robot 1 has a task off the floor, at \(3, 3\)$"),
+        (floor, Position(40, 40), r"^robot 1 task Position\(x=40, y=40\) is not a reachable cell$"),
+        (Position(0, 0), floor, r"^robot 1 start Position\(x=0, y=0\) is not a reachable cell$"),
+        (floor, shelf, r"^robot 1 task Position\(x=3, y=3\) is not a reachable cell$"),
+        (floor, (24, 1), r"^robot 1 task \(24, 1\) is not a reachable cell$"),
+        ((1.0, 1), floor, r"^robot 1 start \(1\.0, 1\) is not a reachable cell$"),
+        (floor, (2, 2, 0), r"^robot 1 task \(2, 2, 0\) is not a reachable cell$"),
     ]
     for start, task, message in cases:
         robots = [make_robot(Position(1, 1), Position(2, 1)), make_robot(start, task)]
@@ -451,6 +456,17 @@ def test_run_until_done_rejects_cells_off_the_floor():
             (Position(1, 1), [Position(2, 1)], []),
             (start, [task], []),
         ]
+    robot = make_robot(floor, floor)
+    robot.leg_start = shelf
+    with pytest.raises(ConfigurationError, match=r"^robot 0 leg start Position\(x=3, y=3\) is"):
+        run_until_done([robot], world, PARAMS, 10)
+    # A list, a bool or an __index__ pair resolves to the world's own Position.
+    robots = [make_robot([1, 1], (True, 2)), make_robot((Integral(2), Integral(2)), [2, 2])]
+    trace = run_until_done(robots, world, PARAMS, 1)
+    cells = world.cells
+    assert robots[0].leg_start is cells[22] and robots[0].tasks[0] is cells[43]
+    (leg,) = trace.segments[1]
+    assert leg.start is cells[44] and leg.end is cells[44]
 
 
 def test_format_trace_lines():
