@@ -3,7 +3,18 @@
 An allocation of K task cells to N robots is encoded as one permutation
 of the task indices 1..K (gene t names the t-th task cell) and N-1
 negative delimiter genes: the runs of task indices between delimiters are
-the ordered task lists of robots 1..N.
+the ordered task lists of robots 1..N. This public encoding is what
+`decode`, `validate_chromosome`, `gene_pool` and `evolve`'s result use.
+
+Inside `evolve` a chromosome is held in a gene code of positive genes only:
+task t is gene t and delimiter -d is gene K + d, so the genes are 1..N+K-1.
+When N + K - 1 <= 255 every gene fits in a byte and a chromosome is
+`bytes`; otherwise it is a list in the same code. The order crossover then
+fills a child from the second parent with the kept genes deleted by one
+C-level `bytes.translate`, where a list is scanned gene by gene in Python.
+The container is chosen from the input size alone; both give the same
+results.
+
 Fitness is the reciprocal of a combined average-plus-bottleneck estimate
 of travel distance, computed from pairwise distance heuristics that start
 at the 1-norm and are pulled toward realized distances as robots report
@@ -153,10 +164,11 @@ def _draws(rng: random.Random, longest: int):
     return below, shuffle
 
 
-def _scorer(table: list[list[float]], n_robots: int, n_tasks: int) -> Callable[[Chromosome], float]:
+def _scorer(table: list[list[float]], n_robots: int, n_tasks: int) -> Callable[[bytes | Chromosome], float]:
     """Fitness of a valid chromosome: the reciprocal of its estimated
     average-per-task plus bottleneck-per-task distance, found by walking its
-    genes through a heuristic table whose rows are the starts, then tasks 1..K.
+    genes, in evolve's gene code (a gene above n_tasks is a delimiter),
+    through a heuristic table whose rows are the starts, then tasks 1..K.
     Each robot's legs, and then the robots' totals, are added one by one, left
     to right: sum() adds floats with compensation from Python 3.12 on, which
     would make the scores depend on the Python version."""
@@ -166,12 +178,12 @@ def _scorer(table: list[list[float]], n_robots: int, n_tasks: int) -> Callable[[
     task_rows = rows[n_robots - 1 :]  # task t's row is task_rows[t]
     per_robot_task = n_tasks * n_robots
 
-    def score(genes: Chromosome) -> float:
+    def score(genes: bytes | Chromosome) -> float:
         robots = iter(start_rows)
         row = next(robots)
         grand = worst = total = 0.0
         for gene in genes:
-            if gene < 0:
+            if gene > n_tasks:
                 grand += total
                 if total > worst:
                     worst = total
@@ -191,9 +203,13 @@ def _scorer(table: list[list[float]], n_robots: int, n_tasks: int) -> Callable[[
     return score
 
 
-def crossover(parent1: Chromosome, parent2: Chromosome, i: int, j: int) -> Chromosome:
+def crossover(parent1: bytes | Chromosome, parent2: bytes | Chromosome, i: int, j: int) -> bytes | Chromosome:
     """Order crossover (Davis, 1985): keep parent1's genes at 1-based positions
     i..j, fill the rest with parent2's unused genes scanned start to end.
+
+    The parents are two lists, or two bytes in evolve's gene code, and the
+    child has their type. On bytes, parent2's unused genes are parent2 with
+    the kept genes deleted by one bytes.translate.
 
     L. Davis, "Applying adaptive algorithms to epistatic domains", IJCAI 1985.
     """
@@ -204,10 +220,12 @@ def crossover(parent1: Chromosome, parent2: Chromosome, i: int, j: int) -> Chrom
         kept = parent1[i - 1 : j]
     except TypeError:
         raise ConfigurationError(f"cut points ({i!r}, {j!r}) must be integers") from None
-    used = set(kept)
-    child = [g for g in parent2 if g not in used]
-    child[i - 1 : i - 1] = kept
-    return child
+    if isinstance(parent2, bytes):
+        rest = parent2.translate(None, kept)
+    else:
+        used = set(kept)
+        rest = [g for g in parent2 if g not in used]
+    return rest[: i - 1] + kept + rest[i - 1 :]
 
 
 def evolve(
@@ -227,17 +245,22 @@ def evolve(
     # here and on the result, not per evaluation.
     score = _scorer(store.table([*starts, *tasks], n_tasks), n_robots, n_tasks)
     length = n_robots + n_tasks - 1
+    # Chromosomes are held in the gene code (see the module docstring): bytes
+    # when every gene fits in a byte, else lists. A scramble shuffles a
+    # mutable copy of its segment, a bytearray or a list.
+    pack, mutable = (bytes, bytearray) if length <= 255 else (list, list)
     rng = random.Random(seed)
     below, shuffle = _draws(rng, length)
     uniform = rng.random
     size = cfg.population_size
     by_fitness = itemgetter(0)
 
-    all_genes = gene_pool(n_robots, n_tasks)
+    all_genes = list(range(1, length + 1))  # gene_pool in the gene code
     population = []
     for _ in range(size):
         genes = all_genes.copy()
         shuffle(genes)
+        genes = pack(genes)
         population.append((score(genes), genes))
     population.sort(key=by_fitness, reverse=True)
     history = [population[0][0]]
@@ -265,7 +288,7 @@ def evolve(
             i = 1 + below(length)
             j = i + below(length - i + 1)
             # A child equal to a parent keeps the parent's score. No operator
-            # changes a chromosome in place, so a child may share its list.
+            # changes a chromosome in place, so a child may share its genes.
             if p1 == p2:  # order crossover of equal parents returns the parent
                 offspring = ((v1, p1), (v1, p1))
             else:
@@ -280,9 +303,10 @@ def evolve(
                     # Scramble mutation of the 1-based range m..n, drawn as the cuts are.
                     m = 1 + below(length)
                     n = m + below(length - m + 1)
-                    segment = child[m - 1 : n]
+                    segment = mutable(child[m - 1 : n])
                     shuffle(segment)
                     if segment != child[m - 1 : n]:  # else the child stays as it was
+                        # bytes + bytearray is bytes: the child keeps its type.
                         child = child[: m - 1] + segment + child[n:]
                         value = None
                 add((score(child) if value is None else value, child))
@@ -291,6 +315,6 @@ def evolve(
         del population[size:]
         history.append(population[0][0])
 
-    best = population[0][1]
+    best = [g if g <= n_tasks else n_tasks - g for g in population[0][1]]
     validate_chromosome(best, n_robots, n_tasks)
     return best, history

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, fields, replace
 
 from .allocator import GAConfig, HeuristicStore, decode, evolve
 from .baseline import shortest_path
-from .errors import ConfigurationError, require_integers
+from .errors import ConfigurationError, require_integers, require_iterables
 from .gridworld import GridWorld, Position
 from .planner import (
     CAP_REACHED,
@@ -62,10 +62,12 @@ class Scenario:
             ("robot_starts", "robot start", self.n_robots),
             ("task_positions", "task position", self.n_tasks),
         ):
-            if getattr(self, name) is None:
+            given_cells = getattr(self, name)
+            if given_cells is None:
                 needed += expected
                 continue
-            cells = tuple(self.world.cell(xy, label) for xy in getattr(self, name))
+            require_iterables(**{name: given_cells})
+            cells = tuple(self.world.cell(xy, label) for xy in given_cells)
             setattr(self, name, cells)
             if len(cells) != expected:
                 raise ConfigurationError(f"expected {expected} {label}s, got {len(cells)}")

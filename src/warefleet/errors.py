@@ -1,6 +1,7 @@
 """Exception types shared across the simulator, and the type checks of a
-count and of a number."""
+count, of a number and of a list."""
 
+from collections.abc import Iterable
 from numbers import Real
 
 
@@ -20,6 +21,11 @@ def require_integers(**counts: object) -> None:
 def require_numbers(**values: object) -> None:
     """Reject a value that is not a real number, such as the text "0.5", naming its field."""
     _require(Real, "a number", values)
+
+
+def require_iterables(**lists: object) -> None:
+    """Reject a list of cells that cannot be iterated, such as 5, naming its field."""
+    _require(Iterable, "iterable", lists)
 
 
 def _require(kind, noun: str, values: dict[str, object]) -> None:

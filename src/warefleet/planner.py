@@ -48,7 +48,7 @@ from dataclasses import dataclass, field
 from operator import eq, index
 from typing import NamedTuple
 
-from .errors import ConfigurationError, require_integers
+from .errors import ConfigurationError, require_integers, require_iterables
 from .gridworld import GridWorld, Position
 from .potential import DYNAMIC_SCALE, PotentialParams, _obstacle_field, term_table
 
@@ -280,7 +280,8 @@ def run_until_done(
     for me, robot in enumerate(robots):
         robot.pos = world.cell(robot.pos, f"robot {me} start")
         robot.leg_start = world.cell(robot.leg_start, f"robot {me} leg start")
-        robot.tasks[:] = [world.cell(xy, f"robot {me} task") for xy in robot.tasks]
+        require_iterables(**{f"robot {me} tasks": robot.tasks})
+        robot.tasks = [world.cell(xy, f"robot {me} task") for xy in robot.tasks]
     radius = params.sensor_radius
     repulsion = _obstacle_field(world, radius, params.obstacle_terms)
     goal_table = term_table(params.goal_terms, world.width, world.height)

@@ -3,7 +3,9 @@
 `fitness` scores one chromosome from scratch: it checks the genes and
 builds the heuristic table on every call, then applies the scorer that
 `allocator.evolve` uses. `scorer` builds that function once per instance,
-for loops over many chromosomes known to be valid.
+for loops over many chromosomes known to be valid. Both take chromosomes in
+the public encoding (negative delimiters) and write each one in `evolve`'s
+gene code (`encode`) before scoring it.
 
 `evolve` is the generational loop written without shortcuts: every pair
 of parents is crossed, even when their genes are equal, and every number
@@ -15,7 +17,8 @@ crossover of equal parents, skips the scoring of a child equal to one of
 its parents (it takes that parent's score) and of a child whose scramble
 left its segment as it was (it keeps its score), and writes out CPython's
 arithmetic for each draw; tests check that it returns exactly what this
-loop returns.
+loop returns. This loop crosses public lists, so it does not share
+`allocator.evolve`'s gene code or its bytes chromosomes.
 """
 
 import random
@@ -34,10 +37,16 @@ from warefleet.allocator import (
 from warefleet.errors import ConfigurationError
 
 
+def encode(genes, n_tasks: int) -> list[int]:
+    """A public chromosome in evolve's gene code: delimiter -d is gene n_tasks + d."""
+    return [g if g > 0 else n_tasks - g for g in genes]
+
+
 def scorer(starts, tasks, store: HeuristicStore):
-    """The fitness function of one instance, for valid chromosomes."""
+    """The fitness function of one instance, for valid public chromosomes."""
     n_tasks = len(tasks)
-    return _scorer(store.table([*starts, *tasks], n_tasks), len(starts), n_tasks)
+    score = _scorer(store.table([*starts, *tasks], n_tasks), len(starts), n_tasks)
+    return lambda genes: score(encode(genes, n_tasks))
 
 
 def fitness(genes, starts, tasks, store: HeuristicStore) -> float:

@@ -1,13 +1,14 @@
 import itertools
 import math
 import random
+import re
 from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import allocator_oracle
-from allocator_oracle import mutate, random_chromosome
+from allocator_oracle import encode, mutate, random_chromosome
 from warefleet.allocator import (
     GAConfig,
     HeuristicStore,
@@ -167,7 +168,8 @@ def test_fitness_adds_robot_totals_left_to_right():
     # and would score 6.0.
     table = [[0.1, 9, 9], [9, 0.2, 9], [9, 9, 0.3], [0, 9, 9], [9, 0, 9], [9, 9, 0]]
     grand = 0.1 + 0.2 + 0.3
-    assert _scorer(table, 3, 3)([1, -1, 2, -2, 3]) == 1 / (grand / 9 + 0.3 / 3)
+    # [1, -1, 2, -2, 3] in evolve's gene code, where delimiter -d is gene 3 + d.
+    assert _scorer(table, 3, 3)([1, 4, 2, 5, 3]) == 1 / (grand / 9 + 0.3 / 3)
 
 
 def test_fitness_zero_distance_sentinel():
@@ -207,6 +209,39 @@ def test_crossover_rejects_a_cut_point_of_the_wrong_type():
     for i, j in (("2", 3), (2, None)):
         with pytest.raises(ConfigurationError, match=rf"^cut points \({i!r}, {j!r}\) must be integers$"):
             crossover(PARENT_1, PARENT_2, i, j)
+
+
+def test_crossover_on_bytes_rejects_the_cut_points_a_list_rejects():
+    # evolve crosses bytes in its gene code, where delimiter -d is gene 7 + d.
+    b1, b2 = bytes(encode(PARENT_1, 7)), bytes(encode(PARENT_2, 7))
+    for i, j in ((0, 4), (7, 6), (1, 11), (2.0, 3), (2, 3.5), ("2", 3), (2, None)):
+        with pytest.raises(ConfigurationError) as on_list:
+            crossover(PARENT_1, PARENT_2, i, j)
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(str(on_list.value))}$"):
+            crossover(b1, b2, i, j)
+
+
+@st.composite
+def crossings(draw):
+    """Two public parents of at most 255 genes and cut points i..j."""
+    n = draw(st.integers(1, 100))
+    k = draw(st.integers(1, 256 - n))
+    pool = gene_pool(n, k)
+    parent1 = draw(st.permutations(pool))
+    parent2 = draw(st.one_of(st.just(parent1), st.permutations(pool)))
+    i = draw(st.integers(1, len(pool)))
+    j = draw(st.integers(i, len(pool)))
+    return k, parent1, parent2, i, j
+
+
+@given(crossings())
+@example((7, PARENT_1, PARENT_2, 3, 6))
+@example((255, list(range(1, 256)), list(range(255, 0, -1)), 1, 255))
+def test_crossover_on_bytes_matches_the_list_crossover(crossing):
+    k, parent1, parent2, i, j = crossing
+    child = crossover(bytes(encode(parent1, k)), bytes(encode(parent2, k)), i, j)
+    assert type(child) is bytes
+    assert child == bytes(encode(crossover(parent1, parent2, i, j), k))
 
 
 def test_mutate_single_point_is_identity():
@@ -518,6 +553,35 @@ def test_evolve_matches_oracle_on_random_configs():
         assert evolve(cfg, starts, tasks, store, seed) == allocator_oracle.evolve(
             cfg, starts, tasks, store, seed
         ), (case, cfg, seed)
+
+
+@pytest.mark.parametrize(
+    "n_robots, n_tasks, kind",
+    [(55, 201, bytes), (56, 201, list), (120, 200, list)],
+)
+def test_evolve_matches_oracle_on_either_side_of_the_bytes_limit(monkeypatch, n_robots, n_tasks, kind):
+    # evolve holds chromosomes as bytes up to N + K - 1 = 255 genes and as
+    # lists above; the oracle crosses public lists at every size.
+    rng = random.Random(n_robots * 1000 + n_tasks)
+    cells = rng.sample([Position(x, y) for x in range(40) for y in range(40)], n_robots + n_tasks)
+    starts, tasks = cells[:n_robots], cells[n_robots:]
+    store = HeuristicStore(eta=0.5)
+    for _ in range(200):
+        a, b = rng.sample(cells, 2)
+        store.learn(a, b, rng.uniform(0.0, 60.0))
+    cfg = GAConfig(population_size=8, max_generations=6, mutation_probability=0.5)
+
+    kinds = Counter()
+
+    def typed_crossover(parent1, parent2, i, j):
+        kinds[type(parent1), type(parent2)] += 1
+        return crossover(parent1, parent2, i, j)
+
+    monkeypatch.setattr("warefleet.allocator.crossover", typed_crossover)
+    best, history = evolve(cfg, starts, tasks, store, 5)
+    assert (best, history) == allocator_oracle.evolve(cfg, starts, tasks, store, 5)
+    assert type(best) is list and min(best) == 1 - n_robots
+    assert set(kinds) == {(kind, kind)}
 
 
 def test_evolve_matches_oracle_at_benchmark_size(monkeypatch):

@@ -102,6 +102,14 @@ def test_metrics_row_column_order():
     assert float(row[3]) == report.j1  # repr round-trips
 
 
+def test_scenario_rejects_a_placement_list_that_is_not_iterable():
+    # Used to end in "TypeError: 'int' object is not iterable".
+    world = generate_layout_sized(21, 12)
+    for name, label in ("robot_starts", "robot starts"), ("task_positions", "task positions"):
+        with pytest.raises(ConfigurationError, match=f"^{label} must be iterable, got 5$"):
+            Scenario(world=world, n_robots=1, n_tasks=1, **{name: 5})
+
+
 def test_scenario_validation():
     room = open_room(8, 8)
     with pytest.raises(ConfigurationError):

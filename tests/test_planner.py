@@ -469,6 +469,20 @@ def test_run_until_done_rejects_cells_off_the_floor():
     assert leg.start is cells[44] and leg.end is cells[44]
 
 
+def test_run_until_done_rejects_a_task_list_that_is_not_iterable():
+    # Used to end in "TypeError: 'int' object is not iterable"; any iterable
+    # of cells, such as a tuple, is a task list.
+    world = generate_layout_sized(21, 12)
+    robots = [make_robot(Position(1, 1), Position(2, 1)), RobotState(pos=(1, 2), tasks=5)]
+    with pytest.raises(ConfigurationError, match="^robot 1 tasks must be iterable, got 5$"):
+        run_until_done(robots, world, PARAMS, 10)
+    assert robots[0].pos == Position(1, 1) and robots[1].segment_log == []
+    robot = RobotState(pos=(1, 1), tasks=((2, 1), (2, 2)))
+    trace = run_until_done([robot], world, PARAMS, 10)
+    assert trace.outcome == COMPLETED and robot.tasks == []
+    assert [leg.end for leg in trace.segments[0]] == [world.cells[23], world.cells[44]]
+
+
 def test_format_trace_lines():
     trace = SimTrace(
         positions=[(Position(1, 2), Position(3, 4)), (Position(1, 3), Position(3, 4))],
