@@ -4,7 +4,7 @@ An allocation of K task cells to N robots is encoded as one permutation
 of the task indices 1..K (gene t names the t-th task cell) and N-1
 negative delimiter genes: the runs of task indices between delimiters are
 the ordered task lists of robots 1..N. This public encoding is what
-`decode`, `validate_chromosome`, `gene_pool` and `evolve`'s result use.
+`decode`, `validate_chromosome` and `evolve`'s result use.
 
 Inside `evolve` a chromosome is held in a gene code of positive genes only:
 task t is gene t and delimiter -d is gene K + d, so the genes are 1..N+K-1.
@@ -102,11 +102,6 @@ class HeuristicStore:
             return
         current = self.estimate(a, b)
         self._estimates[a, b] = self._estimates[b, a] = current + self.eta * (realized - current)
-
-
-def gene_pool(n_robots: int, n_tasks: int) -> list[int]:
-    """The full gene multiset: task indices 1..K plus delimiters -1..-(N-1)."""
-    return list(range(1, n_tasks + 1)) + [-d for d in range(1, n_robots)]
 
 
 def validate_chromosome(genes: Chromosome, n_robots: int, n_tasks: int) -> None:
@@ -255,7 +250,7 @@ def evolve(
     size = cfg.population_size
     by_fitness = itemgetter(0)
 
-    all_genes = list(range(1, length + 1))  # gene_pool in the gene code
+    all_genes = list(range(1, length + 1))  # every task and delimiter gene
     population = []
     for _ in range(size):
         genes = all_genes.copy()

@@ -5,11 +5,15 @@ Subcommands:
   sweep       run an (N, K, seed) grid and write per-run plus summary CSV
   gen-layout  write a tiled warehouse layout document
 
-Scenario files are flat `key = value` text with `#` comments. Position
-lists are flat comma-separated integers taken in x,y pairs, e.g.
-`robot_starts = 1,1, 5,9`. A `layout` value is either `generate:WIDTHxHEIGHT`
-or the path of a layout document, resolved relative to the scenario file.
-All outputs are written atomically (temp file, then rename).
+Scenario files are flat `key = value` text with `#` comments, read
+through one key table. Position lists are flat comma-separated integers
+taken in x,y pairs, e.g. `robot_starts = 1,1, 5,9`. A `layout` value is
+either `generate:WIDTHxHEIGHT` or the path of a layout document, resolved
+relative to the scenario file. A fault in a file is one error naming a
+line: a value that does not parse names its key, and a failed check the
+first key, in table order, at which the file's values up to it fail; that
+is the layout when the defaults fail. All outputs are written atomically
+(temp file, then rename).
 """
 
 from __future__ import annotations
@@ -78,30 +82,46 @@ def _parse_positions(raw: str) -> tuple[tuple[int, int], ...]:
     return tuple(zip(numbers[::2], numbers[1::2]))
 
 
-# Scenario keys other than `layout`, grouped by the object they configure:
-# key -> (the field it sets, the parser of its value). A fault is named at
-# the first key, in this order, that brings it about, so a count comes
-# before its positions.
-_POTENTIAL_KEYS = {
-    "gamma": ("gamma", float),
-    "alpha": ("alpha", float),
-    "sensor_radius": ("sensor_radius", int),
+# Every scenario key: key -> (the object it configures, the field it sets,
+# the parser of its value; build_scenario reads the layout). Values are
+# parsed, and faults named, in this order, so the layout comes first and a
+# count comes before its positions.
+_SCENARIO_KEYS = {
+    "layout": (Scenario, "world", None),
+    "gamma": (PotentialParams, "gamma", float),
+    "alpha": (PotentialParams, "alpha", float),
+    "sensor_radius": (PotentialParams, "sensor_radius", int),
+    "population": (GAConfig, "population_size", int),
+    "generations": (GAConfig, "max_generations", int),
+    "mutation_prob": (GAConfig, "mutation_probability", float),
+    "n_robots": (Scenario, "n_robots", int),
+    "n_tasks": (Scenario, "n_tasks", int),
+    "robot_starts": (Scenario, "robot_starts", _parse_positions),
+    "task_positions": (Scenario, "task_positions", _parse_positions),
+    "eta": (Scenario, "eta", float),
+    "step_cap": (Scenario, "step_cap", int),
+    "seed": (Scenario, "seed", int),
 }
-_GA_KEYS = {
-    "population": ("population_size", int),
-    "generations": ("max_generations", int),
-    "mutation_prob": ("mutation_probability", float),
-}
-_RUN_KEYS = {
-    "n_robots": ("n_robots", int),
-    "n_tasks": ("n_tasks", int),
-    "robot_starts": ("robot_starts", _parse_positions),
-    "task_positions": ("task_positions", _parse_positions),
-    "eta": ("eta", float),
-    "step_cap": ("step_cap", int),
-    "seed": ("seed", int),
-}
-_SCENARIO_KEYS = {"layout", *_POTENTIAL_KEYS, *_GA_KEYS, *_RUN_KEYS}
+
+
+def _build(items) -> Scenario:
+    """The scenario that (key, parsed value) items configure, with one robot
+    and one task by default."""
+    fields = {PotentialParams: {}, GAConfig: {}, Scenario: {"n_robots": 1, "n_tasks": 1}}
+    for key, value in items:
+        owner, name, _ = _SCENARIO_KEYS[key]
+        fields[owner][name] = value
+    potential, ga = PotentialParams(**fields[PotentialParams]), GAConfig(**fields[GAConfig])
+    return Scenario(**fields[Scenario], potential=potential, ga=ga)
+
+
+def _fault(items) -> str | None:
+    """The message of the check that the scenario of items fails, if any."""
+    try:
+        _build(items)
+    except ValueError as exc:
+        return str(exc)
+    return None
 
 
 def _read_text(path: Path) -> str:
@@ -134,72 +154,47 @@ def read_scenario_file(path: str | Path) -> dict[str, tuple[str, int]]:
 
 
 def build_scenario(path: str | Path, seed_override: int | None = None) -> Scenario:
-    """Load a scenario document, resolving its layout and applying defaults."""
+    """Load a scenario document, resolving its layout and applying defaults.
+
+    Every value is parsed once, in table order, and a value that does not
+    parse is a LoadError at its line; a layout document's own LoadErrors
+    carry their line in that document. The objects are then built once. If
+    a check fails, growing prefixes of the keys found are rebuilt to name
+    the first key at which its message appears. Only the whole set must
+    pass, so two counts may add up to more than the floor holds when the
+    file gives their cells.
+    """
     path = Path(path)
     values = read_scenario_file(path)
-
-    def configured(make, keys, **defaults):
-        """make(**defaults) with the field of each of keys that the file sets.
-        A value that does not parse ends as a LoadError at its key's line, and
-        so does a fault that make's checks find: at the first key from which
-        on the file's values give that fault, such as the count that
-        overflows the floor. Only the whole set must pass, so two counts may
-        add up to more than the floor holds when the file gives their cells."""
-        fields, found = {}, []
-        for key, (name, parse) in keys.items():
-            if key in values:
-                text, line = values[key]
-                try:
-                    fields[name] = parse(text)
-                except ValueError as exc:
-                    raise LoadError(f"{key}: {exc}", line=line) from None
-                found.append((key, line))
-        try:
-            return make(**{**defaults, **fields})
-        except ValueError as exc:
-            fault = str(exc)
-            for count, (key, line) in enumerate(found, 1):
-                try:
-                    make(**{**defaults, **dict(list(fields.items())[:count])})
-                except ValueError as again:
-                    if str(again) == fault:
-                        raise LoadError(f"{key}: {fault}", line=line) from None
-            raise
-
     if "layout" not in values:
         raise LoadError("scenario is missing the 'layout' key")
-    layout_value, layout_line = values["layout"]
-    # A world the layout's numbers cannot make ends as an error at its line;
-    # a layout document's own LoadErrors carry their line in that document.
-    try:
-        if layout_value.startswith("generate:"):
-            size = layout_value[len("generate:") :]
-            try:
-                width_text, height_text = size.lower().split("x", 1)
-                width, height = int(width_text), int(height_text)
-            except ValueError as exc:
-                raise LoadError(
-                    f"layout: expected generate:WIDTHxHEIGHT, got {layout_value!r}",
-                    line=layout_line,
-                ) from exc
-            world = generate_layout_sized(width, height)
-        else:
-            layout_path = Path(layout_value)
-            if not layout_path.is_absolute():
-                layout_path = path.parent / layout_path
-            world = parse_layout(_read_text(layout_path))
-    except ConfigurationError as exc:
-        raise LoadError(f"layout: {exc}", line=layout_line) from None
 
-    scenario = configured(
-        Scenario,
-        _RUN_KEYS,
-        world=world,
-        n_robots=1,
-        n_tasks=1,
-        potential=configured(PotentialParams, _POTENTIAL_KEYS),
-        ga=configured(GAConfig, _GA_KEYS),
-    )
+    def load_world(text: str):
+        if not text.startswith("generate:"):
+            return parse_layout(_read_text(path.parent / text))
+        width, _, height = text[len("generate:") :].lower().partition("x")
+        try:
+            size = int(width), int(height)
+        except ValueError:
+            raise ValueError(f"expected generate:WIDTHxHEIGHT, got {text!r}") from None
+        return generate_layout_sized(*size)
+
+    items = []  # (key, parsed value) of each key the file sets, in table order
+    for key, (_, _, parse) in _SCENARIO_KEYS.items():
+        if key in values:
+            text, line = values[key]
+            try:
+                items.append((key, (parse or load_world)(text)))
+            except LoadError:
+                raise
+            except ValueError as exc:
+                raise LoadError(f"{key}: {exc}", line=line) from None
+    try:
+        scenario = _build(items)
+    except ValueError as exc:
+        # The last prefix is every key found, so some key is named.
+        key = next(key for n, (key, _) in enumerate(items, 1) if _fault(items[:n]) == str(exc))
+        raise LoadError(f"{key}: {exc}", line=values[key][1]) from None
     if seed_override is not None:
         scenario = replace(scenario, seed=seed_override)
     return scenario

@@ -177,26 +177,19 @@ def _resolve_placements(
 ) -> tuple[list[Position], list[Position]]:
     """Explicit cells when given, otherwise uniform draws without replacement.
 
-    Random starts and tasks are drawn from one no-replacement sample, so all
-    placed cells are distinct from each other; the scenario has checked that
-    the floor holds them.
+    Random starts and tasks are drawn in one no-replacement sample from the
+    floor cells that the given ones leave, so all placed cells are distinct
+    from each other; the scenario has checked that the floor holds them.
     """
-    starts = list(sc.robot_starts) if sc.robot_starts is not None else None
-    tasks = list(sc.task_positions) if sc.task_positions is not None else None
-    if starts is not None and tasks is not None:
-        return starts, tasks
-    pool = sc.world.floor
-    taken = set(starts or []) | set(tasks or [])
-    if taken:
-        pool = [cell for cell in pool if cell not in taken]
+    starts, tasks = sc.robot_starts, sc.task_positions
+    given = {*(starts or ()), *(tasks or ())}
+    pool = [cell for cell in sc.world.floor if cell not in given] if given else sc.world.floor
     needed = (sc.n_robots if starts is None else 0) + (sc.n_tasks if tasks is None else 0)
     drawn = rng.sample(pool, needed)
-    if starts is None:
-        starts = drawn[: sc.n_robots]
-        drawn = drawn[sc.n_robots :]
-    if tasks is None:
-        tasks = drawn
-    return starts, tasks
+    return (
+        list(starts) if starts is not None else drawn[: sc.n_robots],
+        list(tasks) if tasks is not None else drawn[needed - sc.n_tasks :],
+    )
 
 
 def compute_metrics(trace: SimTrace, optima: list[int], n_tasks: int, seed: int) -> MetricsReport:

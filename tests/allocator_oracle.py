@@ -1,9 +1,11 @@
 """Reference pieces of the allocator for tests.
 
-`fitness` scores one chromosome from scratch: it checks the genes and
-builds the heuristic table on every call, then applies the scorer that
-`allocator.evolve` uses. `scorer` builds that function once per instance,
-for loops over many chromosomes known to be valid. Both take chromosomes in
+`gene_pool` is the full gene multiset of the public encoding: task
+indices 1..K and delimiters -1..-(N-1). `fitness` scores one chromosome
+from scratch: it checks the genes and builds the heuristic table on every
+call, then applies the scorer that `allocator.evolve` uses. `scorer`
+builds that function once per instance, for loops over many chromosomes
+known to be valid. Both take chromosomes in
 the public encoding (negative delimiters) and write each one in `evolve`'s
 gene code (`encode`) before scoring it.
 
@@ -31,7 +33,6 @@ from warefleet.allocator import (
     HeuristicStore,
     _scorer,
     crossover,
-    gene_pool,
     validate_chromosome,
 )
 from warefleet.errors import ConfigurationError
@@ -54,6 +55,11 @@ def fitness(genes, starts, tasks, store: HeuristicStore) -> float:
     score = scorer(starts, tasks, store)
     validate_chromosome(genes, len(starts), len(tasks))
     return score(genes)
+
+
+def gene_pool(n_robots: int, n_tasks: int) -> list[int]:
+    """The full gene multiset: task indices 1..K plus delimiters -1..-(N-1)."""
+    return list(range(1, n_tasks + 1)) + [-d for d in range(1, n_robots)]
 
 
 def random_chromosome(n_robots: int, n_tasks: int, rng: random.Random):

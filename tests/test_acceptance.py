@@ -19,7 +19,6 @@ from warefleet.allocator import (
     crossover,
     decode,
     evolve,
-    gene_pool,
 )
 from warefleet.baseline import shortest_path
 from warefleet.engine import Scenario, run_scenario
@@ -34,6 +33,7 @@ from warefleet.planner import (
 from warefleet.potential import PotentialParams
 
 import allocator_oracle
+from allocator_oracle import gene_pool
 from conftest import TRACE_FAULTS, bfs_length, random_world, trace_faults
 from potential_oracle import check_divergence_condition
 

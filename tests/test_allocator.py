@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import allocator_oracle
-from allocator_oracle import encode, mutate, random_chromosome
+from allocator_oracle import encode, gene_pool, mutate, random_chromosome
 from warefleet.allocator import (
     GAConfig,
     HeuristicStore,
@@ -18,7 +18,6 @@ from warefleet.allocator import (
     _draws,
     _scorer,
     evolve,
-    gene_pool,
 )
 from warefleet.engine import Scenario, run_scenario
 from warefleet.errors import ConfigurationError

@@ -1,15 +1,20 @@
+import contextlib
 import csv
+import io
 import json
 import re
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from warefleet import cli, engine, potential
 from warefleet.allocator import GAConfig
 from warefleet.cli import build_scenario, main, read_scenario_file
 from warefleet.engine import Scenario, default_step_cap, run_scenario
 from warefleet.errors import LoadError
-from warefleet.gridworld import Position, parse_layout
+from warefleet.gridworld import Position, document_lines, parse_layout
 from warefleet.planner import CAP_REACHED, format_trace
 
 from conftest import run_python
@@ -718,6 +723,174 @@ def test_given_cells_may_outnumber_the_free_floor(tmp_path):
     sc = build_scenario(cfg)
     assert (sc.n_robots, sc.n_tasks) == (3, 3)
     assert main(["run", "--scenario", str(cfg), "--out", str(tmp_path / "x.csv")]) == 0
+
+
+# A floor of one cell, which cannot hold the default robot and task.
+ONE_CELL_LAYOUT = "###\n#.#\n###\n"
+# Two rooms of four cells each, with no way between them.
+SPLIT_LAYOUT = "#######\n#..#..#\n#..#..#\n#######\n"
+ONE_CELL_OVERFLOW = "layout has only 1 free cells for 2 random placements"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "layout = one.layout\n",
+        "gamma = 2\nlayout = one.layout\npopulation = 4\nmutation_prob = 0.5\n",
+        "n_robots = 1\nlayout = one.layout\n",
+    ],
+    ids=["layout-only", "potential-and-ga-keys", "default-count"],
+)
+def test_defaults_that_overflow_the_floor_name_the_layout_line(tmp_path, capsys, text):
+    (tmp_path / "one.layout").write_text(ONE_CELL_LAYOUT, encoding="utf-8")
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text(text, encoding="utf-8")
+    out = tmp_path / "x.csv"
+    assert main(["run", "--scenario", str(cfg), "--out", str(out)]) == 1
+    line = text.splitlines().index("layout = one.layout") + 1
+    assert capsys.readouterr().err == f"error: layout: {ONE_CELL_OVERFLOW} (line {line})\n"
+    assert not out.exists()
+
+
+def test_a_value_that_does_not_parse_is_named_before_a_failed_check(tmp_path, capsys):
+    # gamma parses but fails its check; n_robots does not parse. Every value
+    # is parsed before any object is built, so n_robots is named.
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text("gamma = 0.5\nlayout = generate:21x20\nn_robots = abc\n", encoding="utf-8")
+    out = tmp_path / "x.csv"
+    assert main(["run", "--scenario", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: n_robots: invalid literal for int() with base 10: 'abc' (line 3)\n"
+    )
+    assert not out.exists()
+
+
+def test_layout_path_with_a_null_byte_is_an_error_at_its_line(tmp_path, capsys):
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text("n_robots = 1\nlayout = a\0b.layout\n", encoding="utf-8")
+    out = tmp_path / "x.csv"
+    assert main(["run", "--scenario", str(cfg), "--out", str(out)]) == 1
+    message = capsys.readouterr().err
+    assert message.startswith("error: layout: ") and message.endswith(" (line 2)\n")
+    assert "null" in message and message.count("\n") == 1
+    assert not out.exists()
+
+
+# The fuzzer's values for each scenario key: ones that pass, and ones that
+# do not parse or fail a check. Every size that can run is small: at most
+# 6 robots and tasks, and a population and generation count of at most 4.
+_BAD_NUMBERS = ["nan", "inf", "-inf", "-1", "abc", "", "2x"]
+_FUZZ_VALUES = {
+    key: (st.sampled_from(good), st.sampled_from([*bad, *_BAD_NUMBERS]))
+    for key, good, bad in [
+        ("gamma", ["15", "1.5", "2e1"], ["1", "0", "0.5"]),
+        ("alpha", ["0.05", "0", "0.9"], ["1", "1e9"]),
+        ("sensor_radius", ["3", "2", "5"], ["1", "0", "2.5"]),
+        ("population", ["2", "3", "4"], ["1", "0", "4.0"]),
+        ("generations", ["1", "2", "4"], ["0", "1.5"]),
+        ("mutation_prob", ["0.2", "0", "1"], ["1.5"]),
+        ("n_robots", ["1", "2", "3", "6"], ["0", "1.0"]),
+        ("n_tasks", ["1", "2", "4", "6"], ["0", "1.0"]),
+        ("eta", ["0.5", "1", "0.01"], ["0", "1.5"]),
+        ("step_cap", ["0", "1", "5", "40"], ["-2", "1.5"]),
+        ("seed", ["0", "7", "-5", str(2**70)], ["1.5"]),
+    ]
+}
+_FUZZ_VALUES["layout"] = (
+    st.one_of(
+        st.builds("generate:{}x{}".format, st.integers(5, 12), st.integers(4, 12)),
+        st.sampled_from(["one.layout", "split.layout"]),
+    ),
+    st.sampled_from(["generate:3x3", "generate:-4x8", "generate:banana", "generate:10",
+                     "a\0.layout"]),
+)
+# Cells in x 1..3, y 1..2 are floor on every layout generated here, and four
+# of them on the split one. A bad list is off the floor, odd or not integers.
+_CELLS = st.lists(st.tuples(st.integers(1, 3), st.integers(1, 2)), unique=True, max_size=6)
+_BAD_CELLS = st.one_of(
+    st.lists(st.sampled_from(["0", "-1", "1", "2", "13", "x", "1.5", "nan"]), max_size=7),
+    st.lists(st.integers(1, 3).map(str), min_size=1, max_size=7).filter(lambda xs: len(xs) % 2),
+)
+_FUZZ_VALUES["robot_starts"] = _FUZZ_VALUES["task_positions"] = (
+    _CELLS.map(lambda cells: ", ".join(f"{x},{y}" for x, y in cells)),
+    _BAD_CELLS.map(", ".join),
+)
+
+
+def _one_in(draw, n: int) -> bool:
+    """True in about one draw of n; False once Hypothesis shrinks it."""
+    return draw(st.integers(0, 2 * n - 1)) == n
+
+
+@st.composite
+def scenario_documents(draw) -> bytes:
+    """A scenario file built from cli's key table, then mutated: at most two
+    bad values, keys dropped, reordered and duplicated, comments and blank
+    lines, a BOM, non-ASCII or non-UTF-8 bytes, and LF, CR LF or CR line ends."""
+    assert set(_FUZZ_VALUES) == set(cli._SCENARIO_KEYS)
+    keys = [key for key in cli._SCENARIO_KEYS if key != "layout"]
+    chosen = draw(st.lists(st.sampled_from(keys), unique=True))
+    if not _one_in(draw, 20):
+        chosen.insert(draw(st.integers(0, len(chosen))), "layout")
+    values = {key: draw(_FUZZ_VALUES[key][0]) for key in chosen}
+    if chosen:
+        for key in draw(st.lists(st.sampled_from(chosen), unique=True, max_size=2)):
+            values[key] = draw(_FUZZ_VALUES[key][1])
+    if values.get("layout") == "split.layout":
+        # A task in the other room runs to the cap, so the cap is kept small.
+        if "step_cap" not in chosen:
+            chosen.append("step_cap")
+        values["step_cap"] = str(draw(st.integers(1, 30)))
+    lines = [f"{key}{draw(st.sampled_from([' = ', '=', '  =  ']))}{values[key]}" for key in chosen]
+    if lines and _one_in(draw, 5):
+        key = draw(st.sampled_from(chosen))
+        lines.insert(draw(st.integers(0, len(lines))), f"{key} = {draw(_FUZZ_VALUES[key][0])}")
+    comments = st.sampled_from(["# note", "  # café", "", "   ", "# ☃ snow"])
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(comments))
+    if lines and draw(st.booleans()):
+        lines[draw(st.integers(0, len(lines) - 1))] += draw(comments)
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = ("\ufeff" if _one_in(draw, 10) else "") + newline.join(lines)
+    data = (text + draw(st.sampled_from([newline, ""]))).encode("utf-8")
+    if _one_in(draw, 10):  # a Latin-1 byte, which is not UTF-8
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + b"\xe9" + data[at:]
+    return data
+
+
+@settings(deadline=None, max_examples=150)
+@given(scenario_documents())
+@example(b"layout = one.layout\n")
+@example(b"layout = one.layout\ngamma = 2\npopulation = 4\n")
+@example(b"layout = one.layout\nn_robots = 1\n")
+@example(b"gamma = 0.5\nlayout = generate:21x20\nn_robots = abc\n")
+def test_fuzzed_scenario_file_ends_in_a_result_or_one_error_line(document):
+    # Exit 0 with the output written, or exit 1 with one `error:` line that
+    # names a line of the file (unless the layout key is missing) and no
+    # output; no exception escapes.
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "one.layout").write_text(ONE_CELL_LAYOUT, encoding="utf-8")
+        (tmp / "split.layout").write_text(SPLIT_LAYOUT, encoding="utf-8")
+        cfg, out = tmp / "s.cfg", tmp / "x.csv"
+        cfg.write_bytes(document)
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr):
+            code = main(["run", "--scenario", str(cfg), "--out", str(out)])
+        written = sorted(path.name for path in tmp.iterdir())
+    message = stderr.getvalue()
+    inputs = ["one.layout", "s.cfg", "split.layout"]
+    if code == 0:
+        assert message == "" and written == sorted([*inputs, "x.csv"])
+        return
+    assert code == 1 and written == inputs
+    assert message.startswith("error: ") and message.count("\n") == 1 and message.endswith("\n")
+    if message != "error: scenario is missing the 'layout' key\n":
+        named = re.search(r"\(line (\d+)\)$", message.rstrip("\n"))
+        assert named, message
+        n_lines = len(document_lines(document.decode("utf-8", "replace")))
+        assert 1 <= int(named.group(1)) <= n_lines, message
 
 
 def test_removed_commands_are_invalid_choices(scenario_file, tmp_path, capsys):
