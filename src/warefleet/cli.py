@@ -9,7 +9,8 @@ Scenario files are flat `key = value` text with `#` comments, read
 through one key table. Position lists are flat comma-separated integers
 taken in x,y pairs, e.g. `robot_starts = 1,1, 5,9`. A `layout` value is
 either `generate:WIDTHxHEIGHT` or the path of a layout document, resolved
-relative to the scenario file. A fault in a file is one error naming a
+relative to the scenario file. Documents are UTF-8, less a leading
+byte-order mark. A fault in a file is one error naming a
 line: a value that does not parse names its key, and a failed check the
 first key, in table order, at which the file's values up to it fail; that
 is the layout when the defaults fail. All outputs are written atomically
@@ -19,6 +20,7 @@ is the layout when the defaults fail. All outputs are written atomically
 from __future__ import annotations
 
 import argparse
+import codecs
 import csv
 import io
 import json
@@ -125,8 +127,9 @@ def _fault(items) -> str | None:
 
 
 def _read_text(path: Path) -> str:
-    """A UTF-8 document's text; a byte that does not decode is a LoadError at its line."""
-    data = path.read_bytes()
+    """A UTF-8 document's text, less a leading byte-order mark; a byte that
+    does not decode is a LoadError at its line."""
+    data = path.read_bytes().removeprefix(codecs.BOM_UTF8)
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -171,7 +174,11 @@ def build_scenario(path: str | Path, seed_override: int | None = None) -> Scenar
 
     def load_world(text: str):
         if not text.startswith("generate:"):
-            return parse_layout(_read_text(path.parent / text))
+            try:
+                layout = _read_text(path.parent / text)
+            except OSError as exc:
+                raise ValueError(f"cannot read {text!r}: {exc.strerror}") from None
+            return parse_layout(layout)
         width, _, height = text[len("generate:") :].lower().partition("x")
         try:
             size = int(width), int(height)

@@ -1,10 +1,9 @@
-"""Shared helpers: hand-built worlds, independent path oracles and a
+"""Shared helpers: hand-built worlds, the trace audit, a flood fill and a
 fresh-process runner."""
 
 import os
 import subprocess
 import sys
-from collections import deque
 
 import pytest
 
@@ -45,25 +44,6 @@ def random_world(rng) -> GridWorld:
         for y in range(1, height - 1):
             grid[y * width + x] = rng.random() < density
     return GridWorld(width, height, grid)
-
-
-def bfs_length(world: GridWorld, start: Position, goal: Position) -> int | None:
-    """Breadth-first shortest path length; independent of the A* module."""
-    if start == goal:
-        return 0
-    seen = {start}
-    queue = deque([(start, 0)])
-    while queue:
-        cell, dist = queue.popleft()
-        for step in ((0, -1), (1, 0), (0, 1), (-1, 0)):
-            nxt = Position(cell.x + step[0], cell.y + step[1])
-            if nxt in seen or nxt not in world.reachable:
-                continue
-            if nxt == goal:
-                return dist + 1
-            seen.add(nxt)
-            queue.append((nxt, dist + 1))
-    return None
 
 
 TRACE_FAULTS = ("collisions", "teleports", "swaps", "task_regressions")

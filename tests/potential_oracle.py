@@ -4,8 +4,9 @@ definitions and evaluated one source at a time.
 The simulator evaluates its terms through precomputed tables; tests check
 the planner's descent step and the obstacle field against these formulas.
 The closed-form mean and divergence condition of the excite/relax
-recursion are here too: tests check them against seeded simulations. So is
-the proximity-sensor reading, found by scanning the whole fleet.
+recursion are here too, with the seeded simulation that tests check them
+against. So is the proximity-sensor reading, found by scanning the whole
+fleet.
 """
 
 import math
@@ -157,6 +158,27 @@ def check_divergence_condition(p: float, gamma: float, alpha: float) -> bool:
         raise ConfigurationError(f"occupancy frequency must lie in (0, 1), got {p}")
     beta = p * gamma + (1.0 - p) * (1.0 - alpha)
     return beta > 1.0
+
+
+# An excited value is clamped here, so a divergent path stays finite.
+RECURSION_CLAMP = 1e280
+
+
+def recursion_path(p: float, gamma: float, alpha: float, u_init: float, rng):
+    """The excite/relax recursion from u_init, one value per tick, forever.
+
+    Each tick draws rng.random(): below p the value is excited (and clamped
+    at RECURSION_CLAMP), otherwise relaxed toward u_init. The two steps are
+    written out, as in excite and relax, to keep 10^5-tick paths fast.
+    """
+    u = u_init
+    keep, pull = 1.0 - alpha, alpha * u_init
+    while True:
+        if rng.random() < p:
+            u = min(u * gamma, RECURSION_CLAMP)
+        else:
+            u = keep * u + pull
+        yield u
 
 
 def expected_potential(steps: int, p: float, gamma: float, alpha: float, u_init: float) -> float:

@@ -1,3 +1,4 @@
+import codecs
 import contextlib
 import csv
 import io
@@ -14,7 +15,13 @@ from warefleet.allocator import GAConfig
 from warefleet.cli import build_scenario, main, read_scenario_file
 from warefleet.engine import Scenario, default_step_cap, run_scenario
 from warefleet.errors import LoadError
-from warefleet.gridworld import Position, document_lines, parse_layout
+from warefleet.gridworld import (
+    Position,
+    document_lines,
+    generate_layout_sized,
+    parse_layout,
+    serialize_layout,
+)
 from warefleet.planner import CAP_REACHED, format_trace
 
 from conftest import run_python
@@ -687,6 +694,43 @@ def test_non_utf8_file_is_load_error_with_line(tmp_path, capsys, bad_file):
     assert not out.exists()
 
 
+def test_byte_order_marks_are_ignored(tmp_path):
+    # Some editors save UTF-8 with a leading byte-order mark; a scenario and
+    # a layout document saved so run as the same documents without it.
+    layout = serialize_layout(generate_layout_sized(14, 12)).encode("utf-8")
+    outputs = []
+    for name, mark in (("plain", b""), ("marked", codecs.BOM_UTF8)):
+        (tmp_path / f"{name}.layout").write_bytes(mark + layout)
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_bytes(mark + MINI_SCENARIO.replace("generate:14x12", f"{name}.layout").encode())
+        out, trace = tmp_path / f"{name}.csv", tmp_path / f"{name}.txt"
+        assert main(["run", "--scenario", str(cfg), "--out", str(out), "--trace", str(trace)]) == 0
+        outputs.append((_masked_csv(out), trace.read_bytes()))
+    assert outputs[0] == outputs[1]
+
+
+def test_bad_byte_after_a_byte_order_mark_is_named_at_its_line(tmp_path):
+    # Offsets count from the file's first byte, mark included: the byte
+    # named is the 0xff on line 2, not the line feed five bytes past the mark.
+    cfg = tmp_path / "s.cfg"
+    cfg.write_bytes(codecs.BOM_UTF8 + b"ab\ncd\xff")
+    with pytest.raises(LoadError, match=r": byte 0xff is not UTF-8 \(line 2\)$"):
+        read_scenario_file(cfg)
+
+
+@pytest.mark.parametrize("value", ["", "nope.layout"])
+def test_unreadable_layout_path_is_an_error_at_its_line(tmp_path, capsys, value):
+    # An empty value names the scenario's own directory, and the other no
+    # file; each is an error at the layout's line, not an i/o error.
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text(f"n_robots = 1\nlayout = {value}\n", encoding="utf-8")
+    out = tmp_path / "x.csv"
+    assert main(["run", "--scenario", str(cfg), "--out", str(out)]) == 1
+    message = capsys.readouterr().err
+    assert re.fullmatch(rf"error: layout: cannot read {re.escape(repr(value))}: .+ \(line 2\)\n", message)
+    assert not out.exists()
+
+
 def test_layout_file_too_small_is_load_error_with_line(tmp_path, capsys):
     (tmp_path / "tiny.layout").write_text("##\n##\n", encoding="utf-8")
     cfg = tmp_path / "s.cfg"
@@ -802,7 +846,7 @@ _FUZZ_VALUES["layout"] = (
         st.sampled_from(["one.layout", "split.layout"]),
     ),
     st.sampled_from(["generate:3x3", "generate:-4x8", "generate:banana", "generate:10",
-                     "a\0.layout"]),
+                     "a\0.layout", "", "missing.layout"]),
 )
 # Cells in x 1..3, y 1..2 are floor on every layout generated here, and four
 # of them on the split one. A bad list is off the floor, odd or not integers.

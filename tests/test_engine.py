@@ -93,6 +93,13 @@ def test_compute_metrics_no_completed_leg_leaves_j1_undefined():
     assert written(report, "j1", csv=False) is None
 
 
+def test_compute_metrics_of_a_trace_with_no_tick():
+    # No tick and no completed leg: the throughput is zero, not a division
+    # by zero, and J1 is undefined.
+    report = compute_metrics(make_trace([[]], k_total=0), [0], n_tasks=1, seed=0)
+    assert report.j4 == 0.0 and math.isnan(report.j1)
+
+
 def test_metrics_row_column_order():
     trace = make_trace([[seg(10)]], k_total=10)
     report = compute_metrics(trace, [10], n_tasks=1, seed=7)

@@ -4,6 +4,7 @@ import math
 import pickle
 import random
 import struct
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -31,6 +32,7 @@ from potential_oracle import (
     obstacle_repulsion,
     phi,
     phi_sensed,
+    recursion_path,
     relax,
     static_potential_initial,
     update_neighborhood,
@@ -94,6 +96,19 @@ def test_params_validation():
     for radius in (2.5, math.nan):
         with pytest.raises(ConfigurationError, match="^sensor radius must be an integer"):
             PotentialParams(sensor_radius=radius)
+
+
+def test_params_accept_the_edges_of_their_ranges():
+    PotentialParams(alpha=0.0)
+    for kind, term in (
+        ("goal", PotentialTerm(0.0, math.inf, 1.0)),
+        ("obstacle", PotentialTerm(0.0, 2, -2.0, offset=1e-9)),
+        ("robot", PotentialTerm(0.0, 2, -2.0, offset=1e-9)),
+    ):
+        PotentialParams(**{f"{kind}_terms": (term,)})
+    PotentialParams(goal_terms=(PotentialTerm(1.0, math.inf, 0.0),))
+    # A constant repulsion stays finite at distance 0, so it needs no offset.
+    PotentialParams(robot_terms=(PotentialTerm(0.1, 2, 0.0, offset=0.0),))
 
 
 def test_phi_goal_is_chebyshev_distance():
@@ -406,23 +421,14 @@ def test_divergence_condition_examples():
         check_divergence_condition(1.0, 15.0, 0.05)
 
 
-def _simulate_recursion(p, gamma, alpha, u0, steps, rng):
-    u = u0
-    for _ in range(steps):
-        if rng.random() < p:
-            u *= gamma
-        else:
-            u = (1 - alpha) * u + alpha * u0
-    return u
-
-
 def test_expected_potential_matches_monte_carlo():
     # Moderate parameters keep the trial variance small enough for a tight
     # mean comparison at 10^4 trials.
     p, gamma, alpha, u0, steps = 0.5, 1.3, 0.2, 2.0, 12
     rng = random.Random(1234)
     trials = 10_000
-    mean = sum(_simulate_recursion(p, gamma, alpha, u0, steps, rng) for _ in range(trials)) / trials
+    paths = (list(islice(recursion_path(p, gamma, alpha, u0, rng), steps)) for _ in range(trials))
+    mean = sum(path[-1] for path in paths) / trials
     assert mean == pytest.approx(expected_potential(steps, p, gamma, alpha, u0), rel=0.05)
 
 
@@ -431,21 +437,10 @@ def test_divergent_case_grows_in_simulation():
     # past 10x the initial value and keep a time-average well above it.
     p, gamma, alpha, u0 = 0.01, 15.0, 0.05, 2.0
     assert check_divergence_condition(p, gamma, alpha)
-    rng = random.Random(7)
-    u = u0
-    peak = u0
-    total = 0.0
     steps = 100_000
-    for _ in range(steps):
-        if rng.random() < p:
-            u *= gamma
-        else:
-            u = (1 - alpha) * u + alpha * u0
-        if u > peak:
-            peak = u
-        total += u
-    assert peak > 10 * u0
-    assert total / steps > 2 * u0
+    path = list(islice(recursion_path(p, gamma, alpha, u0, random.Random(7)), steps))
+    assert max(path) > 10 * u0
+    assert sum(path) / steps > 2 * u0
 
 
 @pytest.mark.parametrize("kind", ["goal", "obstacle", "robot"])
