@@ -126,22 +126,22 @@ def _fault(items) -> str | None:
     return None
 
 
-def _read_text(path: Path) -> str:
+def _read_text(path: Path, name: str) -> str:
     """A UTF-8 document's text, less a leading byte-order mark; a byte that
-    does not decode is a LoadError at its line."""
+    does not decode is a LoadError at its line, after the document's name."""
     data = path.read_bytes().removeprefix(codecs.BOM_UTF8)
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         line = len(document_lines(data[: exc.start].decode("utf-8")))
-        raise LoadError(f"{path}: byte 0x{data[exc.start]:02x} is not UTF-8", line=line) from None
+        raise LoadError(f"{name}: byte 0x{data[exc.start]:02x} is not UTF-8", line=line) from None
 
 
 def read_scenario_file(path: str | Path) -> dict[str, tuple[str, int]]:
     """Read the flat key=value scenario document into key -> (value, line number)."""
     path = Path(path)
     values: dict[str, tuple[str, int]] = {}
-    for lineno, raw_line in enumerate(document_lines(_read_text(path)), start=1):
+    for lineno, raw_line in enumerate(document_lines(_read_text(path, str(path))), start=1):
         line = raw_line.split("#", 1)[0].strip()
         if not line:
             continue
@@ -160,12 +160,12 @@ def build_scenario(path: str | Path, seed_override: int | None = None) -> Scenar
     """Load a scenario document, resolving its layout and applying defaults.
 
     Every value is parsed once, in table order, and a value that does not
-    parse is a LoadError at its line; a layout document's own LoadErrors
-    carry their line in that document. The objects are then built once. If
-    a check fails, growing prefixes of the keys found are rebuilt to name
-    the first key at which its message appears. Only the whole set must
-    pass, so two counts may add up to more than the floor holds when the
-    file gives their cells.
+    parse is a LoadError at its line; a fault inside a layout document is
+    `layout: <value>: ...` at its line in that document, the first line of
+    an empty one. The objects are then built once. If a check fails,
+    growing prefixes of the keys found are rebuilt to name the first key at
+    which its message appears. Only the whole set must pass, so two counts
+    may add up to more than the floor holds when the file gives their cells.
     """
     path = Path(path)
     values = read_scenario_file(path)
@@ -174,11 +174,19 @@ def build_scenario(path: str | Path, seed_override: int | None = None) -> Scenar
 
     def load_world(text: str):
         if not text.startswith("generate:"):
+            name = f"layout: {text}"
             try:
-                layout = _read_text(path.parent / text)
+                layout = _read_text(path.parent / text, name)
             except OSError as exc:
                 raise ValueError(f"cannot read {text!r}: {exc.strerror}") from None
-            return parse_layout(layout)
+            try:
+                return parse_layout(layout)
+            except LoadError as exc:
+                if exc.line is None:  # an empty document, at fault on its first line
+                    exc = LoadError(str(exc), line=1)
+                named = LoadError(f"{name}: {exc}")
+                named.line, named.column = exc.line, exc.column
+                raise named from None
         width, _, height = text[len("generate:") :].lower().partition("x")
         try:
             size = int(width), int(height)
@@ -280,7 +288,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--seeds", type=int, default=1)
     sweep.add_argument("--summary", default=None, help="also write per-cell mean/std rows")
     sweep.add_argument("--warm", action="store_true", help="share learned heuristics across runs")
-    sweep.add_argument("--jobs", type=int, default=1)
+    sweep.add_argument(
+        "--jobs", type=int, default=1,
+        help="worker processes, at most one per run and per CPU this process may use",
+    )
     sweep.set_defaults(handler=_cmd_sweep)
 
     gen = sub.add_parser("gen-layout", help="write a tiled warehouse layout")

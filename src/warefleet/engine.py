@@ -285,6 +285,16 @@ def _set_sweep_base(base: Scenario) -> None:
     _sweep_base = base
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the system
+    keeps one, else the machine's count."""
+    import os  # a local import, like the pool's below: engine's module imports stay as they are
+
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _sweep_worker(payload: tuple[int, int, int]) -> tuple[int, int, int, MetricsReport]:
     """The task with its report, last; run_sweep reads only the report."""
     n, k, seed = payload
@@ -353,8 +363,8 @@ def run_sweep(
 
     Cold mode (default) gives every run a fresh heuristic store, so runs are
     independent trials and may execute in parallel on at most one worker
-    per run. Warm mode threads one store through the runs in order and is
-    therefore always serial.
+    per run and per CPU the process may run on. Warm mode threads one store
+    through the runs in order and is therefore always serial.
     """
     require_integers(seeds_per_cell=seeds_per_cell, jobs=jobs)
     if seeds_per_cell < 1:
@@ -367,8 +377,8 @@ def run_sweep(
     seeds = [base.seed + i for i in range(seeds_per_cell)]
     combos = [(n, k, seed) for n in n_values for k in k_values for seed in seeds]
     # The pool may start all its workers at the first task, so never ask for
-    # more than there are runs.
-    workers = min(jobs, len(combos))
+    # more than there are runs or CPUs this process may run on.
+    workers = min(jobs, len(combos), _usable_cpus())
 
     # Both paths yield the reports in combos order, so each cell's seeds
     # are one consecutive slice.

@@ -7,14 +7,19 @@ The closed-form mean and divergence condition of the excite/relax
 recursion are here too, with the seeded simulation that tests check them
 against. So is the proximity-sensor reading, found by scanning the whole
 fleet.
+
+reference_run moves a whole fleet with these formulas alone; tests compare
+it with planner.run_until_done on random crowds, capped runs included.
 """
 
 import math
-from functools import reduce
+from collections import namedtuple
+from functools import cache, reduce
 from operator import add
 
 from warefleet.errors import ConfigurationError
 from warefleet.gridworld import GridWorld, Position
+from warefleet.planner import POTENTIAL_CAP
 from warefleet.potential import DYNAMIC_SCALE, PotentialParams
 
 from gridworld_oracle import obstacle_cells
@@ -75,9 +80,12 @@ def phi_sensed(params: PotentialParams, source_class: str, at: Position, source:
     return phi(params, source_class, at, source)
 
 
+@cache
 def obstacle_repulsion(world: GridWorld, params: PotentialParams, cell: Position) -> float:
     """Summed repulsion of the obstacles within Chebyshev distance radius - 1
-    of a cell, taken row by row, by y, then by x, and added left to right."""
+    of a cell, taken row by row, by y, then by x, and added left to right;
+    kept per world, parameter set and cell, since a reference run asks for
+    each cell every tick it is in a robot's neighborhood."""
     reach = params.sensor_radius - 1
     sensed = [o for o in obstacle_cells(world) if max(abs(o.x - cell.x), abs(o.y - cell.y)) <= reach]
     sensed.sort(key=lambda o: (o.y, o.x))
@@ -145,6 +153,41 @@ def sensor_reading(radius: int, me: int, positions: list[Position]) -> list[Posi
         for i, cell in enumerate(positions)
         if i != me and max(abs(cell[0] - x), abs(cell[1] - y)) <= radius
     ]
+
+
+ReferenceRun = namedtuple("ReferenceRun", "positions outstanding segments potentials tasks")
+
+
+def reference_run(world, params, starts, task_lists, cap) -> ReferenceRun:
+    """Every tick's cells and outstanding count, and each robot's segments
+    (start, goal, moves), final potential map and task list: robots in
+    ascending id, until no task is left or cap ticks have run. A robot on
+    its goal pops the task and forgets its map. Another with a task advances
+    its recursion, clamped at POTENTIAL_CAP, and moves to the first cheapest
+    free cell, up, right, down, left, then its own, counting the sensed
+    robots' repulsion."""
+    cells, tasks = list(starts), [list(goals) for goals in task_lists]
+    potentials, segments = [{} for _ in cells], [[] for _ in cells]
+    legs = [[cell, 0] for cell in cells]  # each robot's leg start and moves
+    positions, outstanding = [tuple(cells)], [sum(map(len, tasks))]
+    while outstanding[-1] and len(positions) <= cap:
+        for me, goals in enumerate(tasks):
+            pos = cells[me]
+            if goals and pos == goals[0]:
+                segments[me].append((legs[me][0], pos, legs[me][1]))
+                goals.pop(0)
+                potentials[me], legs[me] = {}, [pos, 0]
+            elif goals:
+                values = potentials[me]
+                update_neighborhood(values, world, params, pos, goals[0])
+                values[pos] = min(values[pos], POTENTIAL_CAP)
+                near = sensor_reading(params.sensor_radius, me, cells)
+                choices = [*(c for c in world.adjacency[pos] if c not in near), pos]
+                cells[me] = min(choices, key=lambda c: values[c] + dynamic_potential(params, c, near))
+                legs[me][1] += cells[me] != pos
+        positions.append(tuple(cells))
+        outstanding.append(sum(map(len, tasks)))
+    return ReferenceRun(positions, outstanding, segments, potentials, tasks)
 
 
 def check_divergence_condition(p: float, gamma: float, alpha: float) -> bool:

@@ -688,9 +688,10 @@ def test_non_utf8_file_is_load_error_with_line(tmp_path, capsys, bad_file):
     cfg.write_bytes(text.encode("latin-1"))
     out = tmp_path / "x.csv"
     assert main(["run", "--scenario", str(cfg), "--out", str(out)]) == 1
-    message = capsys.readouterr().err
-    assert message.startswith("error: ") and "0xe9" in message
-    assert message.rstrip().endswith(f"(line {3 if bad_file == 'layout' else 4})")
+    # A layout document is named as the scenario file wrote it, after its key.
+    name = "layout: w.layout" if bad_file == "layout" else cfg
+    line = 3 if bad_file == "layout" else 4
+    assert capsys.readouterr().err == f"error: {name}: byte 0xe9 is not UTF-8 (line {line})\n"
     assert not out.exists()
 
 
@@ -729,6 +730,33 @@ def test_unreadable_layout_path_is_an_error_at_its_line(tmp_path, capsys, value)
     message = capsys.readouterr().err
     assert re.fullmatch(rf"error: layout: cannot read {re.escape(repr(value))}: .+ \(line 2\)\n", message)
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "document, fault",
+    [
+        (b"#####\n#.\0.#\n#####\n", ("unknown glyph '\\x00'", 2, 3)),
+        (b"#####\n#...\n#####\n", ("ragged row: expected 5 characters, got 4", 2, None)),
+        (b"#####\r\n....#\r\n#####\r\n", ("boundary is not enclosed by walls", 2, 1)),
+        (b"\n\n", ("layout document is empty", 1, None)),
+    ],
+    ids=["nul", "ragged", "open-border", "empty"],
+)
+def test_a_fault_in_the_layout_document_names_it_and_its_line(tmp_path, capsys, document, fault):
+    # The line and column are the layout document's, so the message names
+    # that document, as the scenario file wrote it, after the layout key.
+    (tmp_path / "t.layout").write_bytes(document)
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text("n_robots = 1\nn_tasks = 1\nlayout = t.layout\n", encoding="utf-8")
+    out = tmp_path / "x.csv"
+    assert main(["run", "--scenario", str(cfg), "--out", str(out)]) == 1
+    message, line, column = fault
+    place = f"line {line}" if column is None else f"line {line}, column {column}"
+    assert capsys.readouterr().err == f"error: layout: t.layout: {message} ({place})\n"
+    assert not out.exists()
+    with pytest.raises(LoadError) as raised:
+        build_scenario(cfg)
+    assert (raised.value.line, raised.value.column) == (line, column)
 
 
 def test_layout_file_too_small_is_load_error_with_line(tmp_path, capsys):
@@ -935,6 +963,67 @@ def test_fuzzed_scenario_file_ends_in_a_result_or_one_error_line(document):
         assert named, message
         n_lines = len(document_lines(document.decode("utf-8", "replace")))
         assert 1 <= int(named.group(1)) <= n_lines, message
+
+
+@st.composite
+def layout_documents(draw) -> bytes:
+    """A walled layout document with a random floor, often empty or of one
+    cell, then mutated: a ragged row, an unknown glyph or NUL, a floor glyph
+    on the border, a non-UTF-8 byte, LF, CR LF and CR line ends mixed, or
+    no text at all."""
+    width, height = draw(st.integers(3, 7)), draw(st.integers(3, 5))
+    rows = [["#"] * width for _ in range(height)]
+    for y in range(1, height - 1):
+        rows[y][1:-1] = draw(st.lists(st.sampled_from("#.."), min_size=width - 2, max_size=width - 2))
+    if _one_in(draw, 2):
+        y, x = draw(st.integers(0, height - 1)), draw(st.integers(0, width - 1))
+        rows[y][x] = draw(st.sampled_from(["x", " ", "\t", "\0", "é", "☃"]))
+    if _one_in(draw, 2):  # an opening in the border
+        y = draw(st.sampled_from([0, height - 1]))
+        rows[y][draw(st.integers(0, width - 1))] = "."
+    if _one_in(draw, 3):
+        row = rows[draw(st.integers(0, height - 1))]
+        row[draw(st.integers(0, width - 1)):] = draw(st.sampled_from([[], ["#"], ["#", "."]]))
+    ends = st.sampled_from(["\n", "\r\n", "\r"])
+    text = "".join("".join(row) + draw(ends) for row in rows)
+    data = b"" if _one_in(draw, 15) else text.encode("utf-8")
+    if _one_in(draw, 4):  # a byte that is not UTF-8
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from([b"\xe9", b"\xff", b"\x80"])) + data[at:]
+    return data
+
+
+@settings(deadline=None, max_examples=100)
+@given(layout_documents())
+@example(b"###\r\n#.#\n###")
+@example(b"####\n#..#\r#.#\n####\n")
+def test_fuzzed_layout_document_ends_in_a_result_or_one_error_line(document):
+    # Exit 0 with the output written, or exit 1 with no output and one
+    # `error: layout:` line: a fault in the document's text names the
+    # document and one of its lines, and a floor that the scenario cannot
+    # use, the layout key's line of the scenario file.
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "t.layout").write_bytes(document)
+        cfg, out = tmp / "s.cfg", tmp / "x.csv"
+        scenario = "layout = t.layout\npopulation = 2\ngenerations = 1\nstep_cap = 30\n"
+        cfg.write_text(scenario, encoding="utf-8")
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr):
+            code = main(["run", "--scenario", str(cfg), "--out", str(out)])
+        written = sorted(path.name for path in tmp.iterdir())
+    message = stderr.getvalue()
+    if code == 0:
+        assert message == "" and written == ["s.cfg", "t.layout", "x.csv"]
+        return
+    assert code == 1 and written == ["s.cfg", "t.layout"]
+    assert message.count("\n") == 1 and message.endswith("\n"), message
+    named = re.fullmatch(r"error: layout: t\.layout: .+ \(line (\d+)(, column \d+)?\)\n", message)
+    if named:
+        n_lines = len(document_lines(document.decode("utf-8", "replace")))
+        assert 1 <= int(named.group(1)) <= n_lines, message
+    else:
+        assert re.fullmatch(r"error: layout: .+ \(line 1\)\n", message), message
 
 
 def test_removed_commands_are_invalid_choices(scenario_file, tmp_path, capsys):

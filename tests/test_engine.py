@@ -3,6 +3,7 @@ import csv
 import dataclasses
 import io
 import math
+import os
 import re
 import statistics
 from functools import reduce
@@ -425,17 +426,18 @@ def test_run_sweep_parallel_matches_serial():
     ]
 
 
-def test_run_sweep_ships_base_once(monkeypatch):
-    pools = []
+@pytest.fixture
+def pools(monkeypatch):
+    """Every process pool that run_sweep makes, in order. Each runs its
+    initializer and tasks in this process and starts no process."""
+    made = []
 
     class InProcessPool:
-        """Runs the pool's initializer and tasks in this process."""
-
         def __init__(self, max_workers, initializer, initargs):
             self.max_workers = max_workers
             self.initargs = initargs
             self.payloads = []
-            pools.append(self)
+            made.append(self)
             initializer(*initargs)
 
         def __enter__(self):
@@ -450,13 +452,18 @@ def test_run_sweep_ships_base_once(monkeypatch):
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
     monkeypatch.setattr(engine, "_sweep_base", None)
+    return made
+
+
+def test_run_sweep_ships_base_once(monkeypatch, pools):
+    monkeypatch.setattr(engine, "_usable_cpus", lambda: 8)
     world = generate_layout_sized(16, 16)
     base = Scenario(world=world, n_robots=1, n_tasks=1, ga=LIGHT_GA, seed=80)
     reports, _ = run_sweep(base, [1, 2], [2], seeds_per_cell=2, jobs=64)
 
     assert len(pools) == 1
     pool = pools[0]
-    assert pool.max_workers == 4  # one worker per run, not 64
+    assert pool.max_workers == 4  # one worker per run, not 64, on 8 CPUs
     assert pool.initargs == (base,)
     assert len(pool.payloads) == 4
     for payload in pool.payloads:
@@ -469,6 +476,31 @@ def test_run_sweep_ships_base_once(monkeypatch):
     # A grid of one run needs no pool at all.
     run_sweep(base, [1], [2], seeds_per_cell=1, jobs=8)
     assert len(pools) == 1
+
+
+@pytest.mark.parametrize("affinity", [True, False], ids=["affinity", "cpu-count"])
+def test_run_sweep_caps_workers_at_the_usable_cpus(monkeypatch, pools, affinity):
+    # The pool may start all its workers at its first task, so --jobs 5000
+    # asks for no more than the CPUs the process may run on: its affinity
+    # set, else the machine's count. One CPU runs serially. The rows and
+    # summaries are the same for every --jobs.
+    def use_cpus(n):
+        if affinity:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+            monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        else:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+            monkeypatch.setattr(os, "cpu_count", lambda: n)
+
+    base = Scenario(world=generate_layout_sized(16, 16), n_robots=1, n_tasks=1, ga=LIGHT_GA, seed=90)
+    serial = run_sweep(base, [1, 2], [2], seeds_per_cell=2)
+    for cpus, jobs, workers in ((3, 5000, 3), (3, 2, 2), (8, 5000, 4), (1, 5000, None)):
+        use_cpus(cpus)
+        del pools[:]
+        sweep = run_sweep(base, [1, 2], [2], seeds_per_cell=2, jobs=jobs)
+        assert [pool.max_workers for pool in pools] == ([workers] if workers else [])
+        for rows, expected in zip(sweep, serial):
+            assert list(map(_deterministic_fields, rows)) == list(map(_deterministic_fields, expected))
 
 
 def test_importing_the_cli_loads_no_process_pool():

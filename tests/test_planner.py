@@ -23,20 +23,14 @@ from warefleet.planner import (
     Segment,
     SimTrace,
     _bucket_index,
-    _choose,
     format_trace,
     run_until_done,
     sense_nearby,
 )
-from warefleet.potential import (
-    PotentialParams,
-    PotentialTerm,
-    _obstacle_field,
-    term_table,
-)
+from warefleet.potential import PotentialParams, PotentialTerm, _obstacle_field
 
 from conftest import TRACE_FAULTS, Integral, open_room, random_world, trace_faults, world_from
-from potential_oracle import dynamic_potential, sensor_reading, update_neighborhood
+from potential_oracle import reference_run, sensor_reading
 
 PARAMS = PotentialParams()
 
@@ -76,6 +70,28 @@ def case_params(case):
 
 def make_robot(pos, goal):
     return RobotState(pos=pos, tasks=[goal])
+
+
+def assert_runs_like_the_reference(robots, world, params, cap):
+    """run_until_done on the robots must equal the reference run from their
+    starts and task lists: every tick's cells, the outstanding counts, the
+    segments, the outcome and tick count, and each robot's final potential
+    map and task list. Returns the trace."""
+    reference = reference_run(world, params, [r.pos for r in robots], [r.tasks for r in robots], cap)
+    trace = run_until_done(robots, world, params, cap)
+    assert trace.positions == reference.positions
+    assert trace.outstanding == reference.outstanding
+    assert trace.segments == reference.segments
+    outcome = CAP_REACHED if reference.outstanding[-1] else COMPLETED
+    assert (trace.outcome, trace.k_total) == (outcome, len(reference.positions) - 1)
+    assert [r.potential for r in robots] == reference.potentials
+    assert [r.tasks for r in robots] == reference.tasks
+    return trace
+
+
+def reference_ticks(fleet, world, cap):
+    """Every robot's cell at each tick of the fleet's reference run."""
+    return reference_run(world, PARAMS, [r.pos for r in fleet], [r.tasks for r in fleet], cap).positions
 
 
 def plan_step(robot, world, params, others):
@@ -127,7 +143,8 @@ def test_plan_step_tie_break_prefers_up_then_right():
 def test_descent_step_matches_reference_operations(case):
     # The table-driven descent step must leave the recursion state exactly
     # as the reference operations do, with the obstacle repulsion summed
-    # straight from the formula, and pick the same argmin.
+    # straight from the formula, and pick the same argmin: three robots
+    # whose paths cross, cut after every tick of their run.
     params = case_params(case)
     room = world_from([
         "###########",
@@ -137,39 +154,11 @@ def test_descent_step_matches_reference_operations(case):
         "#.........#",
         "###########",
     ])
-    goal = Position(9, 3)
-    others = [Position(5, 3), Position(2, 1)]
-    fast = make_robot(Position(2, 3), goal)
-    slow = make_robot(Position(2, 3), goal)
-    rng = random.Random(0)
-    for _ in range(25):
-        reference = copy.deepcopy(slow.potential)
-        update_neighborhood(reference, room, params, slow.pos, goal)
-        candidates = [*room.adjacency[slow.pos], slow.pos]
-        occupied = set(others)
-        best, best_value = None, None
-        for cell in candidates:
-            if cell != slow.pos and cell in occupied:
-                continue
-            value = reference[cell] + dynamic_potential(params, cell, others)
-            if best is None or value < best_value:
-                best, best_value = cell, value
-        chosen = plan_step(fast, room, params, others)
-        assert chosen == best
-        assert fast.potential == reference
-        slow.potential = reference
-        slow.pos = chosen
-        if chosen == goal:
-            break
-        # Jiggle the other robots deterministically to vary the dynamics.
-        others = [
-            Position(
-                min(max(o.x + rng.choice((-1, 0, 1)), 1), room.width - 2),
-                min(max(o.y + rng.choice((-1, 0, 1)), 1), room.height - 2),
-            )
-            for o in others
-        ]
-        others = [o for o in others if o in room.reachable]
+    legs = [((2, 3), (9, 3)), ((5, 3), (1, 4)), ((2, 1), (8, 1))]
+    for cap in range(1, 26):
+        robots = [make_robot(Position(*start), Position(*goal)) for start, goal in legs]
+        trace = assert_runs_like_the_reference(robots, room, params, cap)
+    assert trace.outcome == COMPLETED
 
 
 def test_plan_step_escapes_pocket_by_excitation():
@@ -199,15 +188,8 @@ def test_corridor_swap_is_impossible():
     room = world_from(["########", "#......#", "########"])
     a = RobotState(pos=Position(1, 1), tasks=[Position(6, 1)])
     b = RobotState(pos=Position(6, 1), tasks=[Position(1, 1)])
-    robots = [a, b]
-    for _ in range(60):
-        before = tuple(r.pos for r in robots)
-        run_until_done(robots, room, PARAMS, 1)
-        after = tuple(r.pos for r in robots)
-        assert after[0] != after[1], "same-cell collision"
-        assert not (after[0] == before[1] and after[1] == before[0]), "swap"
-        for prev, cur in zip(before, after):
-            assert abs(prev.x - cur.x) + abs(prev.y - cur.y) <= 1
+    trace = run_until_done([a, b], room, PARAMS, 60)
+    assert trace_faults(trace) == dict.fromkeys(TRACE_FAULTS, 0)
 
 
 def test_idle_robot_blocks_and_repels():
@@ -217,8 +199,7 @@ def test_idle_robot_blocks_and_repels():
     trace = run_until_done([worker, idler], room, PARAMS, 200)
     assert trace.outcome == COMPLETED
     assert idler.pos == Position(4, 2)  # never moved
-    for snapshot in trace.positions:
-        assert snapshot[0] != snapshot[1]
+    assert trace_faults(trace) == dict.fromkeys(TRACE_FAULTS, 0)
 
 
 def test_goal_adjacent_arrival_then_pop():
@@ -619,41 +600,16 @@ def crowds(draw):
     return world, PotentialParams(sensor_radius=radius), robots
 
 
-def _reference_tick(robots, world, params):
-    """One tick of run_until_done, with every sensor reading taken by
-    scanning the whole fleet at its current cells."""
-    repulsion = _obstacle_field(world, params.sensor_radius, params.obstacle_terms)
-    goal_table = term_table(params.goal_terms, world.width, world.height)
-    size = min(params.sensor_radius, max(world.width, world.height))
-    robot_table = term_table(params.robot_terms, size, size)
-    for me, robot in enumerate(robots):
-        if not robot.tasks:
-            continue
-        if robot.pos == robot.tasks[0]:
-            robot.tasks.pop(0)
-            robot.potential = {}
-            continue
-        near = sensor_reading(params.sensor_radius, me, [r.pos for r in robots])
-        robot.pos = _choose(
-            robot.potential, repulsion, goal_table, robot_table,
-            world.adjacency[robot.pos], robot.pos, robot.tasks[0], near, params.alpha, params.gamma,
-        )
-
-
-def _fleet_state(robots):
-    return [(r.pos, r.tasks, r.potential) for r in robots]
-
-
-@settings(max_examples=200, deadline=None)
-@given(crowds())
-def test_bucketed_sensor_reading_matches_a_scan_of_the_fleet(crowd):
+@settings(max_examples=150, deadline=None)
+@given(crowds(), st.integers(1, 60))
+def test_bucketed_sensor_reading_matches_a_scan_of_the_fleet(crowd, cap):
     # The reading through the bucket index must equal the brute-force one
     # element by element, in ascending id: for every robot at the start of a
     # run, and for every mover in each of its ticks, after the movers before
-    # it were refiled. So must the ticks it drives.
+    # it were refiled. The run it drives, to its end or its cap, must be
+    # the reference run.
     world, params, bucketed = crowd
     radius = params.sensor_radius
-    reference = copy.deepcopy(bucketed)
     positions = [r.pos for r in bucketed]
     buckets = _bucket_index(bucketed, 2 * radius + 1)
     for me, pos in enumerate(positions):
@@ -661,10 +617,7 @@ def test_bucketed_sensor_reading_matches_a_scan_of_the_fleet(crowd):
             radius, me, positions
         )
     with mock.patch.object(planner, "sense_nearby", _checked_sense_nearby):
-        run_until_done(bucketed, world, params, 3)
-    for _ in range(3):
-        _reference_tick(reference, world, params)
-    assert _fleet_state(bucketed) == _fleet_state(reference)
+        assert_runs_like_the_reference(bucketed, world, params, cap)
 
 
 def _checked_sense_nearby(radius, pos, me, robots, buckets):
@@ -758,16 +711,6 @@ def test_interleaved_fleets_step_as_they_run_alone():
     assert stepped == [trace.positions for trace in alone]
 
 
-def _stepped_positions(robots, world, params):
-    """Every robot's cell at each tick, read from the robots between one-tick
-    runs: the trace that run_until_done must reproduce."""
-    ticks = [tuple(r.pos for r in robots)]
-    while any(r.tasks for r in robots):
-        run_until_done(robots, world, params, 1)
-        ticks.append(tuple(r.pos for r in robots))
-    return ticks
-
-
 def test_trace_of_an_empty_fleet_is_one_empty_tick():
     trace = run_until_done([], generate_layout_sized(21, 20), PARAMS, 5)
     assert (trace.outcome, trace.k_total, len(trace.positions)) == (COMPLETED, 0, 1)
@@ -782,8 +725,8 @@ def test_trace_on_a_lattice_of_more_than_65536_cells():
     last = max(world.floor, key=lambda c: c.y * world.width + c.x)
     assert last.y * world.width + last.x > 65535
     fleet = [make_robot(last, Position(last.x - 6, last.y)), make_robot(Position(1, 1), Position(5, 2))]
-    trace = run_until_done(copy.deepcopy(fleet), world, PARAMS, 100)
-    expected = _stepped_positions(fleet, world, PARAMS)
+    expected = reference_ticks(fleet, world, 100)
+    trace = run_until_done(fleet, world, PARAMS, 100)
     assert trace.outcome == COMPLETED
     assert trace.positions[0] == (last, Position(1, 1))
     assert trace.positions[-1] == (Position(last.x - 6, last.y), Position(5, 2))
@@ -793,8 +736,8 @@ def test_trace_on_a_lattice_of_more_than_65536_cells():
 def test_trace_positions_index_like_the_list_of_ticks():
     world = generate_layout_sized(21, 20)
     fleet = _crowd_on(world, 6, 3)
-    trace = run_until_done(copy.deepcopy(fleet), world, PARAMS, 500)
-    expected = _stepped_positions(fleet, world, PARAMS)
+    expected = reference_ticks(fleet, world, 500)
+    trace = run_until_done(fleet, world, PARAMS, 500)
     positions = trace.positions
     n = len(expected)
     assert len(positions) == n > 5 and list(positions) == expected
@@ -823,7 +766,7 @@ def test_trace_positions_compare_equal_to_lists_both_ways():
     fleet = _crowd_on(world, 6, 4)
     trace = run_until_done(copy.deepcopy(fleet), world, PARAMS, 500)
     again = run_until_done(copy.deepcopy(fleet), world, PARAMS, 500)
-    expected = _stepped_positions(fleet, world, PARAMS)
+    expected = reference_ticks(fleet, world, 500)
     positions = trace.positions
     assert positions == expected and expected == positions
     assert not positions != expected and not expected != positions
@@ -840,8 +783,8 @@ def test_trace_positions_compare_equal_to_lists_both_ways():
 def test_trace_survives_pickle_and_deepcopy():
     world = generate_layout_sized(21, 20)
     fleet = _crowd_on(world, 6, 5)
-    trace = run_until_done(copy.deepcopy(fleet), world, PARAMS, 500)
-    expected = _stepped_positions(fleet, world, PARAMS)
+    expected = reference_ticks(fleet, world, 500)
+    trace = run_until_done(fleet, world, PARAMS, 500)
     for twin in (pickle.loads(pickle.dumps(trace)), copy.deepcopy(trace)):
         assert twin.positions == expected and twin.positions[-1] == expected[-1]
         assert format_trace(twin) == format_trace(trace)
