@@ -22,8 +22,6 @@ from warefleet.gridworld import GridWorld, Position
 from warefleet.planner import POTENTIAL_CAP
 from warefleet.potential import DYNAMIC_SCALE, PotentialParams
 
-from gridworld_oracle import obstacle_cells
-
 GOAL = "goal"
 OBSTACLE = "obstacle"
 ROBOT = "robot"
@@ -83,12 +81,14 @@ def phi_sensed(params: PotentialParams, source_class: str, at: Position, source:
 @cache
 def obstacle_repulsion(world: GridWorld, params: PotentialParams, cell: Position) -> float:
     """Summed repulsion of the obstacles within Chebyshev distance radius - 1
-    of a cell, taken row by row, by y, then by x, and added left to right;
-    kept per world, parameter set and cell, since a reference run asks for
-    each cell every tick it is in a robot's neighborhood."""
+    of a cell, read from the grid bytes of that box clipped to the lattice,
+    row by row, by y, then by x, and added left to right; kept per world,
+    parameter set and cell, since a reference run asks for each cell every
+    tick it is in a robot's neighborhood."""
     reach = params.sensor_radius - 1
-    sensed = [o for o in obstacle_cells(world) if max(abs(o.x - cell.x), abs(o.y - cell.y)) <= reach]
-    sensed.sort(key=lambda o: (o.y, o.x))
+    xs = range(max(cell.x - reach, 0), min(cell.x + reach + 1, world.width))
+    ys = range(max(cell.y - reach, 0), min(cell.y + reach + 1, world.height))
+    sensed = (Position(x, y) for y in ys for x in xs if world.grid[y * world.width + x])
     return reduce(add, (phi(params, OBSTACLE, cell, obstacle) for obstacle in sensed), 0.0)
 
 

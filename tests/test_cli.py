@@ -3,6 +3,7 @@ import contextlib
 import csv
 import io
 import json
+import os
 import re
 import tempfile
 from pathlib import Path
@@ -53,20 +54,6 @@ def scenario_file(tmp_path):
 def read_csv(path):
     with open(path, newline="", encoding="utf-8") as handle:
         return list(csv.reader(handle))
-
-
-def test_read_scenario_file_rejects_unknown_key(tmp_path):
-    path = tmp_path / "bad.cfg"
-    path.write_text("layout = generate:10x10\nrobots = 3\n", encoding="utf-8")
-    with pytest.raises(LoadError):
-        read_scenario_file(path)
-
-
-def test_read_scenario_file_rejects_duplicate_key(tmp_path):
-    path = tmp_path / "bad.cfg"
-    path.write_text("layout = generate:10x10\nseed = 1\nseed = 2\n", encoding="utf-8")
-    with pytest.raises(LoadError):
-        read_scenario_file(path)
 
 
 @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
@@ -239,17 +226,6 @@ def test_sweep_one_cell_times_each_seed(scenario_file, tmp_path):
     for row in rows:
         assert (row["N"], row["K"]) == ("2", "2")
         assert int(row["planner_time_us"]) >= 0 and int(row["astar_time_us"]) >= 0
-
-
-@pytest.mark.parametrize("seeds", ["0", "-2"])
-def test_sweep_rejects_seeds_below_one(scenario_file, tmp_path, capsys, seeds):
-    out = tmp_path / "sweep.csv"
-    summary = tmp_path / "cells.csv"
-    argv = ["sweep", "--scenario", str(scenario_file), "--out", str(out),
-            "--n-values", "1", "--k-values", "2", f"--seeds={seeds}", "--summary", str(summary)]
-    assert main(argv) == 1
-    assert capsys.readouterr().err == "error: need at least one seed per cell\n"
-    assert not out.exists() and not summary.exists()
 
 
 def test_sweep_rows_and_summary(scenario_file, tmp_path):
@@ -526,41 +502,6 @@ def test_crowded_run_is_the_same_under_two_hash_seeds(tmp_path):
     assert outputs[0] == outputs[1]
 
 
-@pytest.mark.parametrize("jobs", ["0", "-3"])
-def test_sweep_rejects_jobs_below_one(scenario_file, tmp_path, capsys, jobs):
-    out = tmp_path / "sweep.csv"
-    argv = ["sweep", "--scenario", str(scenario_file), "--out", str(out),
-            "--n-values", "1", "--k-values", "2", "--seeds", "1", f"--jobs={jobs}"]
-    assert main(argv) == 1
-    assert capsys.readouterr().err == "error: jobs must be at least 1\n"
-    assert not out.exists()
-
-
-@pytest.mark.parametrize(
-    "n_values, k_values, message",
-    [
-        (",", "2", "error: --n-values: expected at least one value\n"),
-        ("1", " ", "error: --k-values: expected at least one value\n"),
-        ("1,1", "2", "error: --n-values: value 1 given more than once\n"),
-        ("1", "2,3, 2", "error: --k-values: value 2 given more than once\n"),
-        ("1,0", "2", "error: --n-values: value 0 is below 1\n"),
-        ("1", "2,-1", "error: --k-values: value -1 is below 1\n"),
-        ("1,x", "2", "error: --n-values: expected comma-separated integers, got '1,x'\n"),
-    ],
-)
-def test_sweep_rejects_empty_or_repeated_grid_value(
-    scenario_file, tmp_path, capsys, n_values, k_values, message
-):
-    out = tmp_path / "sweep.csv"
-    summary = tmp_path / "cells.csv"
-    argv = ["sweep", "--scenario", str(scenario_file), "--out", str(out),
-            f"--n-values={n_values}", f"--k-values={k_values}", "--seeds", "2",
-            "--summary", str(summary)]
-    assert main(argv) == 1
-    assert capsys.readouterr().err == message
-    assert not out.exists() and not summary.exists()
-
-
 # The two scenario commands, each with the arguments it needs besides
 # --scenario and --out.
 SCENARIO_COMMANDS = {
@@ -584,80 +525,6 @@ def test_scenario_commands_share_their_arguments(command, scenario_file, tmp_pat
     assert main(argv) == 0 and out.exists()
 
 
-def test_missing_scenario_file_is_io_error(tmp_path):
-    out = tmp_path / "x.csv"
-    assert main(["run", "--scenario", str(tmp_path / "nope.cfg"), "--out", str(out)]) == 2
-
-
-def test_malformed_scenario_is_validation_error(tmp_path):
-    cfg = tmp_path / "bad.cfg"
-    cfg.write_text("layout = generate:10x10\nn_robots = 0\n", encoding="utf-8")
-    out = tmp_path / "x.csv"
-    assert main(["run", "--scenario", str(cfg), "--out", str(out)]) == 1
-
-
-@pytest.mark.parametrize(
-    "key, bad, line",
-    [
-        ("n_robots", "abc", 3),
-        ("alpha", "0.05x", 6),
-        # Values that parse but fail their owner's range check.
-        ("gamma", "0.5", 5),
-        ("gamma", "inf", 5),
-        ("gamma", "nan", 5),
-        ("sensor_radius", "1", 7),
-        ("n_robots", "0", 3),
-        ("mutation_prob", "2", 10),
-        ("population", "1", 8),
-        ("generations", "0", 9),
-        ("eta", "0", 11),
-        ("layout", "generate:3x3", 2),
-        ("step_cap", "-1", 13),
-    ],
-)
-def test_bad_number_is_load_error_with_line(tmp_path, capsys, key, bad, line):
-    lines = MINI_SCENARIO.splitlines()
-    assert lines[line - 1].startswith(f"{key} = ")
-    lines[line - 1] = f"{key} = {bad}"
-    cfg = tmp_path / "bad.cfg"
-    cfg.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    out = tmp_path / "x.csv"
-    assert main(["run", "--scenario", str(cfg), "--out", str(out)]) == 1
-    message = capsys.readouterr().err
-    assert message.startswith(f"error: {key}: ") and message.rstrip().endswith(f"(line {line})")
-    assert not out.exists()
-    with pytest.raises(LoadError) as raised:
-        build_scenario(cfg)
-    assert raised.value.line == line
-
-
-@pytest.mark.parametrize(
-    "bad_line, message",
-    [
-        ("seed 4", "expected 'key = value'"),
-        ("robot_starts = 1,x", "robot_starts: positions must be integers, got '1,x'"),
-        ("robot_starts = 1,2,3", "robot_starts: odd number of coordinates in '1,2,3'"),
-    ],
-)
-def test_malformed_line_is_one_error_line(tmp_path, capsys, bad_line, message):
-    cfg = tmp_path / "bad.cfg"
-    cfg.write_text(MINI_SCENARIO + bad_line + "\n", encoding="utf-8")
-    out = tmp_path / "x.csv"
-    assert main(["run", "--scenario", str(cfg), "--out", str(out)]) == 1
-    line = MINI_SCENARIO.count("\n") + 1
-    assert capsys.readouterr().err == f"error: {message} (line {line})\n"
-    assert not out.exists()
-
-
-def test_scenario_without_layout_is_one_error_line(tmp_path, capsys):
-    cfg = tmp_path / "bad.cfg"
-    cfg.write_text("n_robots = 2\n", encoding="utf-8")
-    out = tmp_path / "x.csv"
-    assert main(["run", "--scenario", str(cfg), "--out", str(out)]) == 1
-    assert capsys.readouterr().err == "error: scenario is missing the 'layout' key\n"
-    assert not out.exists()
-
-
 def test_failed_rename_leaves_the_old_output_and_no_temp_file(
     monkeypatch, scenario_file, tmp_path, capsys
 ):
@@ -672,27 +539,6 @@ def test_failed_rename_leaves_the_old_output_and_no_temp_file(
     assert capsys.readouterr().err.startswith("i/o error: cannot replace ")
     assert sorted(tmp_path.iterdir()) == sorted([scenario_file, out])
     assert out.read_text(encoding="utf-8") == "old\n"
-
-
-@pytest.mark.parametrize("bad_file", ["scenario", "layout"])
-def test_non_utf8_file_is_load_error_with_line(tmp_path, capsys, bad_file):
-    layout = tmp_path / "w.layout"
-    rows = ["#####", "#...#", "#...#", "#####"]
-    if bad_file == "layout":
-        rows[2] = "#.\xe9.#"
-    layout.write_bytes("\n".join(rows).encode("latin-1") + b"\n")
-    text = "layout = w.layout\nn_robots = 1\nn_tasks = 1\n"
-    if bad_file == "scenario":
-        text += "# caf\xe9\n"
-    cfg = tmp_path / "s.cfg"
-    cfg.write_bytes(text.encode("latin-1"))
-    out = tmp_path / "x.csv"
-    assert main(["run", "--scenario", str(cfg), "--out", str(out)]) == 1
-    # A layout document is named as the scenario file wrote it, after its key.
-    name = "layout: w.layout" if bad_file == "layout" else cfg
-    line = 3 if bad_file == "layout" else 4
-    assert capsys.readouterr().err == f"error: {name}: byte 0xe9 is not UTF-8 (line {line})\n"
-    assert not out.exists()
 
 
 def test_byte_order_marks_are_ignored(tmp_path):
@@ -719,69 +565,6 @@ def test_bad_byte_after_a_byte_order_mark_is_named_at_its_line(tmp_path):
         read_scenario_file(cfg)
 
 
-@pytest.mark.parametrize("value", ["", "nope.layout"])
-def test_unreadable_layout_path_is_an_error_at_its_line(tmp_path, capsys, value):
-    # An empty value names the scenario's own directory, and the other no
-    # file; each is an error at the layout's line, not an i/o error.
-    cfg = tmp_path / "s.cfg"
-    cfg.write_text(f"n_robots = 1\nlayout = {value}\n", encoding="utf-8")
-    out = tmp_path / "x.csv"
-    assert main(["run", "--scenario", str(cfg), "--out", str(out)]) == 1
-    message = capsys.readouterr().err
-    assert re.fullmatch(rf"error: layout: cannot read {re.escape(repr(value))}: .+ \(line 2\)\n", message)
-    assert not out.exists()
-
-
-@pytest.mark.parametrize(
-    "document, fault",
-    [
-        (b"#####\n#.\0.#\n#####\n", ("unknown glyph '\\x00'", 2, 3)),
-        (b"#####\n#...\n#####\n", ("ragged row: expected 5 characters, got 4", 2, None)),
-        (b"#####\r\n....#\r\n#####\r\n", ("boundary is not enclosed by walls", 2, 1)),
-        (b"\n\n", ("layout document is empty", 1, None)),
-    ],
-    ids=["nul", "ragged", "open-border", "empty"],
-)
-def test_a_fault_in_the_layout_document_names_it_and_its_line(tmp_path, capsys, document, fault):
-    # The line and column are the layout document's, so the message names
-    # that document, as the scenario file wrote it, after the layout key.
-    (tmp_path / "t.layout").write_bytes(document)
-    cfg = tmp_path / "s.cfg"
-    cfg.write_text("n_robots = 1\nn_tasks = 1\nlayout = t.layout\n", encoding="utf-8")
-    out = tmp_path / "x.csv"
-    assert main(["run", "--scenario", str(cfg), "--out", str(out)]) == 1
-    message, line, column = fault
-    place = f"line {line}" if column is None else f"line {line}, column {column}"
-    assert capsys.readouterr().err == f"error: layout: t.layout: {message} ({place})\n"
-    assert not out.exists()
-    with pytest.raises(LoadError) as raised:
-        build_scenario(cfg)
-    assert (raised.value.line, raised.value.column) == (line, column)
-
-
-def test_layout_file_too_small_is_load_error_with_line(tmp_path, capsys):
-    (tmp_path / "tiny.layout").write_text("##\n##\n", encoding="utf-8")
-    cfg = tmp_path / "s.cfg"
-    cfg.write_text("n_robots = 1\nlayout = tiny.layout\n", encoding="utf-8")
-    out = tmp_path / "x.csv"
-    assert main(["run", "--scenario", str(cfg), "--out", str(out)]) == 1
-    assert capsys.readouterr().err == (
-        "error: layout: grid 2x2 too small to hold walls and floor (line 2)\n"
-    )
-    assert not out.exists()
-
-
-def test_random_placements_beyond_the_floor_name_the_count_line(tmp_path, capsys):
-    cfg = tmp_path / "s.cfg"
-    cfg.write_text("layout = generate:21x20\nn_tasks = 5000\n", encoding="utf-8")
-    out = tmp_path / "x.csv"
-    assert main(["run", "--scenario", str(cfg), "--out", str(out)]) == 1
-    assert capsys.readouterr().err == (
-        "error: n_tasks: layout has only 278 free cells for 5001 random placements (line 2)\n"
-    )
-    assert not out.exists()
-
-
 def test_given_cells_may_outnumber_the_free_floor(tmp_path):
     # Three robots and three tasks on a four-cell floor: every cell is
     # given, so none is drawn, whatever the counts add up to.
@@ -802,50 +585,193 @@ ONE_CELL_LAYOUT = "###\n#.#\n###\n"
 # Two rooms of four cells each, with no way between them.
 SPLIT_LAYOUT = "#######\n#..#..#\n#..#..#\n#######\n"
 ONE_CELL_OVERFLOW = "layout has only 1 free cells for 2 random placements"
+# A scenario whose layout is the document t.layout, on its line 3.
+LAYOUT_SCENARIO = "n_robots = 1\nn_tasks = 1\nlayout = t.layout\n"
+RUN = ["run", "--scenario", "s.cfg", "--out", "x.csv"]
+SWEEP = ["sweep", "--scenario", "s.cfg", "--out", "sweep.csv", "--summary", "cells.csv"]
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        "layout = one.layout\n",
-        "gamma = 2\nlayout = one.layout\npopulation = 4\nmutation_prob = 0.5\n",
-        "n_robots = 1\nlayout = one.layout\n",
-    ],
-    ids=["layout-only", "potential-and-ga-keys", "default-count"],
-)
-def test_defaults_that_overflow_the_floor_name_the_layout_line(tmp_path, capsys, text):
-    (tmp_path / "one.layout").write_text(ONE_CELL_LAYOUT, encoding="utf-8")
-    cfg = tmp_path / "s.cfg"
-    cfg.write_text(text, encoding="utf-8")
-    out = tmp_path / "x.csv"
-    assert main(["run", "--scenario", str(cfg), "--out", str(out)]) == 1
-    line = text.splitlines().index("layout = one.layout") + 1
-    assert capsys.readouterr().err == f"error: layout: {ONE_CELL_OVERFLOW} (line {line})\n"
-    assert not out.exists()
+def _write(directory: Path, files: dict[str, str | bytes]) -> None:
+    for name, data in files.items():
+        (directory / name).write_bytes(data if isinstance(data, bytes) else data.encode("utf-8"))
 
 
-def test_a_value_that_does_not_parse_is_named_before_a_failed_check(tmp_path, capsys):
-    # gamma parses but fails its check; n_robots does not parse. Every value
-    # is parsed before any object is built, so n_robots is named.
-    cfg = tmp_path / "s.cfg"
-    cfg.write_text("gamma = 0.5\nlayout = generate:21x20\nn_robots = abc\n", encoding="utf-8")
-    out = tmp_path / "x.csv"
-    assert main(["run", "--scenario", str(cfg), "--out", str(out)]) == 1
-    assert capsys.readouterr().err == (
-        "error: n_robots: invalid literal for int() with base 10: 'abc' (line 3)\n"
-    )
-    assert not out.exists()
+def run_cli(files: dict[str, str | bytes], argv: list[str]) -> tuple[int, str, list[str]]:
+    """Run `main(argv)` in process from a fresh temporary directory that
+    holds `files`, name -> text or bytes. Returns the exit code, the stderr
+    text and the sorted names of the files that the command wrote."""
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        _write(Path(tmp), files)
+        stderr = io.StringIO()
+        os.chdir(tmp)
+        try:
+            with contextlib.redirect_stderr(stderr):
+                code = main(argv)
+        finally:
+            os.chdir(cwd)
+        written = sorted(set(os.listdir(tmp)) - set(files))
+    return code, stderr.getvalue(), written
 
 
-def test_layout_path_with_a_null_byte_is_an_error_at_its_line(tmp_path, capsys):
-    cfg = tmp_path / "s.cfg"
-    cfg.write_text("n_robots = 1\nlayout = a\0b.layout\n", encoding="utf-8")
-    out = tmp_path / "x.csv"
-    assert main(["run", "--scenario", str(cfg), "--out", str(out)]) == 1
-    message = capsys.readouterr().err
-    assert message.startswith("error: layout: ") and message.endswith(" (line 2)\n")
-    assert "null" in message and message.count("\n") == 1
-    assert not out.exists()
+def _bad(id, files, err, argv=RUN, place=None):
+    """A BAD_INPUTS row; `files` given as one text are the scenario s.cfg."""
+    files = files if isinstance(files, dict) else {"s.cfg": files}
+    return pytest.param(files, argv, err, place, id=id)
+
+
+def _bad_value(key, value, message):
+    """The row of MINI_SCENARIO with `key` set to `value`: an error at its line."""
+    lines = MINI_SCENARIO.splitlines(keepends=True)
+    line = next(n for n, text in enumerate(lines, 1) if text.startswith(f"{key} = "))
+    lines[line - 1] = f"{key} = {value}\n"
+    err = f"error: {key}: {message} (line {line})"
+    return _bad(f"{key}-{value}", "".join(lines), err, place=(line, None))
+
+
+# Every bad input of the command line: its id, its files, its argv, its one
+# stderr line (a pattern where the OS or Python words part of it) and, for a
+# fault in a scenario or layout file, the (line, column) of the LoadError
+# that build_scenario raises.
+BAD_INPUTS = [
+    _bad("missing-scenario", {}, re.compile(r"i/o error: \[Errno \d+\] .+: 's\.cfg'")),
+    # Lines that are not `key = value` for a key of the table, given once.
+    _bad("unknown-key", "layout = generate:10x10\nrobots = 3\n",
+         "error: unknown scenario key 'robots' (line 2)", place=(2, None)),
+    _bad("duplicate-key", "layout = generate:10x10\nseed = 1\nseed = 2\n",
+         "error: duplicate scenario key 'seed' (line 3)", place=(3, None)),
+    _bad("no-equals", MINI_SCENARIO + "seed 4\n",
+         "error: expected 'key = value' (line 14)", place=(14, None)),
+    _bad("no-layout-key", "n_robots = 2\n",
+         "error: scenario is missing the 'layout' key", place=(None, None)),
+    # Values that do not parse, then values that fail their owner's check.
+    _bad_value("n_robots", "abc", "invalid literal for int() with base 10: 'abc'"),
+    _bad_value("alpha", "0.05x", "could not convert string to float: '0.05x'"),
+    _bad("robot_starts-1,x", MINI_SCENARIO + "robot_starts = 1,x\n",
+         "error: robot_starts: positions must be integers, got '1,x' (line 14)", place=(14, None)),
+    _bad("robot_starts-1,2,3", MINI_SCENARIO + "robot_starts = 1,2,3\n",
+         "error: robot_starts: odd number of coordinates in '1,2,3' (line 14)", place=(14, None)),
+    _bad("layout-generate:banana", "layout = generate:banana\n",
+         "error: layout: expected generate:WIDTHxHEIGHT, got 'generate:banana' (line 1)",
+         place=(1, None)),
+    _bad_value("gamma", "0.5", "excitation factor must be finite and exceed 1, got 0.5"),
+    _bad_value("gamma", "inf", "excitation factor must be finite and exceed 1, got inf"),
+    _bad_value("gamma", "nan", "excitation factor must be finite and exceed 1, got nan"),
+    _bad_value("sensor_radius", "1", "sensor radius must be at least 2"),
+    _bad_value("n_robots", "0", "need at least one robot and one task"),
+    _bad("n_robots-0-alone", "layout = generate:10x10\nn_robots = 0\n",
+         "error: n_robots: need at least one robot and one task (line 2)", place=(2, None)),
+    _bad_value("mutation_prob", "2", "mutation probability must lie in [0, 1]"),
+    _bad_value("population", "1", "population size must be at least 2"),
+    _bad_value("generations", "0", "need at least one generation"),
+    _bad_value("eta", "0", "learning rate must lie in (0, 1]"),
+    _bad_value("layout", "generate:3x3", "3x3 leaves no room for an aisle"),
+    _bad_value("step_cap", "-1", "step cap must be positive, or 0 for the default"),
+    # Every value is parsed before any object is built, so n_robots, which
+    # does not parse, is named, not gamma, which fails its check.
+    _bad("parse-before-check", "gamma = 0.5\nlayout = generate:21x20\nn_robots = abc\n",
+         "error: n_robots: invalid literal for int() with base 10: 'abc' (line 3)",
+         place=(3, None)),
+    # Counts that the floor cannot hold name the first key from which on
+    # they fail: the layout's line when the defaults fail.
+    _bad("placements-beyond-floor", "layout = generate:21x20\nn_tasks = 5000\n",
+         "error: n_tasks: layout has only 278 free cells for 5001 random placements (line 2)",
+         place=(2, None)),
+    *(
+        _bad(f"one-cell-{id}", {"s.cfg": text, "one.layout": ONE_CELL_LAYOUT},
+             f"error: layout: {ONE_CELL_OVERFLOW} (line {line})", place=(line, None))
+        for id, text, line in [
+            ("layout-only", "layout = one.layout\n", 1),
+            ("potential-and-ga-keys",
+             "gamma = 2\nlayout = one.layout\npopulation = 4\nmutation_prob = 0.5\n", 2),
+            ("default-count", "n_robots = 1\nlayout = one.layout\n", 2),
+        ]
+    ),
+    # A layout path that names no readable document; an empty one names the
+    # scenario's own directory. Each is an error at the layout's line.
+    _bad("layout-path-empty", "n_robots = 1\nlayout = \n",
+         re.compile(r"error: layout: cannot read '': .+ \(line 2\)"), place=(2, None)),
+    _bad("layout-path-missing", "n_robots = 1\nlayout = nope.layout\n",
+         re.compile(r"error: layout: cannot read 'nope\.layout': .+ \(line 2\)"), place=(2, None)),
+    _bad("layout-path-nul", "n_robots = 1\nlayout = a\0b.layout\n",
+         re.compile(r"error: layout: .*null.* \(line 2\)"), place=(2, None)),
+    # A byte that is not UTF-8 is named in its own document at its line.
+    _bad("non-utf8-scenario", {"s.cfg": LAYOUT_SCENARIO.encode() + b"# caf\xe9\n",
+                               "t.layout": "#####\n#...#\n#...#\n#####\n"},
+         "error: s.cfg: byte 0xe9 is not UTF-8 (line 4)", place=(4, None)),
+    # A fault in the layout document's text names that document, as the
+    # scenario file wrote it, and its line and column; a grid that is too
+    # small is a fault of the layout key's value.
+    *(
+        _bad(f"document-{id}", {"s.cfg": LAYOUT_SCENARIO, "t.layout": document},
+             f"error: layout: {err}", place=place)
+        for id, document, err, place in [
+            ("non-utf8", b"#####\n#...#\n#.\xe9.#\n#####\n",
+             "t.layout: byte 0xe9 is not UTF-8 (line 3)", (3, None)),
+            ("nul", b"#####\n#.\0.#\n#####\n",
+             "t.layout: unknown glyph '\\x00' (line 2, column 3)", (2, 3)),
+            ("ragged", b"#####\n#...\n#####\n",
+             "t.layout: ragged row: expected 5 characters, got 4 (line 2)", (2, None)),
+            ("open-border", b"#####\r\n....#\r\n#####\r\n",
+             "t.layout: boundary is not enclosed by walls (line 2, column 1)", (2, 1)),
+            ("empty", b"\n\n", "t.layout: layout document is empty (line 1)", (1, None)),
+            ("too-small", b"##\n##\n",
+             "grid 2x2 too small to hold walls and floor (line 3)", (3, None)),
+        ]
+    ),
+    # Sweep flags, checked after the scenario file and before any run.
+    *(
+        _bad(f"seeds-{seeds}", MINI_SCENARIO, "error: need at least one seed per cell",
+             [*SWEEP, "--n-values", "1", "--k-values", "2", f"--seeds={seeds}"])
+        for seeds in ("0", "-2")
+    ),
+    *(
+        _bad(f"jobs-{jobs}", MINI_SCENARIO, "error: jobs must be at least 1",
+             [*SWEEP, "--n-values", "1", "--k-values", "2", f"--jobs={jobs}"])
+        for jobs in ("0", "-3")
+    ),
+    *(
+        _bad(id, MINI_SCENARIO, f"error: {err}",
+             [*SWEEP, f"--n-values={n}", f"--k-values={k}", "--seeds", "2"])
+        for id, n, k, err in [
+            ("n-empty", ",", "2", "--n-values: expected at least one value"),
+            ("k-blank", "1", " ", "--k-values: expected at least one value"),
+            ("n-repeated", "1,1", "2", "--n-values: value 1 given more than once"),
+            ("k-repeated", "1", "2,3, 2", "--k-values: value 2 given more than once"),
+            ("n-zero", "1,0", "2", "--n-values: value 0 is below 1"),
+            ("k-negative", "1", "2,-1", "--k-values: value -1 is below 1"),
+            ("n-not-integers", "1,x", "2",
+             "--n-values: expected comma-separated integers, got '1,x'"),
+        ]
+    ),
+    # The largest cell of the grid overflows the floor, in the parent and
+    # in worker processes.
+    *(
+        _bad(f"grid-overflow-jobs{jobs}",
+             "layout = generate:21x20\npopulation = 4\ngenerations = 2\n",
+             "error: --n-values 300 with --k-values 5: "
+             "layout has only 278 free cells for 305 random placements",
+             [*SWEEP, "--n-values", "5,300", "--k-values", "5", "--jobs", jobs])
+        for jobs in ("1", "2")
+    ),
+]
+
+
+@pytest.mark.parametrize("files, argv, err, place", BAD_INPUTS)
+def test_bad_input_ends_in_one_error_line(tmp_path, files, argv, err, place):
+    # Exit 2 for an i/o error and 1 for any other, one full stderr line and
+    # no file written.
+    code, stderr, written = run_cli(files, argv)
+    io_error = getattr(err, "pattern", err).startswith("i/o error: ")
+    assert (code, written) == (2 if io_error else 1, [])
+    assert stderr.endswith("\n") and stderr.count("\n") == 1, stderr
+    line = stderr[:-1]
+    assert err.fullmatch(line) if isinstance(err, re.Pattern) else line == err
+    if place:
+        _write(tmp_path, files)
+        with pytest.raises(LoadError) as raised:
+            build_scenario(tmp_path / "s.cfg")
+        assert (raised.value.line, raised.value.column) == place
 
 
 # The fuzzer's values for each scenario key: ones that pass, and ones that
@@ -891,7 +817,7 @@ _FUZZ_VALUES["robot_starts"] = _FUZZ_VALUES["task_positions"] = (
 
 def _one_in(draw, n: int) -> bool:
     """True in about one draw of n; False once Hypothesis shrinks it."""
-    return draw(st.integers(0, 2 * n - 1)) == n
+    return draw(st.integers(0, n - 1)) == n - 1
 
 
 @st.composite
@@ -941,22 +867,12 @@ def test_fuzzed_scenario_file_ends_in_a_result_or_one_error_line(document):
     # Exit 0 with the output written, or exit 1 with one `error:` line that
     # names a line of the file (unless the layout key is missing) and no
     # output; no exception escapes.
-    with tempfile.TemporaryDirectory() as tmp:
-        tmp = Path(tmp)
-        (tmp / "one.layout").write_text(ONE_CELL_LAYOUT, encoding="utf-8")
-        (tmp / "split.layout").write_text(SPLIT_LAYOUT, encoding="utf-8")
-        cfg, out = tmp / "s.cfg", tmp / "x.csv"
-        cfg.write_bytes(document)
-        stderr = io.StringIO()
-        with contextlib.redirect_stderr(stderr):
-            code = main(["run", "--scenario", str(cfg), "--out", str(out)])
-        written = sorted(path.name for path in tmp.iterdir())
-    message = stderr.getvalue()
-    inputs = ["one.layout", "s.cfg", "split.layout"]
+    files = {"one.layout": ONE_CELL_LAYOUT, "split.layout": SPLIT_LAYOUT, "s.cfg": document}
+    code, message, written = run_cli(files, RUN)
     if code == 0:
-        assert message == "" and written == sorted([*inputs, "x.csv"])
+        assert message == "" and written == ["x.csv"]
         return
-    assert code == 1 and written == inputs
+    assert code == 1 and written == []
     assert message.startswith("error: ") and message.count("\n") == 1 and message.endswith("\n")
     if message != "error: scenario is missing the 'layout' key\n":
         named = re.search(r"\(line (\d+)\)$", message.rstrip("\n"))
@@ -1002,21 +918,12 @@ def test_fuzzed_layout_document_ends_in_a_result_or_one_error_line(document):
     # `error: layout:` line: a fault in the document's text names the
     # document and one of its lines, and a floor that the scenario cannot
     # use, the layout key's line of the scenario file.
-    with tempfile.TemporaryDirectory() as tmp:
-        tmp = Path(tmp)
-        (tmp / "t.layout").write_bytes(document)
-        cfg, out = tmp / "s.cfg", tmp / "x.csv"
-        scenario = "layout = t.layout\npopulation = 2\ngenerations = 1\nstep_cap = 30\n"
-        cfg.write_text(scenario, encoding="utf-8")
-        stderr = io.StringIO()
-        with contextlib.redirect_stderr(stderr):
-            code = main(["run", "--scenario", str(cfg), "--out", str(out)])
-        written = sorted(path.name for path in tmp.iterdir())
-    message = stderr.getvalue()
+    scenario = "layout = t.layout\npopulation = 2\ngenerations = 1\nstep_cap = 30\n"
+    code, message, written = run_cli({"s.cfg": scenario, "t.layout": document}, RUN)
     if code == 0:
-        assert message == "" and written == ["s.cfg", "t.layout", "x.csv"]
+        assert message == "" and written == ["x.csv"]
         return
-    assert code == 1 and written == ["s.cfg", "t.layout"]
+    assert code == 1 and written == []
     assert message.count("\n") == 1 and message.endswith("\n"), message
     named = re.fullmatch(r"error: layout: t\.layout: .+ \(line (\d+)(, column \d+)?\)\n", message)
     if named:
@@ -1024,6 +931,66 @@ def test_fuzzed_layout_document_ends_in_a_result_or_one_error_line(document):
         assert 1 <= int(named.group(1)) <= n_lines, message
     else:
         assert re.fullmatch(r"error: layout: .+ \(line 1\)\n", message), message
+
+
+# A floor of four cells, which holds the robots and tasks of small cells only.
+ROOM_LAYOUT = "####\n#..#\n#..#\n####\n"
+# Scenario lines that are each a fault at their own line.
+_BAD_LINES = ["gamma = 0.5", "n_robots = x", "seed 4", "robots = 2"]
+# Sweep axes: one to three distinct values in 1..3, or a bad list.
+_GOOD_AXIS = st.lists(st.sampled_from("123"), min_size=1, max_size=3, unique=True).map(",".join)
+_BAD_AXES = ["", ",", "2,2", "1,0", "-1", "x", "1,x"]
+
+
+@st.composite
+def sweep_calls(draw):
+    """A scenario of population 2 and one generation on a 24-cell floor or
+    on ROOM_LAYOUT, at times with one line of _BAD_LINES, and sweep flags
+    each drawn from good and bad values; at most --jobs 2, since each such
+    call may start a pool. Returns the scenario text, the argv, the line of
+    the file's fault or None, and whether every input is good and the floor
+    holds the sweep's largest cell."""
+    room = draw(st.booleans())
+    lines = [f"layout = {'room.layout' if room else 'generate:8x6'}", "population = 2",
+             "generations = 1"]
+    bad_line = None
+    if _one_in(draw, 4):
+        bad_line = draw(st.integers(1, len(lines) + 1))
+        lines.insert(bad_line - 1, draw(st.sampled_from(_BAD_LINES)))
+
+    def good_or_bad(good, bad):  # bad in about one draw of four
+        return draw(st.sampled_from(bad) if _one_in(draw, 4) else good)
+
+    axes = [good_or_bad(_GOOD_AXIS, _BAD_AXES) for _ in range(2)]
+    seeds = good_or_bad(st.sampled_from([1, 2]), [0, -1])
+    jobs = good_or_bad(st.sampled_from([1, 2]), [0, -3])
+    argv = ["sweep", "--scenario", "s.cfg", "--out", "sweep.csv", f"--n-values={axes[0]}",
+            f"--k-values={axes[1]}", f"--seeds={seeds}", f"--jobs={jobs}"]
+    argv += draw(st.sampled_from([[], ["--warm"]]))
+    argv += draw(st.sampled_from([[], ["--summary", "cells.csv"]]))
+    largest = [max(map(int, axis.split(","))) for axis in axes if axis not in _BAD_AXES]
+    valid = bad_line is None and len(largest) == 2 and min(seeds, jobs) >= 1
+    return "\n".join(lines) + "\n", argv, bad_line, valid and sum(largest) <= (4 if room else 24)
+
+
+@settings(deadline=None, max_examples=80)
+@given(sweep_calls())
+def test_fuzzed_sweep_ends_in_a_result_or_one_error_line(call):
+    # Exit 0 with the run rows written, and the summary when asked for, or
+    # exit 1 with no output and one `error:` line that names the line of a
+    # fault in the scenario file and no line for a fault in the flags. A
+    # sweep whose every input is good and fits the floor exits 0.
+    scenario, argv, bad_line, valid = call
+    code, message, written = run_cli({"s.cfg": scenario, "room.layout": ROOM_LAYOUT}, argv)
+    assert (code == 0) == valid, message
+    if code == 0:
+        summary = ["cells.csv"] if "--summary" in argv else []
+        assert message == "" and written == [*summary, "sweep.csv"]
+        return
+    assert code == 1 and written == []
+    assert message.startswith("error: ") and message.count("\n") == 1 and message.endswith("\n")
+    named = re.search(r" \(line (\d+)\)\n$", message)
+    assert (named and int(named.group(1))) == bad_line, message
 
 
 def test_removed_commands_are_invalid_choices(scenario_file, tmp_path, capsys):
@@ -1036,40 +1003,13 @@ def test_removed_commands_are_invalid_choices(scenario_file, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["run", "sweep"])
-def test_out_of_memory_is_an_error_line(monkeypatch, scenario_file, tmp_path, capsys, command):
+def test_out_of_memory_is_an_error_line(monkeypatch, command):
     def exhausted(*args, **kwargs):
         raise MemoryError
 
     monkeypatch.setattr(cli, "run_scenario", exhausted)
     monkeypatch.setattr(engine, "run_scenario", exhausted)
-    out = tmp_path / "x.csv"
-    extra = ["--n-values", "1", "--k-values", "2"] if command == "sweep" else []
-    assert main([command, "--scenario", str(scenario_file), "--out", str(out), *extra]) == 1
-    assert capsys.readouterr().err == (
-        "error: out of memory: the scenario is too large to run here\n"
-    )
-    assert list(tmp_path.iterdir()) == [scenario_file]  # no output, no temp file
-
-
-def test_invalid_layout_value_is_validation_error(tmp_path):
-    cfg = tmp_path / "bad.cfg"
-    cfg.write_text("layout = generate:banana\n", encoding="utf-8")
-    out = tmp_path / "x.csv"
-    assert main(["run", "--scenario", str(cfg), "--out", str(out)]) == 1
-
-
-@pytest.mark.parametrize("jobs", ["1", "2"])
-def test_sweep_names_the_grid_flags_when_its_largest_cell_overflows_the_floor(
-    tmp_path, capsys, jobs
-):
-    cfg = tmp_path / "small.cfg"
-    cfg.write_text("layout = generate:21x20\npopulation = 4\ngenerations = 2\n", encoding="utf-8")
-    out, summary = tmp_path / "sweep.csv", tmp_path / "cells.csv"
-    argv = ["sweep", "--scenario", str(cfg), "--out", str(out), "--summary", str(summary),
-            "--n-values", "5,300", "--k-values", "5", "--jobs", jobs]
-    assert main(argv) == 1
-    assert capsys.readouterr().err == (
-        "error: --n-values 300 with --k-values 5: "
-        "layout has only 278 free cells for 305 random placements\n"
-    )
-    assert not out.exists() and not summary.exists()
+    argv = RUN if command == "run" else [*SWEEP, "--n-values", "1", "--k-values", "2"]
+    code, err, written = run_cli({"s.cfg": MINI_SCENARIO}, argv)
+    assert err == "error: out of memory: the scenario is too large to run here\n"
+    assert (code, written) == (1, [])  # no output, no temp file

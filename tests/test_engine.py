@@ -135,9 +135,10 @@ def test_scenario_validation():
         Scenario(world=room, n_robots=1, n_tasks=2, task_positions=(Position(1, 1),))
     # A given cell is any pair of integers on the floor, kept as the world's
     # own Position; (24, 1) would wrap onto the floor cell (3, 2) of the
-    # 21-wide world if only y * width + x were checked.
+    # 21-wide world if only y * width + x were checked, and (1, 12) and
+    # (21, 11) would index past the grid if a bound let in height or width.
     world = generate_layout_sized(21, 12)
-    for cell in (1.0, 1), [1, 1.5], (1, 1, 1), (24, 1), "ab", 7:
+    for cell in (1.0, 1), [1, 1.5], (1, 1, 1), (24, 1), (1, 12), (21, 11), "ab", 7:
         for name, label in ("robot_starts", "robot start"), ("task_positions", "task position"):
             message = f"^{re.escape(f'{label} {cell!r}')} is not a reachable cell$"
             with pytest.raises(ConfigurationError, match=message):
