@@ -626,13 +626,44 @@ def _bad_value(key, value, message):
     line = next(n for n, text in enumerate(lines, 1) if text.startswith(f"{key} = "))
     lines[line - 1] = f"{key} = {value}\n"
     err = f"error: {key}: {message} (line {line})"
-    return _bad(f"{key}-{value}", "".join(lines), err, place=(line, None))
+    return _bad(f"{key}-{value}-{line}", "".join(lines), err, place=(line, None))
 
 
 # Every bad input of the command line: its id, its files, its argv, its one
 # stderr line (a pattern where the OS or Python words part of it) and, for a
 # fault in a scenario or layout file, the (line, column) of the LoadError
-# that build_scenario raises.
+# that build_scenario raises. Two sections of the table, bad values of
+# MINI_SCENARIO and bad grid axes of sweep, are lists of their own.
+BAD_VALUES = [
+    # Values that do not parse, then values that fail their owner's check.
+    _bad_value("n_robots", "abc", "invalid literal for int() with base 10: 'abc'"),
+    _bad_value("alpha", "0.05x", "could not convert string to float: '0.05x'"),
+    _bad_value("gamma", "0.5", "excitation factor must be finite and exceed 1, got 0.5"),
+    _bad_value("gamma", "inf", "excitation factor must be finite and exceed 1, got inf"),
+    _bad_value("gamma", "nan", "excitation factor must be finite and exceed 1, got nan"),
+    _bad_value("sensor_radius", "1", "sensor radius must be at least 2"),
+    _bad_value("n_robots", "0", "need at least one robot and one task"),
+    _bad_value("mutation_prob", "2", "mutation probability must lie in [0, 1]"),
+    _bad_value("population", "1", "population size must be at least 2"),
+    _bad_value("generations", "0", "need at least one generation"),
+    _bad_value("eta", "0", "learning rate must lie in (0, 1]"),
+    _bad_value("layout", "generate:3x3", "3x3 leaves no room for an aisle"),
+    _bad_value("step_cap", "-1", "step cap must be positive, or 0 for the default"),
+]
+# Each row is named by its two axes and the stderr text.
+BAD_GRID_VALUES = [
+    _bad(f"{n}-{k}-error: {err}\n", MINI_SCENARIO, f"error: {err}",
+         [*SWEEP, f"--n-values={n}", f"--k-values={k}", "--seeds", "2"])
+    for n, k, err in [
+        (",", "2", "--n-values: expected at least one value"),
+        ("1", " ", "--k-values: expected at least one value"),
+        ("1,1", "2", "--n-values: value 1 given more than once"),
+        ("1", "2,3, 2", "--k-values: value 2 given more than once"),
+        ("1,0", "2", "--n-values: value 0 is below 1"),
+        ("1", "2,-1", "--k-values: value -1 is below 1"),
+        ("1,x", "2", "--n-values: expected comma-separated integers, got '1,x'"),
+    ]
+]
 BAD_INPUTS = [
     _bad("missing-scenario", {}, re.compile(r"i/o error: \[Errno \d+\] .+: 's\.cfg'")),
     # Lines that are not `key = value` for a key of the table, given once.
@@ -644,9 +675,7 @@ BAD_INPUTS = [
          "error: expected 'key = value' (line 14)", place=(14, None)),
     _bad("no-layout-key", "n_robots = 2\n",
          "error: scenario is missing the 'layout' key", place=(None, None)),
-    # Values that do not parse, then values that fail their owner's check.
-    _bad_value("n_robots", "abc", "invalid literal for int() with base 10: 'abc'"),
-    _bad_value("alpha", "0.05x", "could not convert string to float: '0.05x'"),
+    # Lines that parse as `key = value` but whose value does not.
     _bad("robot_starts-1,x", MINI_SCENARIO + "robot_starts = 1,x\n",
          "error: robot_starts: positions must be integers, got '1,x' (line 14)", place=(14, None)),
     _bad("robot_starts-1,2,3", MINI_SCENARIO + "robot_starts = 1,2,3\n",
@@ -654,19 +683,8 @@ BAD_INPUTS = [
     _bad("layout-generate:banana", "layout = generate:banana\n",
          "error: layout: expected generate:WIDTHxHEIGHT, got 'generate:banana' (line 1)",
          place=(1, None)),
-    _bad_value("gamma", "0.5", "excitation factor must be finite and exceed 1, got 0.5"),
-    _bad_value("gamma", "inf", "excitation factor must be finite and exceed 1, got inf"),
-    _bad_value("gamma", "nan", "excitation factor must be finite and exceed 1, got nan"),
-    _bad_value("sensor_radius", "1", "sensor radius must be at least 2"),
-    _bad_value("n_robots", "0", "need at least one robot and one task"),
     _bad("n_robots-0-alone", "layout = generate:10x10\nn_robots = 0\n",
          "error: n_robots: need at least one robot and one task (line 2)", place=(2, None)),
-    _bad_value("mutation_prob", "2", "mutation probability must lie in [0, 1]"),
-    _bad_value("population", "1", "population size must be at least 2"),
-    _bad_value("generations", "0", "need at least one generation"),
-    _bad_value("eta", "0", "learning rate must lie in (0, 1]"),
-    _bad_value("layout", "generate:3x3", "3x3 leaves no room for an aisle"),
-    _bad_value("step_cap", "-1", "step cap must be positive, or 0 for the default"),
     # Every value is parsed before any object is built, so n_robots, which
     # does not parse, is named, not gamma, which fails its check.
     _bad("parse-before-check", "gamma = 0.5\nlayout = generate:21x20\nn_robots = abc\n",
@@ -730,20 +748,6 @@ BAD_INPUTS = [
              [*SWEEP, "--n-values", "1", "--k-values", "2", f"--jobs={jobs}"])
         for jobs in ("0", "-3")
     ),
-    *(
-        _bad(id, MINI_SCENARIO, f"error: {err}",
-             [*SWEEP, f"--n-values={n}", f"--k-values={k}", "--seeds", "2"])
-        for id, n, k, err in [
-            ("n-empty", ",", "2", "--n-values: expected at least one value"),
-            ("k-blank", "1", " ", "--k-values: expected at least one value"),
-            ("n-repeated", "1,1", "2", "--n-values: value 1 given more than once"),
-            ("k-repeated", "1", "2,3, 2", "--k-values: value 2 given more than once"),
-            ("n-zero", "1,0", "2", "--n-values: value 0 is below 1"),
-            ("k-negative", "1", "2,-1", "--k-values: value -1 is below 1"),
-            ("n-not-integers", "1,x", "2",
-             "--n-values: expected comma-separated integers, got '1,x'"),
-        ]
-    ),
     # The largest cell of the grid overflows the floor, in the parent and
     # in worker processes.
     *(
@@ -757,10 +761,9 @@ BAD_INPUTS = [
 ]
 
 
-@pytest.mark.parametrize("files, argv, err, place", BAD_INPUTS)
-def test_bad_input_ends_in_one_error_line(tmp_path, files, argv, err, place):
-    # Exit 2 for an i/o error and 1 for any other, one full stderr line and
-    # no file written.
+def _ends_in_one_error_line(tmp_path, files, argv, err, place):
+    """Exit 2 for an i/o error and 1 for any other, one full stderr line,
+    no file written and, for a fault in a file, the LoadError's place."""
     code, stderr, written = run_cli(files, argv)
     io_error = getattr(err, "pattern", err).startswith("i/o error: ")
     assert (code, written) == (2 if io_error else 1, [])
@@ -772,6 +775,21 @@ def test_bad_input_ends_in_one_error_line(tmp_path, files, argv, err, place):
         with pytest.raises(LoadError) as raised:
             build_scenario(tmp_path / "s.cfg")
         assert (raised.value.line, raised.value.column) == place
+
+
+@pytest.mark.parametrize("files, argv, err, place", BAD_INPUTS)
+def test_bad_input_ends_in_one_error_line(tmp_path, files, argv, err, place):
+    _ends_in_one_error_line(tmp_path, files, argv, err, place)
+
+
+@pytest.mark.parametrize("files, argv, err, place", BAD_VALUES)
+def test_bad_number_is_load_error_with_line(tmp_path, files, argv, err, place):
+    _ends_in_one_error_line(tmp_path, files, argv, err, place)
+
+
+@pytest.mark.parametrize("files, argv, err, place", BAD_GRID_VALUES)
+def test_sweep_rejects_empty_or_repeated_grid_value(tmp_path, files, argv, err, place):
+    _ends_in_one_error_line(tmp_path, files, argv, err, place)
 
 
 # The fuzzer's values for each scenario key: ones that pass, and ones that
